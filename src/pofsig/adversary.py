@@ -2,8 +2,10 @@
 
 Everything here is exhaustive search: full preimage-set enumeration for
 the Lamport oracle and full inversion of composed Winternitz chains.
-A hard cap on domain width keeps runs at desk scale; production sizes
-are refused outright.
+Every domain sweep runs through ``oracle.domain_images``;
+``enumerate_preimages`` is the generic per-candidate reference that
+tests compare the sweeps against.  A hard cap on domain width keeps
+runs at desk scale; production sizes are refused outright.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from typing import Callable, Optional
 
 from .core import BitString, LamportParams, WotsParams
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
-from .lamport import LamportPublicKey, LamportSignature, hash_secret
+from .lamport import LamportPublicKey, LamportSignature
 from .oracle import (
     LABEL_LAMPORT,
     LABEL_WOTS_CHAIN,
     OracleTag,
     Seed,
     chain,
-    digest_bits,
+    domain_images,
     tag_prefix,
 )
 from .wots import WotsPublicKey, WotsSignature, extend
@@ -84,6 +86,21 @@ def sample_preimage(ps: PreimageSet, rng: random.Random) -> BitString:
     return ps.members[rng.randrange(ps.count)]
 
 
+def _lamport_steps(params: LamportParams) -> list[tuple[bytes, int]]:
+    return [(tag_prefix(OracleTag(LABEL_LAMPORT), params.n, params.sk_bits), params.n)]
+
+
+def _scan(steps, target: BitString, domain_bits: int) -> PreimageSet:
+    """Every domain input whose image through steps equals target."""
+    y0 = target.payload
+    members = tuple(
+        BitString.from_int(v, domain_bits)
+        for v, y in enumerate(domain_images(steps, domain_bits))
+        if y == y0
+    )
+    return PreimageSet(target=target, domain_bits=domain_bits, members=members)
+
+
 def build_lamport_preimage_index(params: LamportParams) -> dict[bytes, list[BitString]]:
     """Full image table of the Lamport oracle at these parameters.
 
@@ -92,14 +109,13 @@ def build_lamport_preimage_index(params: LamportParams) -> dict[bytes, list[BitS
     lists come out in ascending input order, identical to a fresh scan.
     """
     domain_bits = params.sk_bits
-    prefix = tag_prefix(OracleTag(LABEL_LAMPORT), params.n, domain_bits)
     nbytes = (domain_bits + 7) // 8
     pad = 8 * nbytes - domain_bits
     index: dict[bytes, list[BitString]] = {}
-    for v in range(1 << domain_bits):
-        payload = (v << pad).to_bytes(nbytes, "big")
-        y = digest_bits(prefix, payload, params.n)
-        index.setdefault(y, []).append(BitString(domain_bits, payload))
+    for v, y in enumerate(domain_images(_lamport_steps(params), domain_bits)):
+        index.setdefault(y, []).append(
+            BitString(domain_bits, (v << pad).to_bytes(nbytes, "big"))
+        )
     return index
 
 
@@ -113,9 +129,7 @@ def lamport_preimages(
     if index is not None:
         members = tuple(index.get(y0.payload, ()))
         return PreimageSet(target=y0, domain_bits=params.sk_bits, members=members)
-    return enumerate_preimages(
-        lambda x: hash_secret(params, x), y0, params.sk_bits, budget
-    )
+    return _scan(_lamport_steps(params), y0, params.sk_bits)
 
 
 def forge_lamport(
@@ -145,40 +159,17 @@ def chain_preimages(
     pk_value: BitString,
     budget: ForgeryBudget,
 ) -> PreimageSet:
-    """All position-b_star values whose finished chain reaches pk_value.
-
-    Enumerates the composed map from position b_star to the chain top by
-    raw scan; later steps are memoized since the image shrinks by delta
-    bits per step.
+    """All position-b_star values whose finished chain reaches pk_value,
+    by a full sweep of the composed map from position b_star to the top.
     """
     domain_bits = params.value_bits(b_star)
     budget.check(domain_bits)
     steps = []
     for i in range(b_star + 1, params.w):
         out_bits = params.value_bits(i)
-        prefix = tag_prefix(
-            OracleTag(LABEL_WOTS_CHAIN, r, i), out_bits, params.value_bits(i - 1)
-        )
-        steps.append((prefix, out_bits))
-    nbytes = (domain_bits + 7) // 8
-    pad = 8 * nbytes - domain_bits
-    target = pk_value.payload
-    memos: list[dict[bytes, bytes]] = [dict() for _ in steps]
-    members = []
-    for v in range(1 << domain_bits):
-        cur = (v << pad).to_bytes(nbytes, "big")
-        for k, (prefix, out_bits) in enumerate(steps):
-            if k == 0:
-                cur = digest_bits(prefix, cur, out_bits)
-            else:
-                nxt = memos[k].get(cur)
-                if nxt is None:
-                    nxt = digest_bits(prefix, cur, out_bits)
-                    memos[k][cur] = nxt
-                cur = nxt
-        if cur == target:
-            members.append(BitString(domain_bits, (v << pad).to_bytes(nbytes, "big")))
-    return PreimageSet(target=pk_value, domain_bits=domain_bits, members=tuple(members))
+        tag = OracleTag(LABEL_WOTS_CHAIN, r, i)
+        steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
+    return _scan(steps, pk_value, domain_bits)
 
 
 def forge_wots(

@@ -12,12 +12,13 @@ exp(-2^delta) from below and 5.22 * 2^-delta from above.
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 
 from . import lamport, wots
 from .adversary import (
@@ -26,11 +27,17 @@ from .adversary import (
     forge_lamport,
     forge_wots,
 )
-from .core import BitString, LamportParams, WotsParams
+from .core import LamportParams, WotsParams, draw_bits
 from .errors import DomainError, InvalidParams
-from .lamport import draw_bits
-from .oracle import LABEL_WOTS_CHAIN, OracleTag, Seed, digest_bits, tag_prefix
-from .pof import PofEvidenceII, detect_forgery, verify_pof2
+from .oracle import (
+    LABEL_WOTS_CHAIN,
+    OracleTag,
+    Seed,
+    domain_images,
+    oracle_eval,
+    tag_prefix,
+)
+from .pof import DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
 
 UPPER_BOUND_CONSTANT = 5.22
 
@@ -86,11 +93,15 @@ def bound_constant(k: float) -> float:
 
 
 def minimize_bound_constant() -> tuple[float, float]:
-    """Numeric minimum of the bound coefficient over (0, 1): (k_min, value)."""
-    res = optimize.minimize_scalar(
-        bound_constant, bounds=(1e-9, 1 - 1e-9), method="bounded"
-    )
-    return float(res.x), float(res.fun)
+    """Minimum of the bound coefficient over (0, 1): (k_min, value).
+
+    Stationarity, 2k^2 = (1-k)^3, is the cubic k^3 - k^2 + 3k - 1 = 0.
+    Its derivative 3k^2 - 2k + 3 is always positive, so it has exactly
+    one real root, which Cardano's formula gives in closed form.
+    """
+    s = math.sqrt(513.0)
+    k = (1.0 + (s + 1.0) ** (1.0 / 3.0) - (s - 1.0) ** (1.0 / 3.0)) / 3.0
+    return k, bound_constant(k)
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +139,44 @@ class ExperimentReport:
     avg_matching_positions: Optional[float] = None
 
 
-def _random_message_bits(rng: random.Random, nbits: int) -> BitString:
-    return draw_bits(rng, nbits)
+def _forgery_trial(
+    scheme: str,
+    params: Params,
+    rng: random.Random,
+    budget: ForgeryBudget,
+    index: Optional[dict] = None,
+    exact_sk: bool = False,
+) -> tuple[DetectionOutcome, Optional[int]]:
+    """One chosen-message attack: keygen, sign a random M, forge a different
+    M*, and let the signer run detection.  exact_sk models full key
+    recovery: the adversary signs M* with the secret key instead.
 
-
-def _lamport_trial(params, rng, budget, index):
-    kp = lamport.keygen(params, rng)
-    M = rng.getrandbits(1)
-    sigma = lamport.sign(kp, M)
-    M_star = 1 - M
-    sigma_star = forge_lamport(
-        kp.public(), M, sigma, M_star, budget, rng, index=index
-    )
+    Returns the outcome and, for WOTS, how many positions of the forgery
+    equal the legitimate signature of M*.
+    """
+    mod = lamport if scheme == "lamport" else wots
+    kp = mod.keygen(params, rng)
+    if mod is lamport:
+        M = rng.getrandbits(1)
+        M_star = 1 - M
+    else:
+        M = M_star = draw_bits(rng, params.L)
+        while M_star == M:
+            M_star = draw_bits(rng, params.L)
+    sigma = mod.sign(kp, M)
+    if exact_sk:
+        sigma_star = mod.sign(kp, M_star)
+    elif mod is lamport:
+        sigma_star = forge_lamport(
+            kp.public(), M, sigma, M_star, budget, rng, index=index
+        )
+    else:
+        sigma_star = forge_wots(kp.public(), M, sigma, M_star, budget, rng)
     outcome = detect_forgery(kp, M_star, sigma_star)
-    return outcome, None
-
-
-def _wots_trial(params, rng, budget, _index):
-    kp = wots.keygen(params, rng)
-    M = _random_message_bits(rng, params.L)
-    sigma = wots.sign(kp, M)
-    while True:
-        M_star = _random_message_bits(rng, params.L)
-        if M_star != M:
-            break
-    sigma_star = forge_wots(kp.public(), M, sigma, M_star, budget, rng)
-    outcome = detect_forgery(kp, M_star, sigma_star)
-    legit = wots.sign(kp, M_star)
-    matches = sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma))
-    return outcome, matches
+    if mod is lamport:
+        return outcome, None
+    legit = outcome.evidence.sigma_tilde_star if outcome.detected else sigma_star
+    return outcome, sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma))
 
 
 def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -168,19 +188,18 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     with master_seed XOR t, so the aggregate is schedule-independent.
     """
     params = config.params
+    index = None
     if config.scheme == "lamport":
         config.budget.check(params.sk_bits)
         index = build_lamport_preimage_index(params)
-        trial = _lamport_trial
-    else:
-        index = None
-        trial = _wots_trial
     undetected = 0
     evidence_ok = 0
     match_total = 0
     for t in range(config.trials):
         rng = random.Random(config.master_seed ^ t)
-        outcome, matches = trial(params, rng, config.budget, index)
+        outcome, matches = _forgery_trial(
+            config.scheme, params, rng, config.budget, index
+        )
         if outcome.detected:
             if verify_pof2(outcome.evidence):
                 evidence_ok += 1
@@ -276,19 +295,14 @@ def preimage_census(
     domain_bits = n + delta
     budget.check(domain_bits)
     master = random.Random(seed)
-    nbytes = (domain_bits + 7) // 8
-    pad = 8 * nbytes - domain_bits
     counts: dict[int, int] = {}
     total = 0
     for _ in range(instances):
         r = Seed(master.getrandbits(128).to_bytes(16, "big"))
-        prefix = tag_prefix(OracleTag(LABEL_WOTS_CHAIN, r, 1), n, domain_bits)
-        x0 = master.getrandbits(domain_bits)
-        target = digest_bits(prefix, (x0 << pad).to_bytes(nbytes, "big"), n)
-        N = 0
-        for v in range(1 << domain_bits):
-            if digest_bits(prefix, (v << pad).to_bytes(nbytes, "big"), n) == target:
-                N += 1
+        tag = OracleTag(LABEL_WOTS_CHAIN, r, 1)
+        target = oracle_eval(tag, draw_bits(master, domain_bits), n).payload
+        images = domain_images([(tag_prefix(tag, n, domain_bits), n)], domain_bits)
+        N = operator.countOf(images, target)
         counts[N] = counts.get(N, 0) + 1
         total += N
     mean = total / instances
@@ -361,59 +375,26 @@ def run_scenario(
     """
     if adversary_mode not in ("fresh", "exact-sk"):
         raise InvalidParams(f"unknown adversary mode {adversary_mode!r}")
-    rng = random.Random(seed)
-    events = []
-    if scheme == "lamport":
-        kp = lamport.keygen(params, rng)
-        M = rng.getrandbits(1)
-        sigma = lamport.sign(kp, M)
-        M_star = 1 - M
-        if adversary_mode == "exact-sk":
-            sigma_star = lamport.sign(kp, M_star)
-        else:
-            sigma_star = forge_lamport(
-                kp.public(), M, sigma, M_star, budget, rng
-            )
-    elif scheme == "wots":
-        kp = wots.keygen(params, rng)
-        M = _random_message_bits(rng, params.L)
-        sigma = wots.sign(kp, M)
-        while True:
-            M_star = _random_message_bits(rng, params.L)
-            if M_star != M:
-                break
-        if adversary_mode == "exact-sk":
-            sigma_star = wots.sign(kp, M_star)
-        else:
-            sigma_star = forge_wots(kp.public(), M, sigma, M_star, budget, rng)
-    else:
+    if scheme not in ("lamport", "wots"):
         raise InvalidParams(f"unknown scheme {scheme!r}")
-
-    events.append(ScenarioEvent(0, "S", "A", "public key"))
-    events.append(ScenarioEvent(0, "S", "R", "public key"))
-    events.append(ScenarioEvent(1, "A", "S", "chosen message M"))
-    events.append(ScenarioEvent(1, "S", "A", "signature pair (M, sigma)"))
-    events.append(ScenarioEvent(2, "A", "R", "forged pair (M*, sigma*)"))
-    events.append(ScenarioEvent(3, "R", "S", "forwarded pair (M*, sigma*)"))
-
-    outcome = detect_forgery(kp, M_star, sigma_star)
+    outcome, _ = _forgery_trial(
+        scheme, params, random.Random(seed), budget,
+        exact_sk=adversary_mode == "exact-sk",
+    )
+    events = [
+        ScenarioEvent(0, "S", "A", "public key"),
+        ScenarioEvent(0, "S", "R", "public key"),
+        ScenarioEvent(1, "A", "S", "chosen message M"),
+        ScenarioEvent(1, "S", "A", "signature pair (M, sigma)"),
+        ScenarioEvent(2, "A", "R", "forged pair (M*, sigma*)"),
+        ScenarioEvent(3, "R", "S", "forwarded pair (M*, sigma*)"),
+    ]
     if outcome.detected:
         events.append(ScenarioEvent(4, "S", "R", "proof-of-forgery evidence E"))
         if notify_adversary:
             events.append(ScenarioEvent(4, "S", "A", "proof-of-forgery evidence E"))
-        return ScenarioLog(
-            scheme=scheme,
-            adversary_mode=adversary_mode,
-            events=tuple(events),
-            outcome="evidence-delivered",
-            evidence=outcome.evidence,
-        )
-    return ScenarioLog(
-        scheme=scheme,
-        adversary_mode=adversary_mode,
-        events=tuple(events),
-        outcome="undetectable",
-    )
+    result = "evidence-delivered" if outcome.detected else "undetectable"
+    return ScenarioLog(scheme, adversary_mode, tuple(events), result, outcome.evidence)
 
 
 def scenario_text(log: ScenarioLog) -> str:

@@ -13,7 +13,7 @@ import sys
 
 from . import analysis, lamport, pof, serial, wots
 from .adversary import ForgeryBudget, forge_lamport, forge_wots
-from .core import BitString, LamportParams, WotsParams, derive_wots_params
+from .core import BitString, LamportParams, derive_wots_params
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -72,12 +72,6 @@ def _parse_message(text: str, params):
         return BitString(params.L, payload)
     except InvalidParams as exc:
         raise UsageError(str(exc))
-
-
-def _message_str(message, params) -> str:
-    if isinstance(params, LamportParams):
-        return str(message)
-    return message.hex()
 
 
 def _load(path, want_kinds):
@@ -193,12 +187,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_scenario(args) -> int:
     params = _build_params(args)
-    mode = "exact-sk" if args.adversary_mode == "exact-sk" else "fresh"
     log = analysis.run_scenario(
         args.scheme,
         params,
         _parse_seed(args.seed),
-        adversary_mode=mode,
+        adversary_mode=args.adversary_mode,
         notify_adversary=args.notify_adversary,
     )
     print(analysis.scenario_text(log))
@@ -215,7 +208,7 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _add_scheme_params(sub, wots_required=False):
+def _add_scheme_params(sub):
     sub.add_argument("--scheme", required=True, choices=("lamport", "wots"))
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--delta", type=int, required=True)
@@ -299,10 +292,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FormatError, InvalidParams, DomainError, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (
+        UsageError, FormatError, InvalidParams, DomainError, BudgetExceeded,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

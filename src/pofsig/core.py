@@ -6,10 +6,11 @@ excess widths that are not byte-aligned work everywhere.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidParams
+from .errors import EntropyError, InvalidParams
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,15 @@ def pack_bits(bits: Iterable[int]) -> BitString:
     return BitString.from_bits(list(bits))
 
 
+def draw_bits(rng: random.Random, bit_len: int) -> BitString:
+    """Draw a uniform bit string from the injected randomness source."""
+    try:
+        value = rng.getrandbits(bit_len) if bit_len else 0
+    except Exception as exc:  # pragma: no cover - depends on a broken source
+        raise EntropyError(f"randomness source failed: {exc}") from exc
+    return BitString.from_int(value, bit_len)
+
+
 @dataclass(frozen=True)
 class LamportParams:
     """Single-bit Lamport scheme parameters: n-bit images, (n+delta)-bit preimages."""
@@ -148,6 +158,9 @@ def derive_wots_params(n: int, delta: int, L: int, nu: int) -> WotsParams:
         raise InvalidParams("need n >= 1, delta >= 0, L >= 1, nu >= 1")
     if L % nu != 0:
         raise InvalidParams(f"L={L} must be a multiple of nu={nu}")
+    if nu > 8:
+        # the oracle layout stores the chain index, up to w-1, as a u8
+        raise InvalidParams(f"nu={nu} > 8 needs chain indices above 255")
     w = 2 ** nu
     l1 = (L + nu - 1) // nu
     # floor(log2(x)) == x.bit_length() - 1 for x >= 1

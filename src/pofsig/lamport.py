@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import BitString, LamportParams
-from .errors import DomainError, EntropyError
+from .core import BitString, LamportParams, draw_bits
+from .errors import DomainError
 from .oracle import LABEL_LAMPORT, OracleTag, oracle_eval
 
 _LAM_TAG = OracleTag(LABEL_LAMPORT)
@@ -48,15 +48,6 @@ class LamportKeyPair:
 @dataclass(frozen=True)
 class LamportSignature:
     sigma: BitString
-
-
-def draw_bits(rng: random.Random, bit_len: int) -> BitString:
-    """Draw a uniform bit string from the injected randomness source."""
-    try:
-        value = rng.getrandbits(bit_len) if bit_len else 0
-    except Exception as exc:  # pragma: no cover - depends on a broken source
-        raise EntropyError(f"randomness source failed: {exc}") from exc
-    return BitString.from_int(value, bit_len)
 
 
 def keygen(params: LamportParams, rng: random.Random) -> LamportKeyPair:

@@ -15,13 +15,17 @@ The Winternitz one-way family keyed by a 16-byte seed r and a chain
 index i is realized by putting (r, i) into the tag instead of the
 bit-mask-XOR construction; each member still behaves as an independent
 random oracle.
+
+This module is the only one that knows the layout: ``digest_bits``
+evaluates one message, and ``domain_images`` is the one kernel that
+sweeps a whole input domain for exhaustive search and the census.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import BitString, WotsParams
 from .errors import DomainError, InvalidParams
@@ -32,6 +36,8 @@ LABEL_WOTS_CHAIN = b"WOTS-F"
 _LABELS = (LABEL_LAMPORT, LABEL_WOTS_CHAIN)
 
 SEED_BYTES = 16
+
+_CTR0 = b"\x00\x00\x00\x00"  # be32(0), the first counter block
 
 
 class Seed(bytes):
@@ -82,7 +88,7 @@ def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
     """First out_bits of the counter-mode SHA-256 stream, pad bits zeroed."""
     nbytes = (out_bits + 7) // 8
     msg = prefix + payload
-    out = hashlib.sha256(msg + b"\x00\x00\x00\x00").digest()
+    out = hashlib.sha256(msg + _CTR0).digest()
     ctr = 1
     while len(out) < nbytes:
         out += hashlib.sha256(msg + ctr.to_bytes(4, "big")).digest()
@@ -92,6 +98,53 @@ def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
     if pad:
         buf[-1] &= (0xFF << pad) & 0xFF
     return bytes(buf)
+
+
+def domain_images(
+    steps: Sequence[tuple[bytes, int]], domain_bits: int
+) -> Iterator[bytes]:
+    """Iterate, in ascending input order, over the image (as ``digest_bits``
+    returns it) of every domain_bits-bit input pushed through the oracle
+    steps [(tag_prefix, out_bits), ...]; no steps yields the inputs.
+
+    Steps after the first are memoized.  Outputs are capped at 256 bits,
+    the first block of the counter stream: one hash of ``payload ||
+    be32(0)`` on a copy of the prefix's hash state per evaluation.
+    """
+    stages = []
+    for prefix, out_bits in steps:
+        if not 1 <= out_bits <= 256:
+            raise InvalidParams(
+                f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
+            )
+        last = (out_bits + 7) // 8 - 1
+        keep = (0xFF << (8 * last + 8 - out_bits)) & 0xFF
+        # tail[b] is a final output byte b with its pad bits zeroed
+        tail = [bytes([b & keep]) for b in range(256)]
+        stages.append((hashlib.sha256(prefix), last, tail, {}))
+    nbytes = (domain_bits + 7) // 8
+    pad = 8 * nbytes - domain_bits
+    if not stages:
+        return ((v << pad).to_bytes(nbytes, "big") for v in range(1 << domain_bits))
+    return _sweep(stages, nbytes, pad, domain_bits)
+
+
+def _sweep(stages, nbytes: int, pad: int, domain_bits: int) -> Iterator[bytes]:
+    (h0, last0, tail0, _), later = stages[0], stages[1:]
+    for v in range(1 << domain_bits):
+        h = h0.copy()
+        h.update((v << pad).to_bytes(nbytes, "big") + _CTR0)
+        d = h.digest()
+        y = d[:last0] + tail0[d[last0]]
+        for hk, last, tail, memo in later:
+            z = memo.get(y)
+            if z is None:
+                c = hk.copy()
+                c.update(y + _CTR0)
+                d = c.digest()
+                z = memo[y] = d[:last] + tail[d[last]]
+            y = z
+        yield y
 
 
 def oracle_eval(tag: OracleTag, x: BitString, out_bits: int) -> BitString:

@@ -34,16 +34,6 @@ HEADER = "FDA-SIG v1"
 _HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
 _INT_RE = re.compile(r"^(?:0|[1-9][0-9]*)$")
 
-Serializable = Union[
-    lamport.LamportKeyPair,
-    lamport.LamportPublicKey,
-    wots.WotsKeyPair,
-    wots.WotsPublicKey,
-    PofEvidenceI,
-    PofEvidenceII,
-]
-
-
 @dataclass(frozen=True)
 class SignatureFile:
     """A parsed signature file: the scheme parameters, the message it was
@@ -65,7 +55,8 @@ def _param_lines(params) -> list[str]:
     return lines
 
 
-def _render(kind: str, scheme: str, params, fields: list[tuple[str, BitString]]) -> str:
+def _render(kind: str, params, fields: list[tuple[str, BitString]]) -> str:
+    scheme = "lamport" if isinstance(params, LamportParams) else "wots"
     lines = [HEADER, f"kind: {kind}", f"scheme: {scheme}"]
     lines += _param_lines(params)
     lines += [f"{name}: {value.hex()}" for name, value in fields]
@@ -82,39 +73,6 @@ def _seed_field(r: Seed) -> tuple[str, BitString]:
     return "r", BitString(8 * SEED_BYTES, bytes(r))
 
 
-def dump_secret_key(kp) -> str:
-    if isinstance(kp, lamport.LamportKeyPair):
-        fields = [
-            ("sk.0", kp.sk0),
-            ("sk.1", kp.sk1),
-            ("pk.0", kp.pk0),
-            ("pk.1", kp.pk1),
-        ]
-        return _render("secret-key", "lamport", kp.params, fields)
-    fields = [_seed_field(kp.r)]
-    fields += [(f"sk.{i + 1}", s) for i, s in enumerate(kp.sk)]
-    return _render("secret-key", "wots", kp.params, fields)
-
-
-def dump_public_key(pk) -> str:
-    if isinstance(pk, lamport.LamportPublicKey):
-        return _render(
-            "public-key", "lamport", pk.params, [("pk.0", pk.pk0), ("pk.1", pk.pk1)]
-        )
-    fields = [_seed_field(pk.r)]
-    fields += [(f"pk.{i + 1}", p) for i, p in enumerate(pk.pk)]
-    return _render("public-key", "wots", pk.params, fields)
-
-
-def dump_signature(sig, message, params) -> str:
-    if isinstance(params, LamportParams):
-        fields = [_message_field("message", message, params), ("sigma", sig.sigma)]
-        return _render("signature", "lamport", params, fields)
-    fields = [("message", message)]
-    fields += [(f"sigma.{i + 1}", s) for i, s in enumerate(sig.sigma)]
-    return _render("signature", "wots", params, fields)
-
-
 def _pk_fields(pk) -> list[tuple[str, BitString]]:
     if isinstance(pk, lamport.LamportPublicKey):
         return [("pk.0", pk.pk0), ("pk.1", pk.pk1)]
@@ -127,24 +85,39 @@ def _sig_fields(name: str, sig) -> list[tuple[str, BitString]]:
     return [(f"{name}.{i + 1}", s) for i, s in enumerate(sig.sigma)]
 
 
+def dump_secret_key(kp) -> str:
+    if isinstance(kp, lamport.LamportKeyPair):
+        fields = [("sk.0", kp.sk0), ("sk.1", kp.sk1)] + _pk_fields(kp.public())
+    else:
+        fields = [_seed_field(kp.r)] + [(f"sk.{i + 1}", s) for i, s in enumerate(kp.sk)]
+    return _render("secret-key", kp.params, fields)
+
+
+def dump_public_key(pk) -> str:
+    return _render("public-key", pk.params, _pk_fields(pk))
+
+
+def dump_signature(sig, message, params) -> str:
+    fields = [_message_field("message", message, params)] + _sig_fields("sigma", sig)
+    return _render("signature", params, fields)
+
+
 def dump_pof1(E: PofEvidenceI) -> str:
     params = E.pk.params
-    scheme = "lamport" if isinstance(params, LamportParams) else "wots"
     fields = _pk_fields(E.pk)
     fields.append(_message_field("m", E.M, params))
     fields.append(_message_field("m_star", E.M_star, params))
     fields += _sig_fields("sigma_star", E.sigma_star)
-    return _render("pof-1", scheme, params, fields)
+    return _render("pof-1", params, fields)
 
 
 def dump_pof2(E: PofEvidenceII) -> str:
     params = E.pk.params
-    scheme = "lamport" if isinstance(params, LamportParams) else "wots"
     fields = _pk_fields(E.pk)
     fields.append(_message_field("m_star", E.M_star, params))
     fields += _sig_fields("sigma_star", E.sigma_star)
     fields += _sig_fields("sigma_tilde_star", E.sigma_tilde_star)
-    return _render("pof-2", scheme, params, fields)
+    return _render("pof-2", params, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +249,8 @@ def loads(text: str):
             pk0 = p.named_bits("pk.0", params.n)
             pk1 = p.named_bits("pk.1", params.n)
             p.done()
+            if (pk0, pk1) != tuple(lamport.hash_secret(params, s) for s in (sk0, sk1)):
+                raise FormatError("pk.0/pk.1 do not match the hashes of sk.0/sk.1")
             return lamport.LamportKeyPair(params, sk0, sk1, pk0, pk1)
         r = _parse_seed(p)
         sk = tuple(p.named_bits(f"sk.{i + 1}", params.sk_bits) for i in range(params.l))

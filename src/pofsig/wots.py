@@ -12,9 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import BitString, WotsParams
+from .core import BitString, WotsParams, draw_bits
 from .errors import DomainError
-from .lamport import draw_bits
 from .oracle import SEED_BYTES, Seed, chain
 
 

@@ -156,6 +156,20 @@ class TestScenario:
         if log.outcome == "evidence-delivered":
             assert (4, "S", "A") in {(e.step, e.sender, e.receiver) for e in log.events}
 
+    def test_scenario_runs_the_experiment_trial(self):
+        # trial 0 of an experiment is seeded with master_seed ^ 0, which is
+        # the scenario's seed; the scenario scans where the experiment
+        # looks up its Lamport index
+        for scheme, params in (("lamport", LamportParams(8, 0)), ("wots", WP)):
+            outcomes = set()
+            for seed in range(6):
+                log = run_scenario(scheme, params, seed, "fresh")
+                r = run_fda_experiment(ExperimentConfig(scheme, params, 1, seed))
+                undetected = log.outcome == "undetectable"
+                assert undetected == (r.undetected_count == 1)
+                outcomes.add(undetected)
+            assert scheme == "wots" or outcomes == {True, False}
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParams):
             run_scenario("lamport", LamportParams(8, 2), 0, "weird")

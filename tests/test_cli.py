@@ -126,6 +126,16 @@ def test_usage_errors_exit_2(tmp_path):
     ).returncode == 2
 
 
+def test_chain_index_above_u8_exits_2(tmp_path):
+    res = run(
+        "keygen", "--scheme", "wots", "--n", "4", "--delta", "0",
+        "--L", "9", "--nu", "9", "--seed", "01",
+        "--sk-out", str(tmp_path / "sk.txt"), "--pk-out", str(tmp_path / "pk.txt"),
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
 def test_format_error_exits_2(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("FDA-SIG v2\nkind: public-key\n")

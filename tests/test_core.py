@@ -105,6 +105,12 @@ class TestDeriveWotsParams:
         with pytest.raises(InvalidParams):
             derive_wots_params(**kw)
 
+    def test_rejects_chain_index_above_u8(self):
+        # the oracle tag stores the chain index as one byte: w-1 <= 255
+        assert derive_wots_params(4, 0, 8, 8).w - 1 == 255
+        with pytest.raises(InvalidParams):
+            derive_wots_params(4, 0, 9, 9)
+
     def test_element_lengths(self):
         p = derive_wots_params(6, 1, 4, 2)
         assert p.sk_bits == 6 + 1 * 3

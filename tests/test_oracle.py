@@ -1,9 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import pofsig
 from pofsig.core import BitString, derive_wots_params
 from pofsig.errors import DomainError, InvalidParams
 from pofsig.oracle import (
@@ -12,8 +15,11 @@ from pofsig.oracle import (
     OracleTag,
     Seed,
     chain,
+    digest_bits,
+    domain_images,
     f_step,
     oracle_eval,
+    tag_prefix,
 )
 
 LAM = OracleTag(LABEL_LAMPORT)
@@ -132,3 +138,70 @@ class TestChain:
             chain(self.params, self.r, 0, 4, x)
         with pytest.raises(DomainError):
             chain(self.params, self.r, 1, 2, x)  # 9 bits is a position-0 length
+
+
+class TestDomainImages:
+    """The sweep kernel against oracle_eval, one candidate at a time."""
+
+    r = Seed(bytes(range(16, 32)))
+
+    @pytest.mark.parametrize(
+        "domain_bits,out_bits", [(8, 8), (16, 16), (10, 8), (12, 10), (4, 256)]
+    )
+    def test_one_step_matches_oracle_eval(self, domain_bits, out_bits):
+        prefix = tag_prefix(LAM, out_bits, domain_bits)
+        images = list(domain_images([(prefix, out_bits)], domain_bits))
+        assert len(images) == 1 << domain_bits
+        for v, y in enumerate(images):
+            x = BitString.from_int(v, domain_bits)
+            assert y == oracle_eval(LAM, x, out_bits).payload
+            assert y == digest_bits(prefix, x.payload, out_bits)
+
+    @pytest.mark.parametrize(
+        "params,start",
+        [
+            (derive_wots_params(6, 2, 4, 2), 0),  # 12 -> 10 -> 8 -> 6 bits
+            (derive_wots_params(6, 2, 4, 2), 1),
+            (derive_wots_params(8, 0, 4, 2), 0),  # 8 -> 8 -> 8 -> 8 bits
+            (derive_wots_params(4, 4, 3, 1), 0),  # 8 -> 4 bits
+        ],
+    )
+    def test_chain_composition_matches_chain(self, params, start):
+        steps = []
+        for i in range(start + 1, params.w):
+            tag = OracleTag(LABEL_WOTS_CHAIN, self.r, i)
+            out_bits = params.value_bits(i)
+            steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
+        domain_bits = params.value_bits(start)
+        for v, y in enumerate(domain_images(steps, domain_bits)):
+            x = BitString.from_int(v, domain_bits)
+            assert y == chain(params, self.r, start, params.w - 1, x).payload
+
+    def test_no_steps_yields_the_inputs(self):
+        assert list(domain_images([], 10)) == [
+            BitString.from_int(v, 10).payload for v in range(1 << 10)
+        ]
+
+    @pytest.mark.parametrize("out_bits", [0, 257, 300])
+    def test_out_of_range_width_rejected_at_call(self, out_bits):
+        prefix = tag_prefix(LAM, out_bits, 4)
+        with pytest.raises(InvalidParams):
+            domain_images([(prefix, out_bits)], 4)
+        with pytest.raises(InvalidParams):
+            domain_images([(tag_prefix(LAM, 8, 4), 8), (prefix, out_bits)], 4)
+
+
+def test_hash_layout_has_one_owner():
+    # only oracle.py may hash, so the tag layout lives in one module
+    importers = set()
+    for path in Path(pofsig.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "hashlib" for name in names):
+                importers.add(path.name)
+    assert importers == {"oracle.py"}

@@ -184,6 +184,25 @@ class TestMalformed:
         with pytest.raises(FormatError):
             serial.loads(text)
 
+    @pytest.mark.parametrize("field", ["pk.0", "pk.1"])
+    def test_lamport_public_half_must_match_secret(self, field):
+        lines = self.valid().split("\n")
+        k = next(i for i, line in enumerate(lines) if line.startswith(f"{field}: "))
+        value = lines[k][len(field) + 2:]
+        flipped = "0123456789abcdef"[(int(value[0], 16) + 1) % 16]
+        lines[k] = f"{field}: {flipped}{value[1:]}"
+        with pytest.raises(FormatError, match="do not match"):
+            serial.loads("\n".join(lines))
+
+    def test_chain_index_wider_than_u8(self):
+        # nu=9 needs chain indices up to 511; the oracle stores them as u8.
+        # L=9 gives l=2, so the file carries r, pk.1 and pk.2.
+        lines = serial.dump_public_key(wots_kp().public()).split("\n")
+        assert lines[5:7] == ["L: 4", "nu: 2"]
+        text = "\n".join(lines[:5] + ["L: 9", "nu: 9"] + lines[7:10]) + "\n"
+        with pytest.raises(FormatError):
+            serial.loads(text)
+
     def test_truncated_file(self):
         lines = self.valid().split("\n")
         with pytest.raises(FormatError):
