@@ -2,7 +2,8 @@
 
 Everything here is exhaustive search: full preimage-set enumeration for
 the Lamport oracle and full inversion of composed Winternitz chains.
-Every domain sweep runs through ``oracle.domain_images``;
+Every domain sweep runs through ``oracle.domain_images`` over the step
+list that ``oracle.lamport_steps`` or ``oracle.chain_steps`` builds;
 ``enumerate_preimages`` is the generic per-candidate reference that
 tests compare the sweeps against.  A hard cap on domain width keeps
 runs at desk scale; production sizes are refused outright.
@@ -17,15 +18,7 @@ from typing import Callable, Optional
 from .core import BitString, LamportParams, WotsParams
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .lamport import LamportPublicKey, LamportSignature
-from .oracle import (
-    LABEL_LAMPORT,
-    LABEL_WOTS_CHAIN,
-    OracleTag,
-    Seed,
-    chain,
-    domain_images,
-    tag_prefix,
-)
+from .oracle import Seed, chain, chain_steps, domain_images, lamport_steps
 from .wots import WotsPublicKey, WotsSignature, extend
 
 MAX_DOMAIN_BITS = 28
@@ -86,10 +79,6 @@ def sample_preimage(ps: PreimageSet, rng: random.Random) -> BitString:
     return ps.members[rng.randrange(ps.count)]
 
 
-def _lamport_steps(params: LamportParams) -> list[tuple[bytes, int]]:
-    return [(tag_prefix(OracleTag(LABEL_LAMPORT), params.n, params.sk_bits), params.n)]
-
-
 def _scan(steps, target: BitString, domain_bits: int) -> PreimageSet:
     """Every domain input whose image through steps equals target."""
     y0 = target.payload
@@ -111,8 +100,9 @@ def build_lamport_preimage_index(params: LamportParams) -> dict[bytes, list[BitS
     domain_bits = params.sk_bits
     nbytes = (domain_bits + 7) // 8
     pad = 8 * nbytes - domain_bits
+    steps = lamport_steps(params.n, domain_bits)
     index: dict[bytes, list[BitString]] = {}
-    for v, y in enumerate(domain_images(_lamport_steps(params), domain_bits)):
+    for v, y in enumerate(domain_images(steps, domain_bits)):
         index.setdefault(y, []).append(
             BitString(domain_bits, (v << pad).to_bytes(nbytes, "big"))
         )
@@ -129,7 +119,7 @@ def lamport_preimages(
     if index is not None:
         members = tuple(index.get(y0.payload, ()))
         return PreimageSet(target=y0, domain_bits=params.sk_bits, members=members)
-    return _scan(_lamport_steps(params), y0, params.sk_bits)
+    return _scan(lamport_steps(params.n, params.sk_bits), y0, params.sk_bits)
 
 
 def forge_lamport(
@@ -164,12 +154,7 @@ def chain_preimages(
     """
     domain_bits = params.value_bits(b_star)
     budget.check(domain_bits)
-    steps = []
-    for i in range(b_star + 1, params.w):
-        out_bits = params.value_bits(i)
-        tag = OracleTag(LABEL_WOTS_CHAIN, r, i)
-        steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
-    return _scan(steps, pk_value, domain_bits)
+    return _scan(chain_steps(params, r, b_star, params.w - 1), pk_value, domain_bits)
 
 
 def forge_wots(
@@ -202,3 +187,14 @@ def forge_wots(
             ps = chain_preimages(params, pk.r, b_star[i], pk.pk[i], budget)
             sigma_star.append(sample_preimage(ps, rng))
     return WotsSignature(tuple(sigma_star))
+
+
+def forge(
+    pk, M, sigma, M_star, budget: ForgeryBudget, rng: random.Random,
+    index: Optional[dict[bytes, list[BitString]]] = None,
+):
+    """Forge a signature for M_star under pk's scheme from one signed pair
+    (M, sigma); index is a Lamport preimage index, if one was built."""
+    if pk.params.scheme == "lamport":
+        return forge_lamport(pk, M, sigma, M_star, budget, rng, index=index)
+    return forge_wots(pk, M, sigma, M_star, budget, rng)

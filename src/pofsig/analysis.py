@@ -20,24 +20,11 @@ from typing import Optional, Union
 import numpy as np
 from scipy import stats
 
-from . import lamport, wots
-from .adversary import (
-    ForgeryBudget,
-    build_lamport_preimage_index,
-    forge_lamport,
-    forge_wots,
-)
-from .core import LamportParams, WotsParams, draw_bits
+from .adversary import ForgeryBudget, build_lamport_preimage_index, forge
+from .core import LamportParams, WotsParams, derive_wots_params, draw_bits
 from .errors import DomainError, InvalidParams
-from .oracle import (
-    LABEL_WOTS_CHAIN,
-    OracleTag,
-    Seed,
-    domain_images,
-    oracle_eval,
-    tag_prefix,
-)
-from .pof import DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
+from .oracle import Seed, apply_steps, chain_steps, domain_images
+from .pof import SCHEMES, DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
 
 UPPER_BOUND_CONSTANT = 5.22
 
@@ -50,9 +37,13 @@ Params = Union[LamportParams, WotsParams]
 
 def exact_expectation(n: int, delta: int) -> float:
     """Closed form for the mean inverse preimage count, E[1/(1+Bin)]."""
-    # (1 - 2^-n)^(2^(n+delta)) via log1p to stay accurate for large n
-    log_term = float(2 ** (n + delta)) * math.log1p(-(2.0 ** -n))
-    return (1.0 - math.exp(log_term)) / 2 ** delta
+    # (1 - 2^-n)^(2^(n+delta)) = exp(2^delta * 2^n log1p(-2^-n)).  The
+    # factor 2^n log1p(-2^-n) is at most -1, and exactly -1.0 in double
+    # precision for n > 52; the power is 0.0 from delta = 10 on, so
+    # capping delta at 64 keeps every exponent finite and changes nothing.
+    per_bit = math.ldexp(math.log1p(-(2.0 ** -n)), n) if n <= 52 else -1.0
+    log_term = math.ldexp(per_bit, min(delta, 64))
+    return math.ldexp(1.0 - math.exp(log_term), -delta)
 
 
 def exact_expectation_by_summation(n: int, delta: int) -> float:
@@ -79,7 +70,7 @@ def fda_bounds(n: int, delta: int) -> BoundsReport:
     return BoundsReport(
         n=n,
         delta=delta,
-        lower=math.exp(-(2.0 ** delta)),
+        lower=math.exp(-(2.0 ** min(delta, 64))),  # 0.0 from delta = 10 on
         upper=UPPER_BOUND_CONSTANT * 2.0 ** -delta,
         exact_expectation=exact_expectation(n, delta),
     )
@@ -108,17 +99,22 @@ def minimize_bound_constant() -> tuple[float, float]:
 # Monte Carlo forgery-detection experiment
 
 
+def _check_scheme(scheme: str, params: Params) -> None:
+    """The scheme name must be the one the parameters carry."""
+    if scheme != getattr(params, "scheme", None):
+        raise InvalidParams(f"scheme {scheme!r} does not match parameters {params!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scheme: str  # "lamport" | "wots"
+    scheme: str  # must equal params.scheme
     params: Params
     trials: int
     master_seed: int
     budget: ForgeryBudget = ForgeryBudget()
 
     def __post_init__(self):
-        if self.scheme not in ("lamport", "wots"):
-            raise InvalidParams(f"unknown scheme {self.scheme!r}")
+        _check_scheme(self.scheme, self.params)
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
 
@@ -140,7 +136,6 @@ class ExperimentReport:
 
 
 def _forgery_trial(
-    scheme: str,
     params: Params,
     rng: random.Random,
     budget: ForgeryBudget,
@@ -154,26 +149,22 @@ def _forgery_trial(
     Returns the outcome and, for WOTS, how many positions of the forgery
     equal the legitimate signature of M*.
     """
-    mod = lamport if scheme == "lamport" else wots
-    kp = mod.keygen(params, rng)
-    if mod is lamport:
+    scheme = SCHEMES[params.scheme]
+    kp = scheme.keygen(params, rng)
+    if params.scheme == "lamport":
         M = rng.getrandbits(1)
         M_star = 1 - M
     else:
         M = M_star = draw_bits(rng, params.L)
         while M_star == M:
             M_star = draw_bits(rng, params.L)
-    sigma = mod.sign(kp, M)
+    sigma = scheme.sign(kp, M)
     if exact_sk:
-        sigma_star = mod.sign(kp, M_star)
-    elif mod is lamport:
-        sigma_star = forge_lamport(
-            kp.public(), M, sigma, M_star, budget, rng, index=index
-        )
+        sigma_star = scheme.sign(kp, M_star)
     else:
-        sigma_star = forge_wots(kp.public(), M, sigma, M_star, budget, rng)
+        sigma_star = forge(kp.public(), M, sigma, M_star, budget, rng, index=index)
     outcome = detect_forgery(kp, M_star, sigma_star)
-    if mod is lamport:
+    if params.scheme == "lamport":
         return outcome, None
     legit = outcome.evidence.sigma_tilde_star if outcome.detected else sigma_star
     return outcome, sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma))
@@ -189,7 +180,7 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     params = config.params
     index = None
-    if config.scheme == "lamport":
+    if params.scheme == "lamport":
         config.budget.check(params.sk_bits)
         index = build_lamport_preimage_index(params)
     undetected = 0
@@ -197,9 +188,7 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     match_total = 0
     for t in range(config.trials):
         rng = random.Random(config.master_seed ^ t)
-        outcome, matches = _forgery_trial(
-            config.scheme, params, rng, config.budget, index
-        )
+        outcome, matches = _forgery_trial(params, rng, config.budget, index)
         if outcome.detected:
             if verify_pof2(outcome.evidence):
                 evidence_ok += 1
@@ -225,7 +214,7 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
         evidence_ok_count=evidence_ok,
         verdict=verdict,
         avg_matching_positions=(
-            match_total / config.trials if config.scheme == "wots" else None
+            match_total / config.trials if params.scheme == "wots" else None
         ),
     )
 
@@ -280,29 +269,26 @@ class CensusReport:
     p_value: float
 
 
-def preimage_census(
-    n: int, delta: int, instances: int, seed: int,
-    budget: ForgeryBudget = ForgeryBudget(),
-) -> CensusReport:
+def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusReport:
     """Empirical distribution of preimage-set sizes vs the shifted binomial.
 
-    Each instance draws a fresh seeded one-way function (a chain-family
-    member with its own randomizer), picks a random input, and counts
-    the preimages of its image by full enumeration.  Fresh functions
-    make instances independent, matching the model the chi-square test
-    assumes.
+    Each instance draws a fresh seeded one-way function (the single step
+    of a w = 2 chain with its own randomizer, (n+delta) bits to n),
+    picks a random input, and counts the preimages of its image by full
+    enumeration.  Fresh functions make instances independent, matching
+    the model the chi-square test assumes.
     """
     domain_bits = n + delta
-    budget.check(domain_bits)
+    ForgeryBudget().check(domain_bits)
+    params = derive_wots_params(n, delta, 1, 1)
     master = random.Random(seed)
     counts: dict[int, int] = {}
     total = 0
     for _ in range(instances):
         r = Seed(master.getrandbits(128).to_bytes(16, "big"))
-        tag = OracleTag(LABEL_WOTS_CHAIN, r, 1)
-        target = oracle_eval(tag, draw_bits(master, domain_bits), n).payload
-        images = domain_images([(tag_prefix(tag, n, domain_bits), n)], domain_bits)
-        N = operator.countOf(images, target)
+        steps = chain_steps(params, r, 0, 1)
+        target = apply_steps(steps, draw_bits(master, domain_bits)).payload
+        N = operator.countOf(domain_images(steps, domain_bits), target)
         counts[N] = counts.get(N, 0) + 1
         total += N
     mean = total / instances
@@ -365,7 +351,6 @@ def run_scenario(
     seed: int,
     adversary_mode: str = "fresh",
     notify_adversary: bool = False,
-    budget: ForgeryBudget = ForgeryBudget(),
 ) -> ScenarioLog:
     """Replay the signer/adversary/receiver story step by step.
 
@@ -375,10 +360,9 @@ def run_scenario(
     """
     if adversary_mode not in ("fresh", "exact-sk"):
         raise InvalidParams(f"unknown adversary mode {adversary_mode!r}")
-    if scheme not in ("lamport", "wots"):
-        raise InvalidParams(f"unknown scheme {scheme!r}")
+    _check_scheme(scheme, params)
     outcome, _ = _forgery_trial(
-        scheme, params, random.Random(seed), budget,
+        params, random.Random(seed), ForgeryBudget(),
         exact_sk=adversary_mode == "exact-sk",
     )
     events = [

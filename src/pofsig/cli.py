@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success/valid, 1 invalid signature or evidence,
-2 usage/format/budget error, 4 forgery undetectable.  Every randomized
-subcommand takes a mandatory --seed so runs are replayable bit-exactly.
+2 usage/format/budget/file error (any PofsigError or OSError), 3 internal
+error (an unexpected exception; its traceback goes to stderr), 4 forgery
+undetectable.  Every randomized subcommand takes a mandatory --seed so
+runs are replayable bit-exactly.
 """
 
 from __future__ import annotations
@@ -10,22 +12,17 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 
 from . import analysis, lamport, pof, serial, wots
-from .adversary import ForgeryBudget, forge_lamport, forge_wots
+from .adversary import ForgeryBudget, forge
 from .core import BitString, LamportParams, derive_wots_params
-from .errors import (
-    BudgetExceeded,
-    DomainError,
-    FormatError,
-    InvalidParams,
-    NotAValidSignature,
-    PofsigError,
-)
+from .errors import InvalidParams, NotAValidSignature, PofsigError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 EXIT_UNDETECTABLE = 4
 
 
@@ -55,7 +52,7 @@ def _build_params(args):
 
 
 def _parse_message(text: str, params):
-    if isinstance(params, LamportParams):
+    if params.scheme == "lamport":
         if text not in ("0", "1"):
             raise UsageError(f"lamport message must be the bit 0 or 1, got {text!r}")
         return int(text)
@@ -93,11 +90,7 @@ def _load(path, want_kinds):
 
 def _cmd_keygen(args) -> int:
     params = _build_params(args)
-    rng = _rng(args.seed)
-    if isinstance(params, LamportParams):
-        kp = lamport.keygen(params, rng)
-    else:
-        kp = wots.keygen(params, rng)
+    kp = pof.SCHEMES[params.scheme].keygen(params, _rng(args.seed))
     serial.dump_path(args.sk_out, serial.dump_secret_key(kp))
     serial.dump_path(args.pk_out, serial.dump_public_key(kp.public()))
     return EXIT_OK
@@ -110,10 +103,7 @@ def _cmd_sign(args) -> int:
         "warning: one-time key; never sign a second message with this key",
         file=sys.stderr,
     )
-    if isinstance(kp, lamport.LamportKeyPair):
-        sig = lamport.sign(kp, message)
-    else:
-        sig = wots.sign(kp, message)
+    sig = pof.SCHEMES[kp.params.scheme].sign(kp, message)
     serial.dump_path(args.out, serial.dump_signature(sig, message, kp.params))
     return EXIT_OK
 
@@ -133,11 +123,7 @@ def _cmd_forge(args) -> int:
     known_m = _parse_message(args.known_message, pk.params)
     m_star = _parse_message(args.target_message, pk.params)
     budget = ForgeryBudget(args.max_domain_bits)
-    rng = _rng(args.seed)
-    if isinstance(pk, lamport.LamportPublicKey):
-        forged = forge_lamport(pk, known_m, known_sig, m_star, budget, rng)
-    else:
-        forged = forge_wots(pk, known_m, known_sig, m_star, budget, rng)
+    forged = forge(pk, known_m, known_sig, m_star, budget, _rng(args.seed))
     serial.dump_path(args.out, serial.dump_signature(forged, m_star, pk.params))
     return EXIT_OK
 
@@ -292,12 +278,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        UsageError, FormatError, InvalidParams, DomainError, BudgetExceeded,
-        FileNotFoundError,
-    ) as exc:
+    except (PofsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import EntropyError, InvalidParams
 
@@ -97,6 +97,7 @@ def draw_bits(rng: random.Random, bit_len: int) -> BitString:
 class LamportParams:
     """Single-bit Lamport scheme parameters: n-bit images, (n+delta)-bit preimages."""
 
+    scheme: ClassVar[str] = "lamport"
     n: int
     delta: int
 
@@ -123,6 +124,7 @@ class WotsParams:
     l2, l) are part of the value so that equality is structural.
     """
 
+    scheme: ClassVar[str] = "wots"
     n: int
     delta: int
     L: int

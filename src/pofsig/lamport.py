@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 from .core import BitString, LamportParams, draw_bits
 from .errors import DomainError
-from .oracle import LABEL_LAMPORT, OracleTag, oracle_eval
-
-_LAM_TAG = OracleTag(LABEL_LAMPORT)
+from .oracle import apply_steps, lamport_steps
 
 
 def hash_secret(params: LamportParams, s: BitString) -> BitString:
     """The scheme's one-way map from a secret half to a public half."""
-    return oracle_eval(_LAM_TAG, s, params.n)
+    if s.bit_len != params.sk_bits:
+        raise DomainError(
+            f"secret half must be {params.sk_bits} bits, got {s.bit_len}"
+        )
+    return apply_steps(lamport_steps(params.n, params.sk_bits), s)
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,9 @@ class LamportSignature:
     sigma: BitString
 
 
+Signature = LamportSignature
+
+
 def keygen(params: LamportParams, rng: random.Random) -> LamportKeyPair:
     sk0 = draw_bits(rng, params.sk_bits)
     sk1 = draw_bits(rng, params.sk_bits)
@@ -72,8 +77,4 @@ def sign(kp: LamportKeyPair, m: int) -> LamportSignature:
 def verify(pk: LamportPublicKey, sig: LamportSignature, m: int) -> int:
     if m not in (0, 1):
         raise DomainError(f"message must be the bit 0 or 1, got {m!r}")
-    if sig.sigma.bit_len != pk.params.sk_bits:
-        raise DomainError(
-            f"signature must be {pk.params.sk_bits} bits, got {sig.sigma.bit_len}"
-        )
     return 1 if hash_secret(pk.params, sig.sigma) == pk.half(m) else 0

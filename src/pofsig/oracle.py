@@ -16,9 +16,11 @@ index i is realized by putting (r, i) into the tag instead of the
 bit-mask-XOR construction; each member still behaves as an independent
 random oracle.
 
-This module is the only one that knows the layout: ``digest_bits``
-evaluates one message, and ``domain_images`` is the one kernel that
-sweeps a whole input domain for exhaustive search and the census.
+This module is the only one that knows the layout.  ``lamport_steps``
+and ``chain_steps`` describe each scheme's map as a list of oracle steps
+[(tag_prefix, out_bits), ...]; ``apply_steps`` pushes one value through
+such a list, and ``domain_images`` is the one kernel that sweeps a whole
+input domain through it for exhaustive search and the census.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ class OracleTag:
         else:
             if self.index is not None:
                 raise InvalidParams("index is only valid for the chain oracle")
+
+
+_LAMPORT_TAG = OracleTag(LABEL_LAMPORT)
 
 
 def tag_prefix(tag: OracleTag, out_bits: int, in_bit_len: int) -> bytes:
@@ -147,12 +152,35 @@ def _sweep(stages, nbytes: int, pad: int, domain_bits: int) -> Iterator[bytes]:
         yield y
 
 
+def lamport_steps(n: int, sk_bits: int) -> list[tuple[bytes, int]]:
+    """The Lamport map from an sk_bits-bit secret half to its n-bit image."""
+    return [(tag_prefix(_LAMPORT_TAG, n, sk_bits), n)]
+
+
+def chain_steps(
+    params: WotsParams, r: Seed, a: int, b: int
+) -> list[tuple[bytes, int]]:
+    """Chain steps a+1..b: the map from position-a to position-b values."""
+    steps = []
+    for i in range(a + 1, b + 1):
+        out_bits = params.value_bits(i)
+        tag = OracleTag(LABEL_WOTS_CHAIN, r, i)
+        steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
+    return steps
+
+
+def apply_steps(steps: Sequence[tuple[bytes, int]], x: BitString) -> BitString:
+    """Push one value through the oracle steps; no steps returns x."""
+    for prefix, out_bits in steps:
+        x = BitString(out_bits, digest_bits(prefix, x.payload, out_bits))
+    return x
+
+
 def oracle_eval(tag: OracleTag, x: BitString, out_bits: int) -> BitString:
     """Evaluate the oracle named by tag on x, producing exactly out_bits bits."""
     if out_bits < 1:
         raise InvalidParams("out_bits must be >= 1")
-    prefix = tag_prefix(tag, out_bits, x.bit_len)
-    return BitString(out_bits, digest_bits(prefix, x.payload, out_bits))
+    return apply_steps([(tag_prefix(tag, out_bits, x.bit_len), out_bits)], x)
 
 
 def f_step(params: WotsParams, r: Seed, i: int, x: BitString) -> BitString:
@@ -167,8 +195,7 @@ def f_step(params: WotsParams, r: Seed, i: int, x: BitString) -> BitString:
         raise DomainError(
             f"step {i} expects a {in_bits}-bit input, got {x.bit_len} bits"
         )
-    out_bits = params.value_bits(i)
-    return oracle_eval(OracleTag(LABEL_WOTS_CHAIN, r, i), x, out_bits)
+    return apply_steps(chain_steps(params, r, i - 1, i), x)
 
 
 def chain(params: WotsParams, r: Seed, a: int, b: int, x: BitString) -> BitString:
@@ -188,6 +215,4 @@ def chain(params: WotsParams, r: Seed, a: int, b: int, x: BitString) -> BitStrin
             f"value at position {a} must be {params.value_bits(a)} bits, "
             f"got {x.bit_len}"
         )
-    for i in range(a + 1, b + 1):
-        x = f_step(params, r, i, x)
-    return x
+    return apply_steps(chain_steps(params, r, a, b), x)

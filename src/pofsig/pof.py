@@ -13,27 +13,26 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import lamport, wots
-from .errors import NotAValidSignature
+from .errors import NotAValidSignature, PofsigError
 
 PublicKey = Union[lamport.LamportPublicKey, wots.WotsPublicKey]
 Signature = Union[lamport.LamportSignature, wots.WotsSignature]
 KeyPair = Union[lamport.LamportKeyPair, wots.WotsKeyPair]
 
+# The one place a scheme name is mapped to its keygen, sign, verify and
+# Signature class; every caller looks the scheme up by params.scheme.
+SCHEMES = {"lamport": lamport, "wots": wots}
+
 
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
-    """Verification dispatch on the public-key type; malformed input counts as 0."""
-    try:
-        if isinstance(pk, lamport.LamportPublicKey):
-            return lamport.verify(pk, sig, M)
-        return wots.verify(pk, sig, M)
-    except Exception:
+    """Verify under pk's scheme; a malformed or cross-scheme input counts as 0."""
+    scheme = SCHEMES[pk.params.scheme]
+    if not isinstance(sig, scheme.Signature):
         return 0
-
-
-def _scheme_sign(kp: KeyPair, M) -> Signature:
-    if isinstance(kp, lamport.LamportKeyPair):
-        return lamport.sign(kp, M)
-    return wots.sign(kp, M)
+    try:
+        return scheme.verify(pk, sig, M)
+    except PofsigError:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def detect_forgery(kp: KeyPair, M_star, sigma_star: Signature) -> DetectionOutco
     pk = kp.public()
     if not scheme_verify(pk, sigma_star, M_star):
         raise NotAValidSignature("received pair does not verify; nothing to detect")
-    sigma_tilde_star = _scheme_sign(kp, M_star)
+    sigma_tilde_star = SCHEMES[kp.params.scheme].sign(kp, M_star)
     if sigma_tilde_star == sigma_star:
         return DetectionOutcome(detected=False)
     return DetectionOutcome(

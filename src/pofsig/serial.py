@@ -27,7 +27,7 @@ from . import lamport, wots
 from .core import BitString, LamportParams, WotsParams, derive_wots_params
 from .errors import FormatError, InvalidParams
 from .oracle import SEED_BYTES, Seed, chain
-from .pof import PofEvidenceI, PofEvidenceII
+from .pof import SCHEMES, PofEvidenceI, PofEvidenceII
 
 HEADER = "FDA-SIG v1"
 
@@ -56,8 +56,7 @@ def _param_lines(params) -> list[str]:
 
 
 def _render(kind: str, params, fields: list[tuple[str, BitString]]) -> str:
-    scheme = "lamport" if isinstance(params, LamportParams) else "wots"
-    lines = [HEADER, f"kind: {kind}", f"scheme: {scheme}"]
+    lines = [HEADER, f"kind: {kind}", f"scheme: {params.scheme}"]
     lines += _param_lines(params)
     lines += [f"{name}: {value.hex()}" for name, value in fields]
     return "\n".join(lines) + "\n"
@@ -238,7 +237,7 @@ def loads(text: str):
     p.expect_header()
     kind = p.named("kind")
     scheme = p.named("scheme")
-    if scheme not in ("lamport", "wots"):
+    if scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {scheme!r}")
     params = _parse_params(p, scheme)
 

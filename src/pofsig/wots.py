@@ -40,6 +40,9 @@ class WotsSignature:
     sigma: tuple[BitString, ...]
 
 
+Signature = WotsSignature
+
+
 def to_base_w(M: BitString, params: WotsParams) -> tuple[int, ...]:
     """Split an L-bit message into l1 base-w digits, MSB-first."""
     if M.bit_len != params.L:
@@ -87,10 +90,13 @@ def sign(kp: WotsKeyPair, M: BitString) -> WotsSignature:
 def verify(pk: WotsPublicKey, sig: WotsSignature, M: BitString) -> int:
     """Finish every chain from its claimed depth and compare to the public key.
 
-    Structural mismatches (wrong element count or lengths) verify as 0
-    rather than raising, so callers get a single boolean outcome.
+    Structural mismatches (a message that is not an L-bit string, wrong
+    element count or lengths) verify as 0 rather than raising, so callers
+    get a single boolean outcome.
     """
     params = pk.params
+    if not isinstance(M, BitString):
+        return 0
     try:
         b = extend(M, params)
     except DomainError:

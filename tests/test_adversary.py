@@ -9,6 +9,7 @@ from pofsig.adversary import (
     build_lamport_preimage_index,
     chain_preimages,
     enumerate_preimages,
+    forge,
     forge_lamport,
     forge_wots,
     lamport_preimages,
@@ -222,3 +223,16 @@ class TestForgeWots:
         M = BitString.from_int(5, 4)
         with pytest.raises(DomainError):
             forge_wots(kp.public(), M, wots.sign(kp, M), M, BUDGET, rng)
+
+
+def test_forge_dispatches_on_the_key_scheme():
+    rng = random.Random(41)
+    lkp = lamport.keygen(LP, rng)
+    forged = forge(lkp.public(), 0, lamport.sign(lkp, 0), 1, BUDGET, rng)
+    assert isinstance(forged, lamport.LamportSignature)
+    assert lamport.verify(lkp.public(), forged, 1) == 1
+    wkp = wots.keygen(WP, rng)
+    M, M_star = BitString.from_int(3, 4), BitString.from_int(12, 4)
+    forged = forge(wkp.public(), M, wots.sign(wkp, M), M_star, BUDGET, rng)
+    assert isinstance(forged, wots.WotsSignature)
+    assert wots.verify(wkp.public(), forged, M_star) == 1

@@ -51,6 +51,27 @@ class TestBounds:
         with pytest.raises(InvalidParams):
             fda_bounds(0, 0)
 
+    def test_huge_delta_underflows_to_zero(self):
+        b = fda_bounds(8, 1100)
+        assert (b.lower, b.upper, b.exact_expectation) == (0.0, 0.0, 0.0)
+
+    def test_huge_n_reaches_the_limit(self):
+        # (1 - 2^-n)^(2^n) -> 1/e, so E[1/N] -> (1 - e^-(2^delta)) / 2^delta
+        assert abs(exact_expectation(1100, 0) - 0.6321205588) < 1e-10
+        assert abs(exact_expectation(1100, 0) - (1 - math.exp(-1))) < 1e-12
+        assert exact_expectation(1030, 3) == pytest.approx((1 - math.exp(-8)) / 8)
+
+    def test_in_range_values_equal_the_direct_formula(self):
+        # bit-identical to evaluating the closed form term by term
+        for n in range(1, 1023, 7):
+            for delta in (*range(13), 63, 64, 65, 300, 1023 - n):
+                if n + delta >= 1024:
+                    continue
+                direct = float(2 ** (n + delta)) * math.log1p(-(2.0 ** -n))
+                direct = (1.0 - math.exp(direct)) / 2 ** delta
+                assert exact_expectation(n, delta) == direct, (n, delta)
+                assert fda_bounds(n, delta).lower == math.exp(-(2.0 ** delta))
+
 
 class TestBoundConstant:
     def test_paper_choice(self):
@@ -97,6 +118,18 @@ class TestExperiment:
             ExperimentConfig("other", LamportParams(8, 2), 10, 0)
         with pytest.raises(InvalidParams):
             ExperimentConfig("lamport", LamportParams(8, 2), 0, 0)
+
+    @pytest.mark.parametrize(
+        "scheme,params",
+        [
+            ("lamport", derive_wots_params(6, 2, 4, 2)),
+            ("wots", LamportParams(8, 2)),
+            ("other", derive_wots_params(6, 2, 4, 2)),
+        ],
+    )
+    def test_scheme_must_match_params(self, scheme, params):
+        with pytest.raises(InvalidParams):
+            ExperimentConfig(scheme, params, 10, 0)
 
     def test_report_text_and_csv(self):
         cfg = ExperimentConfig("lamport", LamportParams(8, 2), 200, 3)
@@ -173,6 +206,18 @@ class TestScenario:
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParams):
             run_scenario("lamport", LamportParams(8, 2), 0, "weird")
+
+    @pytest.mark.parametrize(
+        "scheme,params",
+        [
+            ("lamport", derive_wots_params(6, 2, 4, 2)),
+            ("wots", LamportParams(8, 2)),
+            ("other", LamportParams(8, 2)),
+        ],
+    )
+    def test_scheme_must_match_params(self, scheme, params):
+        with pytest.raises(InvalidParams):
+            run_scenario(scheme, params, 5)
 
     def test_scenario_text(self):
         log = run_scenario("lamport", LamportParams(8, 2), 3, "exact-sk")

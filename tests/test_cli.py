@@ -3,6 +3,10 @@ import sys
 
 import pytest
 
+from pofsig import cli
+from pofsig.adversary import build_lamport_preimage_index
+from pofsig.core import LamportParams
+
 PY = [sys.executable, "-m", "pofsig"]
 
 
@@ -188,3 +192,60 @@ def test_scenario_command():
     )
     assert res.returncode == 0
     assert "step 0" in res.stdout
+
+
+# The tests below call cli.main in-process: same code path, no cold start.
+
+
+def test_public_key_without_preimage_exits_2(tmp_path, capsys):
+    pk_file = tmp_path / "pk"
+    sk, pk, sig = str(tmp_path / "sk"), str(pk_file), str(tmp_path / "sig")
+    assert cli.main(["keygen", "--scheme", "lamport", "--n", "8", "--delta", "0",
+                     "--seed", "01", "--sk-out", sk, "--pk-out", pk]) == 0
+    assert cli.main(["sign", "--sk", sk, "--message", "0", "--out", sig]) == 0
+    # an 8-bit value outside the image of the 8-bit Lamport hash
+    index = build_lamport_preimage_index(LamportParams(8, 0))
+    orphan = next(bytes([v]) for v in range(256) if bytes([v]) not in index)
+    lines = pk_file.read_text().splitlines()
+    assert lines[-1].startswith("pk.1: ")
+    lines[-1] = f"pk.1: {orphan.hex()}"
+    pk_file.write_text("\n".join(lines) + "\n")
+    code = cli.main(["forge", "--pk", pk, "--known-message", "0", "--known-sig", sig,
+                     "--target-message", "1", "--max-domain-bits", "16", "--seed", "05",
+                     "--out", str(tmp_path / "forged")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert "no preimage" in err and "Traceback" not in err
+
+
+def test_directory_as_file_exits_2(tmp_path, capsys):
+    code = cli.main(["sign", "--sk", str(tmp_path), "--message", "0",
+                     "--out", str(tmp_path / "sig")])
+    assert code == cli.EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("bug in a command")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", broken)
+    assert cli.main(["bounds", "--n", "8", "--delta", "4"]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: bug in a command" in err
+
+
+def test_cross_scheme_signature_is_invalid(tmp_path, lam_keys, wots_keys, capsys):
+    _, lam_pk = lam_keys
+    wots_sk, _ = wots_keys
+    sig = str(tmp_path / "wsig")
+    assert cli.main(["sign", "--sk", str(wots_sk), "--message", "d0", "--out", sig]) == 0
+    code = cli.main(["verify", "--pk", str(lam_pk), "--sig", sig, "--message", "1"])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().out.strip() == "invalid"
+
+
+@pytest.mark.parametrize("n,delta", [(8, 1100), (1100, 0)])
+def test_bounds_far_outside_float_range(n, delta, capsys):
+    assert cli.main(["bounds", "--n", str(n), "--delta", str(delta)]) == 0
+    assert "exact expectation" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -83,6 +84,15 @@ class TestLamportParams:
     def test_rejects_bad(self, n, delta):
         with pytest.raises(InvalidParams):
             LamportParams(n, delta)
+
+
+def test_params_name_their_scheme_outside_the_fields():
+    lp, wp = LamportParams(8, 4), derive_wots_params(6, 1, 4, 2)
+    assert (lp.scheme, wp.scheme) == ("lamport", "wots")
+    # a class attribute, not a field: repr and equality are unchanged
+    assert "scheme" not in [f.name for f in dataclasses.fields(lp)]
+    assert "scheme" not in [f.name for f in dataclasses.fields(wp)]
+    assert repr(lp) == "LamportParams(n=8, delta=4)"
 
 
 class TestDeriveWotsParams:

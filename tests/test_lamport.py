@@ -94,6 +94,12 @@ def test_wrong_signature_length():
         lamport.verify(kp.public(), short, 0)
 
 
+def test_hash_secret_checks_width():
+    kp = make_kp()
+    with pytest.raises(DomainError):
+        lamport.hash_secret(P, kp.pk0)
+
+
 def test_entropy_failure_wrapped():
     class Broken:
         def getrandbits(self, k):

@@ -14,10 +14,13 @@ from pofsig.oracle import (
     LABEL_WOTS_CHAIN,
     OracleTag,
     Seed,
+    apply_steps,
     chain,
+    chain_steps,
     digest_bits,
     domain_images,
     f_step,
+    lamport_steps,
     oracle_eval,
     tag_prefix,
 )
@@ -150,12 +153,14 @@ class TestDomainImages:
     )
     def test_one_step_matches_oracle_eval(self, domain_bits, out_bits):
         prefix = tag_prefix(LAM, out_bits, domain_bits)
+        assert lamport_steps(out_bits, domain_bits) == [(prefix, out_bits)]
         images = list(domain_images([(prefix, out_bits)], domain_bits))
         assert len(images) == 1 << domain_bits
         for v, y in enumerate(images):
             x = BitString.from_int(v, domain_bits)
             assert y == oracle_eval(LAM, x, out_bits).payload
             assert y == digest_bits(prefix, x.payload, out_bits)
+            assert y == apply_steps([(prefix, out_bits)], x).payload
 
     @pytest.mark.parametrize(
         "params,start",
@@ -172,6 +177,7 @@ class TestDomainImages:
             tag = OracleTag(LABEL_WOTS_CHAIN, self.r, i)
             out_bits = params.value_bits(i)
             steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
+        assert chain_steps(params, self.r, start, params.w - 1) == steps
         domain_bits = params.value_bits(start)
         for v, y in enumerate(domain_images(steps, domain_bits)):
             x = BitString.from_int(v, domain_bits)
@@ -189,6 +195,19 @@ class TestDomainImages:
             domain_images([(prefix, out_bits)], 4)
         with pytest.raises(InvalidParams):
             domain_images([(tag_prefix(LAM, 8, 4), 8), (prefix, out_bits)], 4)
+
+
+def test_tags_are_built_only_in_oracle():
+    # OracleTag and tag_prefix are called only where the layout is defined
+    callers = set()
+    for path in Path(pofsig.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
+                if name in ("OracleTag", "tag_prefix"):
+                    callers.add(path.name)
+    assert callers == {"oracle.py"}
 
 
 def test_hash_layout_has_one_owner():

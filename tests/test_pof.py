@@ -15,6 +15,7 @@ from pofsig.pof import (
     PofEvidenceI,
     PofEvidenceII,
     detect_forgery,
+    scheme_verify,
     verify_pof1,
     verify_pof2,
 )
@@ -133,3 +134,38 @@ class TestDetectForgery:
             outcome = detect_forgery(kp, 1 - M, forged)
             if outcome.detected:
                 assert verify_pof2(outcome.evidence) == 1
+
+
+class TestSchemeVerify:
+    def _signed(self):
+        lkp = lamport_kp(seed=3)
+        wkp = wots.keygen(WP, random.Random(4))
+        M_w = BitString.from_int(0b1011, 4)
+        return {
+            "lamport": (lkp.public(), lamport.sign(lkp, 1), 1),
+            "wots": (wkp.public(), wots.sign(wkp, M_w), M_w),
+        }
+
+    def test_own_scheme_verifies(self):
+        for pk, sig, M in self._signed().values():
+            assert scheme_verify(pk, sig, M) == 1
+
+    def test_every_cross_scheme_pair_is_zero(self):
+        signed = self._signed()
+        for pk_scheme, (pk, _, _) in signed.items():
+            for sig_scheme, (_, sig, _) in signed.items():
+                for msg_scheme, (_, _, M) in signed.items():
+                    if pk_scheme == sig_scheme == msg_scheme:
+                        continue
+                    case = (pk_scheme, sig_scheme, msg_scheme)
+                    assert scheme_verify(pk, sig, M) == 0, case
+
+    def test_verifier_bug_propagates(self, monkeypatch):
+        pk, sig, M = self._signed()["lamport"]
+
+        def broken(*args):
+            raise RuntimeError("verifier bug")
+
+        monkeypatch.setattr(lamport, "verify", broken)
+        with pytest.raises(RuntimeError):
+            scheme_verify(pk, sig, M)
