@@ -17,9 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-from scipy import stats
-
 from .adversary import ForgeryBudget, build_lamport_preimage_index, forge
 from .core import LamportParams, WotsParams, derive_wots_params, draw_bits
 from .errors import DomainError, InvalidParams
@@ -48,6 +45,9 @@ def exact_expectation(n: int, delta: int) -> float:
 
 def exact_expectation_by_summation(n: int, delta: int) -> float:
     """Independent check: direct sum of pmf(k)/(1+k) over the binomial."""
+    import numpy as np
+    from scipy import stats
+
     trials = 2 ** (n + delta) - 1
     k = np.arange(trials + 1)
     pmf = stats.binom.pmf(k, trials, 2.0 ** -n)
@@ -302,6 +302,10 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
 def _census_gof(n, delta, instances, counts):
     """Chi-square of observed N counts against 1 + Bin(2^-n, 2^(n+delta)-1),
     pooling the right tail until its expected count reaches 5."""
+    # Imported here, so that the CLI and the experiments start without them.
+    import numpy as np
+    from scipy import stats
+
     m = 2 ** (n + delta) - 1
     p = 2.0 ** -n
     max_n = max(counts)

@@ -14,7 +14,7 @@ import random
 import sys
 import traceback
 
-from . import analysis, lamport, pof, serial, wots
+from . import analysis, pof, serial
 from .adversary import ForgeryBudget, forge
 from .core import BitString, LamportParams, derive_wots_params
 from .errors import InvalidParams, NotAValidSignature, PofsigError
@@ -71,23 +71,6 @@ def _parse_message(text: str, params):
         raise UsageError(str(exc))
 
 
-def _load(path, want_kinds):
-    obj = serial.load_path(path)
-    names = {
-        lamport.LamportKeyPair: "secret-key",
-        wots.WotsKeyPair: "secret-key",
-        lamport.LamportPublicKey: "public-key",
-        wots.WotsPublicKey: "public-key",
-        serial.SignatureFile: "signature",
-        pof.PofEvidenceI: "pof-1",
-        pof.PofEvidenceII: "pof-2",
-    }
-    kind = names[type(obj)]
-    if kind not in want_kinds:
-        raise UsageError(f"{path}: is a {kind} file, expected {' or '.join(want_kinds)}")
-    return obj
-
-
 def _cmd_keygen(args) -> int:
     params = _build_params(args)
     kp = pof.SCHEMES[params.scheme].keygen(params, _rng(args.seed))
@@ -97,7 +80,7 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_sign(args) -> int:
-    kp = _load(args.sk, ("secret-key",))
+    kp = serial.load_path(args.sk, ("secret-key",))
     message = _parse_message(args.message, kp.params)
     print(
         "warning: one-time key; never sign a second message with this key",
@@ -109,8 +92,8 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    pk = _load(args.pk, ("public-key",))
-    sig_file = _load(args.sig, ("signature",))
+    pk = serial.load_path(args.pk, ("public-key",))
+    sig_file = serial.load_path(args.sig, ("signature",))
     message = _parse_message(args.message, pk.params)
     ok = pof.scheme_verify(pk, sig_file.signature, message)
     print("valid" if ok else "invalid")
@@ -118,10 +101,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_forge(args) -> int:
-    pk = _load(args.pk, ("public-key",))
-    known_sig = _load(args.known_sig, ("signature",)).signature
+    pk = serial.load_path(args.pk, ("public-key",))
+    known_sig = serial.load_path(args.known_sig, ("signature",)).signature
     known_m = _parse_message(args.known_message, pk.params)
     m_star = _parse_message(args.target_message, pk.params)
+    if not pof.scheme_verify(pk, known_sig, known_m):
+        raise UsageError(f"{args.known_sig}: does not verify for the known message")
     budget = ForgeryBudget(args.max_domain_bits)
     forged = forge(pk, known_m, known_sig, m_star, budget, _rng(args.seed))
     serial.dump_path(args.out, serial.dump_signature(forged, m_star, pk.params))
@@ -129,8 +114,8 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    kp = _load(args.sk, ("secret-key",))
-    sig_file = _load(args.sig, ("signature",))
+    kp = serial.load_path(args.sk, ("secret-key",))
+    sig_file = serial.load_path(args.sig, ("signature",))
     message = _parse_message(args.message, kp.params)
     try:
         outcome = pof.detect_forgery(kp, message, sig_file.signature)
@@ -146,7 +131,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_verify_pof(args) -> int:
-    evidence = _load(args.pof, ("pof-1", "pof-2"))
+    evidence = serial.load_path(args.pof, ("pof-1", "pof-2"))
     if isinstance(evidence, pof.PofEvidenceI):
         ok = pof.verify_pof1(evidence)
     else:

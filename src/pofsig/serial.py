@@ -30,6 +30,7 @@ from .oracle import SEED_BYTES, Seed, chain
 from .pof import SCHEMES, PofEvidenceI, PofEvidenceII
 
 HEADER = "FDA-SIG v1"
+KINDS = ("secret-key", "public-key", "signature", "pof-1", "pof-2")
 
 _HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
 _INT_RE = re.compile(r"^(?:0|[1-9][0-9]*)$")
@@ -226,16 +227,21 @@ def _parse_public_fields(p: _Parser, params):
     return wots.WotsPublicKey(params, r, pk)
 
 
-def loads(text: str):
-    """Parse any FDA-SIG file into its typed object.
+def loads(text: str, kinds=KINDS):
+    """Parse an FDA-SIG file of one of the given kinds into its typed object.
 
     Returns LamportKeyPair/WotsKeyPair for secret keys, the public-key
     types for public keys, SignatureFile for signatures, and the
-    evidence types for pof-1/pof-2.
+    evidence types for pof-1/pof-2.  A file of another kind raises
+    FormatError.
     """
     p = _Parser(text)
     p.expect_header()
     kind = p.named("kind")
+    if kind not in KINDS:
+        raise FormatError(f"unknown kind {kind!r}")
+    if kind not in kinds:
+        raise FormatError(f"is a {kind} file, expected {' or '.join(kinds)}")
     scheme = p.named("scheme")
     if scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {scheme!r}")
@@ -276,22 +282,25 @@ def loads(text: str):
         p.done()
         return PofEvidenceI(pk=pk, sigma_star=sig, M=m, M_star=m_star)
 
-    if kind == "pof-2":
-        pk = _parse_public_fields(p, params)
-        m_star = _parse_message(p, "m_star", params)
-        sig_star = _parse_signature(p, "sigma_star", params, m_star)
-        sig_tilde = _parse_signature(p, "sigma_tilde_star", params, m_star)
-        p.done()
-        return PofEvidenceII(
-            pk=pk, sigma_tilde_star=sig_tilde, sigma_star=sig_star, M_star=m_star
-        )
-
-    raise FormatError(f"unknown kind {kind!r}")
+    # pof-2, the last of KINDS
+    pk = _parse_public_fields(p, params)
+    m_star = _parse_message(p, "m_star", params)
+    sig_star = _parse_signature(p, "sigma_star", params, m_star)
+    sig_tilde = _parse_signature(p, "sigma_tilde_star", params, m_star)
+    p.done()
+    return PofEvidenceII(
+        pk=pk, sigma_tilde_star=sig_tilde, sigma_star=sig_star, M_star=m_star
+    )
 
 
-def load_path(path) -> object:
+def load_path(path, kinds=KINDS) -> object:
+    """loads() on a file's text; a FormatError names the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return loads(fh.read())
+        text = fh.read()
+    try:
+        return loads(text, kinds)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def dump_path(path, text: str) -> None:

@@ -249,3 +249,41 @@ def test_cross_scheme_signature_is_invalid(tmp_path, lam_keys, wots_keys, capsys
 def test_bounds_far_outside_float_range(n, delta, capsys):
     assert cli.main(["bounds", "--n", str(n), "--delta", str(delta)]) == 0
     assert "exact expectation" in capsys.readouterr().out
+
+
+def _forge_argv(pk, sig, known, target, out):
+    return ["forge", "--pk", str(pk), "--known-message", known, "--known-sig", str(sig),
+            "--target-message", target, "--max-domain-bits", "16", "--seed", "05",
+            "--out", str(out)]
+
+
+def test_forge_from_cross_scheme_pair_exits_2(tmp_path, lam_keys, wots_keys, capsys):
+    lam_sk, _ = lam_keys
+    _, wots_pk = wots_keys
+    sig = tmp_path / "sig"
+    assert cli.main(["sign", "--sk", str(lam_sk), "--message", "0", "--out", str(sig)]) == 0
+    capsys.readouterr()
+    code = cli.main(_forge_argv(wots_pk, sig, "00", "10", tmp_path / "forged"))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: {sig}: does not verify for the known message\n"
+    assert not (tmp_path / "forged").exists()
+
+
+def test_forge_from_signature_of_another_message_exits_2(tmp_path, lam_keys, capsys):
+    sk, pk = lam_keys
+    sig = tmp_path / "sig"
+    assert cli.main(["sign", "--sk", str(sk), "--message", "0", "--out", str(sig)]) == 0
+    capsys.readouterr()
+    code = cli.main(_forge_argv(pk, sig, "1", "0", tmp_path / "forged"))
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "forged").exists()
+
+
+def test_file_of_the_wrong_kind_exits_2(tmp_path, lam_keys, capsys):
+    sk, pk = lam_keys
+    code = cli.main(["verify", "--pk", str(sk), "--sig", str(pk), "--message", "1"])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {sk}: is a secret-key file, expected public-key\n")

@@ -1,12 +1,14 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pofsig import lamport, serial, wots
-from pofsig.adversary import ForgeryBudget, forge_lamport
+from pofsig.adversary import ForgeryBudget, forge, forge_lamport
 from pofsig.core import BitString, LamportParams, derive_wots_params
 from pofsig.errors import FormatError
-from pofsig.pof import PofEvidenceI, detect_forgery
+from pofsig.pof import SCHEMES, PofEvidenceI, PofEvidenceII, detect_forgery
 
 LP = LamportParams(8, 4)
 WP = derive_wots_params(6, 1, 4, 2)
@@ -207,3 +209,78 @@ class TestMalformed:
         lines = self.valid().split("\n")
         with pytest.raises(FormatError):
             serial.loads("\n".join(lines[:4]) + "\n")
+
+    def test_kind_outside_the_wanted_kinds(self):
+        text = serial.dump_public_key(lamport_kp().public())
+        assert serial.loads(text, ("public-key",)) == lamport_kp().public()
+        with pytest.raises(FormatError, match="is a public-key file, expected signature"):
+            serial.loads(text, ("signature",))
+        with pytest.raises(FormatError, match="unknown kind"):
+            serial.loads(text.replace("kind: public-key", "kind: mystery"), ("signature",))
+
+    def test_load_path_names_the_file(self, tmp_path):
+        path = tmp_path / "pk.txt"
+        path.write_text(serial.dump_public_key(lamport_kp().public()))
+        assert serial.load_path(path) == lamport_kp().public()
+        message = f"{path}: is a public-key file, expected pof-1 or pof-2"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            serial.load_path(path, ("pof-1", "pof-2"))
+
+
+def _files_of_every_kind():
+    """(name, text) of a secret key, public key, signature and pof-2 for
+    each scheme; the forgery at seed 0 is detected for both."""
+    cases = ((LP, 0, 1), (WP, BitString.from_int(3, 4), BitString.from_int(12, 4)))
+    for params, M, M_star in cases:
+        scheme = SCHEMES[params.scheme]
+        rng = random.Random(0)
+        kp = scheme.keygen(params, rng)
+        sigma = scheme.sign(kp, M)
+        forged = forge(kp.public(), M, sigma, M_star, ForgeryBudget(), rng)
+        outcome = detect_forgery(kp, M_star, forged)
+        assert outcome.detected
+        yield f"{params.scheme}.secret-key", serial.dump_secret_key(kp)
+        yield f"{params.scheme}.public-key", serial.dump_public_key(kp.public())
+        yield f"{params.scheme}.signature", serial.dump_signature(sigma, M, params)
+        yield f"{params.scheme}.pof-2", serial.dump_pof2(outcome.evidence)
+
+
+def _dump(obj) -> str:
+    if isinstance(obj, serial.SignatureFile):
+        return serial.dump_signature(obj.signature, obj.message, obj.params)
+    if isinstance(obj, PofEvidenceI):
+        return serial.dump_pof1(obj)
+    if isinstance(obj, PofEvidenceII):
+        return serial.dump_pof2(obj)
+    if isinstance(obj, (lamport.LamportKeyPair, wots.WotsKeyPair)):
+        return serial.dump_secret_key(obj)
+    return serial.dump_public_key(obj)
+
+
+FILES = dict(_files_of_every_kind())
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_character_mutation(name, data):
+    """A file with one character replaced, inserted or deleted is either
+    rejected with FormatError or is exactly the file its parsed object
+    writes, so it equals the original only when the text is unchanged.
+    A hex digit changed inside a field can give another valid object,
+    which is why "equal to the original" alone cannot be required."""
+    text = FILES[name]
+    i = data.draw(st.integers(0, len(text)), label="position")
+    op = data.draw(st.sampled_from(("replace", "insert", "delete")), label="op")
+    ch = data.draw(st.one_of(st.sampled_from("0123456789abcdef:- \n\r"), st.characters()),
+                   label="character")
+    if op == "delete":
+        mutated = text[:i] + text[i + 1:]
+    else:
+        mutated = text[:i] + ch + text[i + (op == "replace"):]
+    try:
+        obj = serial.loads(mutated)
+    except FormatError:
+        return
+    assert _dump(obj) == mutated
+    assert (obj == serial.loads(text)) == (mutated == text)
