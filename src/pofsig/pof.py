@@ -55,11 +55,8 @@ def verify_pof1(E: PofEvidenceI) -> int:
     """1 iff the single signature verifies for both messages and they differ."""
     if E.M == E.M_star:
         return 0
-    if not scheme_verify(E.pk, E.sigma_star, E.M):
-        return 0
-    if not scheme_verify(E.pk, E.sigma_star, E.M_star):
-        return 0
-    return 1
+    return (scheme_verify(E.pk, E.sigma_star, E.M)
+            and scheme_verify(E.pk, E.sigma_star, E.M_star))
 
 
 def verify_pof2(E: PofEvidenceII) -> int:
@@ -70,11 +67,8 @@ def verify_pof2(E: PofEvidenceII) -> int:
     """
     if E.sigma_tilde_star == E.sigma_star:
         return 0
-    if not scheme_verify(E.pk, E.sigma_tilde_star, E.M_star):
-        return 0
-    if not scheme_verify(E.pk, E.sigma_star, E.M_star):
-        return 0
-    return 1
+    return (scheme_verify(E.pk, E.sigma_tilde_star, E.M_star)
+            and scheme_verify(E.pk, E.sigma_star, E.M_star))
 
 
 @dataclass(frozen=True)

@@ -251,12 +251,11 @@ def loads(text: str, kinds=KINDS):
         if scheme == "lamport":
             sk0 = p.named_bits("sk.0", params.sk_bits)
             sk1 = p.named_bits("sk.1", params.sk_bits)
-            pk0 = p.named_bits("pk.0", params.n)
-            pk1 = p.named_bits("pk.1", params.n)
+            pk = _parse_public_fields(p, params)
             p.done()
-            if (pk0, pk1) != tuple(lamport.hash_secret(params, s) for s in (sk0, sk1)):
+            if (pk.pk0, pk.pk1) != tuple(lamport.hash_secret(params, s) for s in (sk0, sk1)):
                 raise FormatError("pk.0/pk.1 do not match the hashes of sk.0/sk.1")
-            return lamport.LamportKeyPair(params, sk0, sk1, pk0, pk1)
+            return lamport.LamportKeyPair(params, sk0, sk1, pk.pk0, pk.pk1)
         r = _parse_seed(p)
         sk = tuple(p.named_bits(f"sk.{i + 1}", params.sk_bits) for i in range(params.l))
         p.done()

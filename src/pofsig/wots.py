@@ -43,26 +43,24 @@ class WotsSignature:
 Signature = WotsSignature
 
 
+def _digits(value: int, count: int, params: WotsParams) -> tuple[int, ...]:
+    """value as exactly count base-w digits, MSB-first."""
+    return tuple(
+        (value >> (params.nu * (count - 1 - i))) & (params.w - 1) for i in range(count)
+    )
+
+
 def to_base_w(M: BitString, params: WotsParams) -> tuple[int, ...]:
     """Split an L-bit message into l1 base-w digits, MSB-first."""
     if M.bit_len != params.L:
         raise DomainError(f"message must be {params.L} bits, got {M.bit_len}")
-    value = M.to_int()
-    digits = []
-    for i in range(params.l1):
-        shift = params.nu * (params.l1 - 1 - i)
-        digits.append((value >> shift) & (params.w - 1))
-    return tuple(digits)
+    return _digits(M.to_int(), params.l1, params)
 
 
 def checksum(m_digits: tuple[int, ...], params: WotsParams) -> tuple[int, tuple[int, ...]]:
     """Sum of digit complements and its base-w form in exactly l2 digits."""
     C = sum(params.w - 1 - m for m in m_digits)
-    c = []
-    for i in range(params.l2):
-        shift = params.nu * (params.l2 - 1 - i)
-        c.append((C >> shift) & (params.w - 1))
-    return C, tuple(c)
+    return C, _digits(C, params.l2, params)
 
 
 def extend(M: BitString, params: WotsParams) -> tuple[int, ...]:

@@ -1,9 +1,12 @@
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
-from pofsig import lamport, wots
+from pofsig import adversary, lamport, wots
 from pofsig.adversary import (
+    MAX_DOMAIN_BITS,
     ForgeryBudget,
     PreimageSet,
     build_lamport_preimage_index,
@@ -78,6 +81,68 @@ class TestEnumerate:
             scan = enumerate_preimages(lam_oracle(LP), y0, 10, BUDGET)
             via_index = lamport_preimages(LP, y0, BUDGET, index=index)
             assert scan.members == via_index.members
+
+
+class TestLamportIndex:
+    def test_values_are_ascending_int_arrays_covering_the_domain(self):
+        index = build_lamport_preimage_index(LP)
+        assert all(isinstance(vs, array) and vs.typecode == "I" for vs in index.values())
+        assert all(list(vs) == sorted(vs) for vs in index.values())
+        assert sorted(v for vs in index.values() for v in vs) == list(range(1 << LP.sk_bits))
+        for y, vs in index.items():
+            assert lamport.hash_secret(LP, BitString.from_int(vs[0], LP.sk_bits)).payload == y
+
+    def test_domain_above_the_cap_refused_before_enumerating(self, monkeypatch):
+        params = LamportParams(20, 9)
+        assert params.sk_bits == MAX_DOMAIN_BITS + 1
+        monkeypatch.setattr(adversary, "domain_images", lambda *a: pytest.fail("enumerated"))
+        with pytest.raises(BudgetExceeded):
+            build_lamport_preimage_index(params)
+
+    def test_held_bytes_per_entry(self):
+        params = LamportParams(8, 6)
+        tracemalloc.start()
+        try:
+            index = build_lamport_preimage_index(params)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) <= 256
+        assert held / (1 << params.sk_bits) <= 12.0
+
+    @pytest.mark.parametrize("delta", [0, 2, 6])
+    def test_forge_via_index_equals_forge_via_scan(self, delta):
+        params = LamportParams(8, delta)
+        index = build_lamport_preimage_index(params)
+        keys = random.Random(delta)
+        for _ in range(4):
+            kp = lamport.keygen(params, keys)
+            m = keys.getrandbits(1)
+            sigma = lamport.sign(kp, m)
+            seed = keys.getrandbits(64)
+            via_index, via_scan = random.Random(seed), random.Random(seed)
+            a = forge_lamport(kp.public(), m, sigma, 1 - m, BUDGET, via_index, index=index)
+            b = forge_lamport(kp.public(), m, sigma, 1 - m, BUDGET, via_scan)
+            assert a == b
+            assert via_index.getstate() == via_scan.getstate()
+
+    def test_orphan_half_raises_through_the_index(self):
+        params = LamportParams(8, 0)
+        index = build_lamport_preimage_index(params)
+        orphan = next(v for v in range(256) if bytes([v]) not in index)
+        kp = lamport.keygen(params, random.Random(3))
+        pk = lamport.LamportPublicKey(params, kp.pk0, BitString.from_int(orphan, 8))
+        with pytest.raises(EmptyPreimageSet):
+            forge_lamport(pk, 0, lamport.sign(kp, 0), 1, BUDGET, random.Random(0), index=index)
+        with pytest.raises(EmptyPreimageSet):
+            forge_lamport(pk, 0, lamport.sign(kp, 0), 1, BUDGET, random.Random(0))
+
+    def test_narrow_budget_refused_through_the_index(self):
+        index = build_lamport_preimage_index(LP)
+        kp = lamport.keygen(LP, random.Random(1))
+        with pytest.raises(BudgetExceeded):
+            forge_lamport(kp.public(), 0, lamport.sign(kp, 0), 1, ForgeryBudget(8),
+                          random.Random(0), index=index)
 
 
 class TestSample:

@@ -34,7 +34,8 @@ def colliding_lamport_instance():
     # single signature is valid for both message bits
     params = LamportParams(8, 2)
     index = build_lamport_preimage_index(params)
-    members = next(ms for ms in index.values() if len(ms) >= 2)
+    members = [BitString.from_int(v, 10)
+               for v in next(ms for ms in index.values() if len(ms) >= 2)]
     y = lamport.hash_secret(params, members[0])
     pk = lamport.LamportPublicKey(params, y, y)
     return pk, members
