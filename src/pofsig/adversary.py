@@ -1,9 +1,10 @@
 """Brute-force forgery at toy hash sizes.
 
 Everything here is exhaustive search: full preimage-set enumeration for
-the Lamport oracle and full inversion of composed Winternitz chains.
-Every domain sweep runs through ``oracle.domain_images`` over the step
-list that ``oracle.lamport_steps`` or ``oracle.chain_steps`` builds;
+the Lamport oracle and full inversion of Winternitz chains through a
+per-key table of every depth's chain tops (``chain_tops``).  Every
+domain sweep runs through ``oracle.domain_images`` over the step list
+that ``oracle.lamport_steps`` or ``oracle.chain_steps`` builds;
 ``enumerate_preimages`` is the generic per-candidate reference that
 tests compare the sweeps against.  A hard cap on domain width keeps
 runs at desk scale; production sizes are refused outright.
@@ -14,7 +15,8 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import compress, count
+from typing import Callable, Iterable, Optional
 
 from .core import BitString, LamportParams, WotsParams
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
@@ -85,14 +87,13 @@ def _draw(members, target: BitString, rng: random.Random):
     return members[rng.randrange(len(members))]
 
 
-def _scan(steps, target: BitString, domain_bits: int) -> PreimageSet:
-    """Every domain input whose image through steps equals target."""
-    y0 = target.payload
-    members = tuple(
-        BitString.from_int(v, domain_bits)
-        for v, y in enumerate(domain_images(steps, domain_bits))
-        if y == y0
-    )
+def _members(images: Iterable[bytes], target: BitString) -> list[int]:
+    """The inputs whose image is target, from images in ascending input order."""
+    return list(compress(count(), map(target.payload.__eq__, images)))
+
+
+def _preimage_set(images: Iterable[bytes], target: BitString, domain_bits: int) -> PreimageSet:
+    members = tuple(BitString.from_int(v, domain_bits) for v in _members(images, target))
     return PreimageSet(target=target, domain_bits=domain_bits, members=members)
 
 
@@ -125,7 +126,7 @@ def lamport_preimages(
     bits = params.sk_bits
     budget.check(bits)
     if index is None:
-        return _scan(lamport_steps(params.n, bits), y0, bits)
+        return _preimage_set(domain_images(lamport_steps(params.n, bits), bits), y0, bits)
     members = tuple(BitString.from_int(v, bits) for v in index.get(y0.payload, ()))
     return PreimageSet(target=y0, domain_bits=bits, members=members)
 
@@ -155,6 +156,31 @@ def forge_lamport(
     return LamportSignature(BitString.from_int(v, pk.params.sk_bits))
 
 
+def chain_tops(
+    params: WotsParams, r: Seed, d_min: int, budget: ForgeryBudget
+) -> dict[int, list[bytes]]:
+    """The per-key chain table: for each depth d from w-2 down to d_min,
+    the finished-chain (top) value of every depth-d input, in ascending
+    input order, as ``digest_bits`` returns it.
+
+    The chain oracles depend on r and the step only, so one table serves
+    every position of a key.  It is built top-down: each depth takes one
+    single-step sweep, whose images are looked up in the depth above, so
+    the whole table costs the sum over d of 2^value_bits(d) hashes.
+    """
+    depths = range(params.w - 2, d_min - 1, -1)
+    for d in depths:
+        budget.check(params.value_bits(d))
+    tops: dict[int, list[bytes]] = {}
+    for d in depths:
+        images = domain_images(chain_steps(params, r, d, d + 1), params.value_bits(d))
+        if d + 1 in tops:
+            above = dict(zip(domain_images((), params.value_bits(d + 1)), tops[d + 1]))
+            images = map(above.__getitem__, images)
+        tops[d] = list(images)
+    return tops
+
+
 def chain_preimages(
     params: WotsParams,
     r: Seed,
@@ -162,12 +188,15 @@ def chain_preimages(
     pk_value: BitString,
     budget: ForgeryBudget,
 ) -> PreimageSet:
-    """All position-b_star values whose finished chain reaches pk_value,
-    by a full sweep of the composed map from position b_star to the top.
-    """
-    domain_bits = params.value_bits(b_star)
-    budget.check(domain_bits)
-    return _scan(chain_steps(params, r, b_star, params.w - 1), pk_value, domain_bits)
+    """All position-b_star values whose finished chain reaches pk_value:
+    the entries of the depth-b_star row of the chain table equal to it."""
+    bits = params.value_bits(b_star)
+    budget.check(bits)
+    if b_star == params.w - 1:  # the top itself: no step to invert
+        row = domain_images((), bits)
+    else:
+        row = chain_tops(params, r, b_star, budget)[b_star]
+    return _preimage_set(row, pk_value, bits)
 
 
 def forge_wots(
@@ -177,35 +206,42 @@ def forge_wots(
     M_star: BitString,
     budget: ForgeryBudget,
     rng: random.Random,
+    tops: Optional[dict[int, list[bytes]]] = None,
 ) -> WotsSignature:
     """Forge a signature for M_star from one observed message-signature pair.
 
     Positions whose target depth is not below the known depth are
     advanced along the chain from the known value.  Positions forced
-    downward by the checksum are inverted exhaustively and a uniformly
-    random member of the preimage set is taken.
+    downward by the checksum are inverted exhaustively through the key's
+    chain table (``chain_tops``; built down to the deepest such depth
+    when none is given) and a uniformly random member of the preimage
+    set is taken.
     """
     params = pk.params
     if M_star == known_M:
         raise DomainError("target message must differ from the signed one")
     b = extend(known_M, params)
     b_star = extend(M_star, params)
+    inverted = [d for d, known in zip(b_star, b) if d < known]
+    if tops is None and inverted:
+        tops = chain_tops(params, pk.r, min(inverted), budget)
     sigma_star = []
     for i in range(params.l):
         if b_star[i] >= b[i]:
             sigma_star.append(chain(params, pk.r, b[i], b_star[i], known_sig.sigma[i]))
         else:
-            ps = chain_preimages(params, pk.r, b_star[i], pk.pk[i], budget)
-            sigma_star.append(sample_preimage(ps, rng))
+            v = _draw(_members(tops[b_star[i]], pk.pk[i]), pk.pk[i], rng)
+            sigma_star.append(BitString.from_int(v, params.value_bits(b_star[i])))
     return WotsSignature(tuple(sigma_star))
 
 
 def forge(
     pk, M, sigma, M_star, budget: ForgeryBudget, rng: random.Random,
-    index: Optional[dict[bytes, array]] = None,
+    index: Optional[dict] = None,
 ):
     """Forge a signature for M_star under pk's scheme from one signed pair
-    (M, sigma); index is a Lamport preimage index, if one was built."""
+    (M, sigma); index is the scheme's inversion table, if one was built:
+    a Lamport preimage index or the key's WOTS chain table."""
     if pk.params.scheme == "lamport":
         return forge_lamport(pk, M, sigma, M_star, budget, rng, index=index)
-    return forge_wots(pk, M, sigma, M_star, budget, rng)
+    return forge_wots(pk, M, sigma, M_star, budget, rng, tops=index)

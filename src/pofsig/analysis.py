@@ -14,14 +14,16 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .adversary import ForgeryBudget, build_lamport_preimage_index, forge
+from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
 from .core import LamportParams, WotsParams, derive_wots_params, draw_bits
 from .errors import DomainError, InvalidParams
 from .oracle import Seed, apply_steps, chain_steps, domain_images
 from .pof import SCHEMES, DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
+from .wots import digits
 
 UPPER_BOUND_CONSTANT = 5.22
 
@@ -121,6 +123,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """undetected_rate, stderr, the CI and the verdict belong to the
+    estimator named in ``estimator``:
+
+    - "monte-carlo" (Lamport): the share of trials whose forgery went
+      undetected;
+    - "exact-given-r" (WOTS): the mean over trials of P_r, the undetected
+      probability given the trial key's seed r, exact over secret keys
+      and message pairs (``undetected_probability``).
+
+    The 0/1 counts and the evidence checks are kept for both schemes as
+    the Monte Carlo cross-check.
+    """
+
     config: ExperimentConfig
     trials: int
     undetected_count: int
@@ -132,7 +147,77 @@ class ExperimentReport:
     bounds: BoundsReport
     evidence_ok_count: int
     verdict: str  # "pass" | "fail" against the upper bound
+    estimator: str
     avg_matching_positions: Optional[float] = None
+
+    @property
+    def monte_carlo_rate(self) -> float:
+        return self.undetected_count / self.trials
+
+    @property
+    def monte_carlo_stderr(self) -> float:
+        rate = self.monte_carlo_rate
+        return math.sqrt(rate * (1.0 - rate) / self.trials)
+
+
+def trial_rng(master: int, t: int) -> random.Random:
+    """The rng of trial t under a master seed.  Seeding with the string
+    hashes both numbers (SHA-512), so nearby master seeds run unrelated
+    trials."""
+    return random.Random(f"{master}:{t}")
+
+
+def match_probabilities(params: WotsParams, tops: dict[int, list[bytes]]) -> list[float]:
+    """g(d) for each depth d < w-1, from a full chain table (``chain_tops``
+    down to depth 0): the chance, over a uniform secret sk, that a uniform
+    depth-d preimage of top(sk) is sk's own depth-d value.  That is
+    sum over tops y of c_0(y) / c_d(y) / 2^value_bits(0), where c_d(y)
+    counts the depth-d inputs whose top is y."""
+    c0 = Counter(tops[0])
+    g = []
+    for d in range(params.w - 1):
+        cd = c0 if d == 0 else Counter(tops[d])
+        g.append(math.fsum(k / cd[y] for y, k in c0.items()) / len(tops[0]))
+    return g
+
+
+def undetected_probability(params: WotsParams, g: Sequence[float]) -> float:
+    """P_r: the mean, over all ordered message pairs M != M*, of the product
+    of g[b*_i] over the positions where b*_i < b_i (b = extend(M),
+    b* = extend(M*)), which is the chance that the forgery reproduces the
+    signer's signature when positions are independent given r.
+
+    A dynamic program over the two checksums (C, C*): l1 message-digit
+    steps of w^2 digit pairs each, then the l2 checksum digits of every
+    (C, C*), then the 2^L diagonal pairs M = M*, each worth 1, come off.
+    """
+    w = params.w
+    # factor[a][a_star]: one position signed at depth a, forged at a_star
+    factor = [[g[s] if s < a else 1.0 for s in range(w)] for a in range(w)]
+    size = params.l1 * (w - 1) + 1  # checksums run over 0..l1(w-1)
+    # sums[C * size + C_star]: summed weight of digit-sequence pairs so far
+    moves = [
+        ((w - 1 - a) * size + (w - 1 - s), factor[a][s])
+        for a in range(w) for s in range(w)
+    ]
+    sums = [0.0] * (size * size)
+    sums[0] = 1.0
+    for _ in range(params.l1):
+        nxt = [0.0] * (size * size)
+        for k, weight in enumerate(sums):
+            if weight:
+                for offset, f in moves:
+                    nxt[k + offset] += weight * f
+        sums = nxt
+    check = [digits(C, params.l2, params) for C in range(size)]
+    terms = []
+    for k, weight in enumerate(sums):
+        C, C_star = divmod(k, size)
+        for a, s in zip(check[C], check[C_star]):
+            weight *= factor[a][s]
+        terms.append(weight)
+    messages = 1 << params.L
+    return (math.fsum(terms) - messages) / (messages * (messages - 1))
 
 
 def _forgery_trial(
@@ -141,13 +226,15 @@ def _forgery_trial(
     budget: ForgeryBudget,
     index: Optional[dict] = None,
     exact_sk: bool = False,
-) -> tuple[DetectionOutcome, Optional[int]]:
+) -> tuple[DetectionOutcome, Optional[int], Optional[float]]:
     """One chosen-message attack: keygen, sign a random M, forge a different
     M*, and let the signer run detection.  exact_sk models full key
     recovery: the adversary signs M* with the secret key instead.
 
     Returns the outcome and, for WOTS, how many positions of the forgery
-    equal the legitimate signature of M*.
+    equal the legitimate signature of M* and (unless exact_sk) P_r, the
+    undetected probability given the key's seed r, from the full chain
+    table the forger inverts through.
     """
     scheme = SCHEMES[params.scheme]
     kp = scheme.keygen(params, rng)
@@ -159,36 +246,42 @@ def _forgery_trial(
         while M_star == M:
             M_star = draw_bits(rng, params.L)
     sigma = scheme.sign(kp, M)
+    p_r = None
     if exact_sk:
         sigma_star = scheme.sign(kp, M_star)
     else:
+        if params.scheme == "wots":
+            index = chain_tops(params, kp.r, 0, budget)
+            p_r = undetected_probability(params, match_probabilities(params, index))
         sigma_star = forge(kp.public(), M, sigma, M_star, budget, rng, index=index)
     outcome = detect_forgery(kp, M_star, sigma_star)
     if params.scheme == "lamport":
-        return outcome, None
+        return outcome, None, None
     legit = outcome.evidence.sigma_tilde_star if outcome.detected else sigma_star
-    return outcome, sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma))
+    return outcome, sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma)), p_r
 
 
 def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the forgery-detection experiment: keygen, one chosen-message
-    signature, exhaustive forgery, signer-side detection; count the
-    trials where the forgery reproduced the legitimate signature.
+    signature, exhaustive forgery, signer-side detection; estimate the
+    rate at which the forgery reproduced the legitimate signature (see
+    ``ExperimentReport`` for the estimator of each scheme).
 
-    Deterministic for a given master seed: trial t uses an rng seeded
-    with master_seed XOR t, so the aggregate is schedule-independent.
+    Deterministic for a given master seed: trial t draws from
+    ``trial_rng(master_seed, t)``, so the aggregate is schedule-independent.
     """
     params = config.params
+    config.budget.check(params.sk_bits)
     index = None
     if params.scheme == "lamport":
-        config.budget.check(params.sk_bits)
         index = build_lamport_preimage_index(params)
     undetected = 0
     evidence_ok = 0
     match_total = 0
+    exact = []
     for t in range(config.trials):
-        rng = random.Random(config.master_seed ^ t)
-        outcome, matches = _forgery_trial(params, rng, config.budget, index)
+        outcome, matches, p_r = _forgery_trial(
+            params, trial_rng(config.master_seed, t), config.budget, index)
         if outcome.detected:
             if verify_pof2(outcome.evidence):
                 evidence_ok += 1
@@ -196,9 +289,23 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
             undetected += 1
         if matches is not None:
             match_total += matches
+        if p_r is not None:
+            exact.append(p_r)
     detected = config.trials - undetected
-    rate = undetected / config.trials
-    stderr = math.sqrt(rate * (1.0 - rate) / config.trials)
+    if exact:
+        estimator = "exact-given-r"
+        rate = math.fsum(exact) / config.trials
+        # one trial has no spread to measure; p(1 - p) bounds that of any
+        # [0, 1] variable with mean p
+        var = (
+            math.fsum((p - rate) ** 2 for p in exact) / (config.trials - 1)
+            if config.trials > 1 else rate * (1.0 - rate)
+        )
+    else:
+        estimator = "monte-carlo"
+        rate = undetected / config.trials
+        var = rate * (1.0 - rate)
+    stderr = math.sqrt(var / config.trials)
     bounds = fda_bounds(params.n, params.delta)
     verdict = "pass" if rate < bounds.upper + 3.0 * stderr else "fail"
     return ExperimentReport(
@@ -213,6 +320,7 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
         bounds=bounds,
         evidence_ok_count=evidence_ok,
         verdict=verdict,
+        estimator=estimator,
         avg_matching_positions=(
             match_total / config.trials if params.scheme == "wots" else None
         ),
@@ -229,6 +337,13 @@ def report_text(report: ExperimentReport) -> str:
         f"detected:        {report.detected_count}",
         f"undetected rate: {report.undetected_rate:.6f}"
         f"  (95% CI {report.ci_low:.6f}..{report.ci_high:.6f})",
+        f"estimator:       {report.estimator}",
+    ]
+    if report.estimator != "monte-carlo":
+        mc, half = report.monte_carlo_rate, 1.96 * report.monte_carlo_stderr
+        lines.append(f"monte carlo:     {mc:.6f}"
+                     f"  (95% CI {max(0.0, mc - half):.6f}..{min(1.0, mc + half):.6f})")
+    lines += [
         f"exact E[1/N]:    {b.exact_expectation:.6f}",
         f"lower bound:     {b.lower:.6g}",
         f"upper bound:     {b.upper:.6g}",
@@ -365,8 +480,8 @@ def run_scenario(
     if adversary_mode not in ("fresh", "exact-sk"):
         raise InvalidParams(f"unknown adversary mode {adversary_mode!r}")
     _check_scheme(scheme, params)
-    outcome, _ = _forgery_trial(
-        params, random.Random(seed), ForgeryBudget(),
+    outcome, _, _ = _forgery_trial(
+        params, trial_rng(seed, 0), ForgeryBudget(),
         exact_sk=adversary_mode == "exact-sk",
     )
     events = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 import traceback
 
@@ -31,10 +32,11 @@ class UsageError(PofsigError):
 
 
 def _parse_seed(text: str) -> int:
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise UsageError(f"seed must be hex, got {text!r}")
+    """Lowercase hex digits only, so that one seed string means one run
+    (int(text, 16) alone also takes signs, spaces, '0x' and '_')."""
+    if not re.fullmatch("[0-9a-f]+", text):
+        raise UsageError(f"seed must be lowercase hex digits, got {text!r}")
+    return int(text, 16)
 
 
 def _rng(seed_hex: str) -> random.Random:

@@ -25,8 +25,10 @@ input domain through it for exhaustive search and the census.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 from .core import BitString, WotsParams
@@ -122,39 +124,56 @@ def domain_images(
             raise InvalidParams(
                 f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
             )
-        last = (out_bits + 7) // 8 - 1
-        keep = (0xFF << (8 * last + 8 - out_bits)) & 0xFF
-        # tail[b] is a final output byte b with its pad bits zeroed
-        tail = [bytes([b & keep]) for b in range(256)]
-        stages.append((hashlib.sha256(prefix), last, tail, {}))
+        stages.append((hashlib.sha256(prefix), *_tail(out_bits)))
     nbytes = (domain_bits + 7) // 8
     pad = 8 * nbytes - domain_bits
     if not stages:
-        return ((v << pad).to_bytes(nbytes, "big") for v in range(1 << domain_bits))
-    return _sweep(stages, nbytes, pad, domain_bits)
+        return map(
+            int.to_bytes, range(0, 1 << domain_bits << pad, 1 << pad),
+            repeat(nbytes), repeat("big"),
+        )
+    images = _sweep(stages[0], nbytes, pad, domain_bits)
+    for stage in stages[1:]:
+        images = _memoized(stage, images)
+    return images
 
 
-def _sweep(stages, nbytes: int, pad: int, domain_bits: int) -> Iterator[bytes]:
-    (h0, last0, tail0, _), later = stages[0], stages[1:]
+@functools.lru_cache(maxsize=None)
+def _tail(out_bits: int) -> tuple[int, tuple[bytes, ...]]:
+    """(last, tail) for out_bits-bit outputs: the index of the final output
+    byte, and tail[b], a final byte b with its pad bits zeroed."""
+    last = (out_bits + 7) // 8 - 1
+    keep = (0xFF << (8 * last + 8 - out_bits)) & 0xFF
+    return last, tuple(bytes([b & keep]) for b in range(256))
+
+
+def _sweep(stage, nbytes: int, pad: int, domain_bits: int) -> Iterator[bytes]:
+    h0, last, tail = stage
+    copy = h0.copy
     for v in range(1 << domain_bits):
-        h = h0.copy()
+        h = copy()
         h.update((v << pad).to_bytes(nbytes, "big") + _CTR0)
         d = h.digest()
-        y = d[:last0] + tail0[d[last0]]
-        for hk, last, tail, memo in later:
-            z = memo.get(y)
-            if z is None:
-                c = hk.copy()
-                c.update(y + _CTR0)
-                d = c.digest()
-                z = memo[y] = d[:last] + tail[d[last]]
-            y = z
-        yield y
+        yield d[:last] + tail[d[last]]
 
 
-def lamport_steps(n: int, sk_bits: int) -> list[tuple[bytes, int]]:
+def _memoized(stage, values: Iterator[bytes]) -> Iterator[bytes]:
+    hk, last, tail = stage
+    memo: dict[bytes, bytes] = {}
+    for y in values:
+        z = memo.get(y)
+        if z is None:
+            c = hk.copy()
+            c.update(y + _CTR0)
+            d = c.digest()
+            z = memo[y] = d[:last] + tail[d[last]]
+        yield z
+
+
+@functools.lru_cache(maxsize=256)
+def lamport_steps(n: int, sk_bits: int) -> tuple[tuple[bytes, int], ...]:
     """The Lamport map from an sk_bits-bit secret half to its n-bit image."""
-    return [(tag_prefix(_LAMPORT_TAG, n, sk_bits), n)]
+    return ((tag_prefix(_LAMPORT_TAG, n, sk_bits), n),)
 
 
 def chain_steps(

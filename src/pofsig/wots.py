@@ -43,7 +43,7 @@ class WotsSignature:
 Signature = WotsSignature
 
 
-def _digits(value: int, count: int, params: WotsParams) -> tuple[int, ...]:
+def digits(value: int, count: int, params: WotsParams) -> tuple[int, ...]:
     """value as exactly count base-w digits, MSB-first."""
     return tuple(
         (value >> (params.nu * (count - 1 - i))) & (params.w - 1) for i in range(count)
@@ -54,13 +54,13 @@ def to_base_w(M: BitString, params: WotsParams) -> tuple[int, ...]:
     """Split an L-bit message into l1 base-w digits, MSB-first."""
     if M.bit_len != params.L:
         raise DomainError(f"message must be {params.L} bits, got {M.bit_len}")
-    return _digits(M.to_int(), params.l1, params)
+    return digits(M.to_int(), params.l1, params)
 
 
 def checksum(m_digits: tuple[int, ...], params: WotsParams) -> tuple[int, tuple[int, ...]]:
     """Sum of digit complements and its base-w form in exactly l2 digits."""
     C = sum(params.w - 1 - m for m in m_digits)
-    return C, _digits(C, params.l2, params)
+    return C, digits(C, params.l2, params)
 
 
 def extend(M: BitString, params: WotsParams) -> tuple[int, ...]:

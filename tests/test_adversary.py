@@ -11,6 +11,7 @@ from pofsig.adversary import (
     PreimageSet,
     build_lamport_preimage_index,
     chain_preimages,
+    chain_tops,
     enumerate_preimages,
     forge,
     forge_lamport,
@@ -258,7 +259,74 @@ class TestChainInversion:
             assert fast.members == slow.members
 
 
+class TestChainTable:
+    """chain_tops and chain_preimages against per-input chain walks and
+    the generic scan, at every depth."""
+
+    @pytest.mark.parametrize("args", [(6, 2, 4, 2), (4, 1, 4, 2), (6, 1, 6, 3)])
+    def test_every_depth_matches_the_generic_scan(self, args):
+        params = derive_wots_params(*args)
+        kp = wots.keygen(params, random.Random(sum(args)))
+        top = params.w - 1
+        tops = chain_tops(params, kp.r, 0, BUDGET)
+        assert sorted(tops) == list(range(top))
+        for d in range(top + 1):
+            bits = params.value_bits(d)
+            slow = enumerate_preimages(
+                lambda x: chain(params, kp.r, d, top, x), kp.pk[0], bits, BUDGET)
+            assert chain_preimages(params, kp.r, d, kp.pk[0], BUDGET).members == slow.members
+            if d == top:
+                continue
+            assert tops[d] == [
+                chain(params, kp.r, d, top, BitString.from_int(v, bits)).payload
+                for v in range(1 << bits)
+            ]
+            partial = chain_tops(params, kp.r, d, BUDGET)
+            assert partial == {k: row for k, row in tops.items() if k >= d}
+
+    def test_budget_checked_on_every_swept_width(self):
+        params = derive_wots_params(6, 2, 4, 2)  # depths 0, 1, 2: 12, 10, 8 bits
+        r = wots.keygen(params, random.Random(3)).r
+        narrow = ForgeryBudget(max_domain_bits=11)
+        assert sorted(chain_tops(params, r, 1, narrow)) == [1, 2]
+        with pytest.raises(BudgetExceeded):
+            chain_tops(params, r, 0, narrow)
+
+
+def reference_forge_wots(pk, M, sigma, M_star, rng):
+    """The forger by definition: advance where the target depth is not
+    lower, else one uniform member of the generic scan's preimage set."""
+    params = pk.params
+    b, b_star = wots.extend(M, params), wots.extend(M_star, params)
+    out = []
+    for i in range(params.l):
+        if b_star[i] >= b[i]:
+            out.append(chain(params, pk.r, b[i], b_star[i], sigma.sigma[i]))
+        else:
+            ps = enumerate_preimages(
+                lambda x: chain(params, pk.r, b_star[i], params.w - 1, x),
+                pk.pk[i], params.value_bits(b_star[i]), BUDGET)
+            out.append(ps.members[rng.randrange(ps.count)])
+    return wots.WotsSignature(tuple(out))
+
+
 class TestForgeWots:
+    @pytest.mark.parametrize("args", [(6, 1, 4, 2), (6, 2, 4, 2)])
+    def test_matches_the_reference_forger(self, args):
+        params = derive_wots_params(*args)
+        rng = random.Random(23)
+        for k in range(6):
+            kp = wots.keygen(params, rng)
+            M = BitString.from_int(rng.getrandbits(4), 4)
+            M_star = BitString.from_int((M.to_int() + 1 + rng.randrange(15)) % 16, 4)
+            sigma = wots.sign(kp, M)
+            tops = chain_tops(params, kp.r, 0, BUDGET) if k % 2 else None
+            seed = rng.getrandbits(64)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            forged = forge_wots(kp.public(), M, sigma, M_star, BUDGET, ours, tops)
+            assert forged == reference_forge_wots(kp.public(), M, sigma, M_star, theirs)
+            assert ours.getstate() == theirs.getstate()
+
     def test_always_verifies(self):
         rng = random.Random(21)
         for _ in range(10):

@@ -3,20 +3,25 @@ import random
 
 import pytest
 
-from pofsig import analysis
+from pofsig import analysis, wots
+from pofsig.adversary import ForgeryBudget, chain_preimages, chain_tops
 from pofsig.analysis import (
     ExperimentConfig,
     bound_constant,
     exact_expectation,
     exact_expectation_by_summation,
     fda_bounds,
+    match_probabilities,
     minimize_bound_constant,
     preimage_census,
     run_fda_experiment,
     run_scenario,
+    trial_rng,
+    undetected_probability,
 )
-from pofsig.core import LamportParams, derive_wots_params
-from pofsig.errors import DomainError, InvalidParams
+from pofsig.core import BitString, LamportParams, derive_wots_params
+from pofsig.errors import BudgetExceeded, DomainError, InvalidParams
+from pofsig.oracle import chain
 from pofsig.pof import verify_pof2
 
 WP = derive_wots_params(6, 2, 4, 2)
@@ -140,6 +145,83 @@ class TestExperiment:
         assert row.count(",") == analysis.CSV_HEADER.count(",")
 
 
+class TestTrialSeeds:
+    def test_nearby_master_seeds_share_no_first_draw(self):
+        # master ^ t made masters 0x2a and 0x2b run the same trials, swapped
+        a = {trial_rng(0x2A, t).random() for t in range(1000)}
+        b = {trial_rng(0x2B, t).random() for t in range(1000)}
+        assert len(a) == len(b) == 1000
+        assert a.isdisjoint(b)
+
+
+def brute_force_probability(params, g):
+    """Mean over every ordered pair M != M* of the product of g[b*_i]
+    over the positions where b*_i < b_i."""
+    ext = [wots.extend(BitString.from_int(v, params.L), params) for v in range(1 << params.L)]
+    products = [
+        math.prod(g[y] for x, y in zip(b, b_star) if y < x)
+        for i, b in enumerate(ext)
+        for j, b_star in enumerate(ext)
+        if i != j
+    ]
+    return math.fsum(products) / len(products)
+
+
+class TestExactEstimator:
+    @pytest.mark.parametrize(
+        "args",
+        [(6, 2, 4, 2), (4, 1, 4, 2), (6, 1, 6, 1), (6, 1, 6, 3), (5, 0, 8, 4),
+         (5, 1, 8, 2), (5, 1, 8, 8)],
+    )
+    def test_checksum_dp_matches_pair_enumeration(self, args):
+        params = derive_wots_params(*args)
+        rng = random.Random(sum(args))
+        g = [rng.uniform(0.01, 1.0) for _ in range(params.w - 1)]
+        assert undetected_probability(params, g) == pytest.approx(
+            brute_force_probability(params, g), rel=1e-12)
+
+    def test_match_probabilities_follow_their_definition(self):
+        # g(d) = E_sk[1 / |depth-d preimages of top(sk)|] over uniform sk
+        params = derive_wots_params(4, 1, 4, 2)
+        r = wots.keygen(params, random.Random(8)).r
+        bits, top = params.sk_bits, params.w - 1
+        sk_tops = [chain(params, r, 0, top, BitString.from_int(v, bits))
+                   for v in range(1 << bits)]
+        expected = []
+        for d in range(top):
+            count = {y: chain_preimages(params, r, d, y, ForgeryBudget()).count
+                     for y in set(sk_tops)}
+            expected.append(math.fsum(1 / count[y] for y in sk_tops) / len(sk_tops))
+        g = match_probabilities(params, chain_tops(params, r, 0, ForgeryBudget()))
+        assert g == pytest.approx(expected, rel=1e-12)
+
+    def test_estimate_agrees_with_the_monte_carlo_count(self):
+        r = run_fda_experiment(ExperimentConfig("wots", WP, 2000, 2026))
+        assert r.estimator == "exact-given-r"
+        assert abs(r.undetected_rate - r.monte_carlo_rate) <= 4 * r.monte_carlo_stderr
+        assert r.stderr < r.monte_carlo_stderr / 10
+
+    def test_single_trial_has_a_finite_stderr(self):
+        r = run_fda_experiment(ExperimentConfig("wots", WP, 1, 5))
+        p = r.undetected_rate
+        assert 0.0 < p < 1.0
+        assert r.stderr == math.sqrt(p * (1.0 - p))
+        assert r.verdict == "pass"
+
+    def test_depth0_width_over_the_budget_raises(self):
+        cfg = ExperimentConfig("wots", WP, 3, 0, budget=ForgeryBudget(max_domain_bits=11))
+        with pytest.raises(BudgetExceeded):
+            run_fda_experiment(cfg)
+
+    def test_report_text_shows_both_estimates(self):
+        text = analysis.report_text(run_fda_experiment(ExperimentConfig("wots", WP, 20, 1)))
+        assert "estimator:       exact-given-r" in text
+        assert "monte carlo:" in text
+        lam = run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 2), 20, 1))
+        assert lam.estimator == "monte-carlo"
+        assert "monte carlo:" not in analysis.report_text(lam)
+
+
 class TestCensus:
     def test_model_fit(self):
         c = preimage_census(8, 0, 500, seed=2024)
@@ -190,9 +272,9 @@ class TestScenario:
             assert (4, "S", "A") in {(e.step, e.sender, e.receiver) for e in log.events}
 
     def test_scenario_runs_the_experiment_trial(self):
-        # trial 0 of an experiment is seeded with master_seed ^ 0, which is
-        # the scenario's seed; the scenario scans where the experiment
-        # looks up its Lamport index
+        # the scenario replays trial 0 of an experiment under the same
+        # master seed, trial_rng(seed, 0); the scenario scans where the
+        # experiment looks up its Lamport index
         for scheme, params in (("lamport", LamportParams(8, 0)), ("wots", WP)):
             outcomes = set()
             for seed in range(6):

@@ -218,6 +218,20 @@ def test_public_key_without_preimage_exits_2(tmp_path, capsys):
     assert "no preimage" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "+1", "0x1", " 1", "1_0", "", "C0FFEE"])
+@pytest.mark.parametrize("command", ["keygen", "experiment"])
+def test_seed_other_than_lowercase_hex_digits_exits_2(tmp_path, capsys, seed, command):
+    argv = [command, "--scheme", "lamport", "--n", "8", "--delta", "2", f"--seed={seed}"]
+    if command == "keygen":
+        argv += ["--sk-out", str(tmp_path / "sk"), "--pk-out", str(tmp_path / "pk")]
+    else:
+        argv += ["--trials", "5"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "seed must be lowercase hex digits" in err and "Traceback" not in err
+    assert not (tmp_path / "sk").exists()
+
+
 def test_directory_as_file_exits_2(tmp_path, capsys):
     code = cli.main(["sign", "--sk", str(tmp_path), "--message", "0",
                      "--out", str(tmp_path / "sig")])

@@ -27,29 +27,29 @@ FROZEN = {
     "cli.wots.2a":
         "5bdbf9116a679a69f30cfa4a95d056a3e0643515adee83555bd2e895caa5d9a0",
     "experiment.lamport.42":
-        "7a3804572803608f4da9b096c42ff31e6c9551021320d39810a0a1573dd5f7f0",
+        "ac19c5adc9f7b1134aa0e7d1e89964c789b75d2fdd661fee5ec455c14d3f727d",
     "experiment.lamport.7":
-        "2443fdaa56ee531729b8db74c269ee2200db57235dbdb9b1ec682125682d73fe",
+        "b21bf62a17f2b32335d477830a053398395a9e22077abfbf02a65f1e1c136e04",
     "experiment.wots.42":
-        "386dba1b095c0aaa22a20fb385bc6563eae535efa822f75343bcb2a4540fd442",
+        "b515cc62caf4038569cb62dffdc0dee183878770d7e997fbdfb76715e9efcfcb",
     "experiment.wots.7":
-        "99b82017125fa242598d498dcb6afec3f39e96ec2daab28d7f58fafb7387b47d",
+        "b0fddf17ef71a12ebc7c7c5aed7664b429a195cabfb62015394890697519d993",
     "census.8.0":
         "561e34fc7e60a22e02933b07d5303fde208e4e3ffbb052ce5ebe59e7c20b67db",
     "census.8.2":
         "10a874fa03c625c4c7b2151febc7153f79e65a0acb0d34d61e7564fcf4a8d16c",
     "scenario.lamport.6.fresh.0":
-        "fdd6cc2e597e42618a851d584a95fff7be1c088280f337ea59688492343c1be1",
+        "5205711c4ca10e2ce2f74b1486d5e0f7f4bf940de3a2a54afb496270b301ab8d",
     "scenario.lamport.6.fresh.1":
-        "037bbd78d5c95932cbe79bd51a5e4075a3daee04b6202375d27765357c941a6c",
+        "de240c212c0dad0e07fbf15d0311d83ebd10bdfdcc2614ac5bc3383a0047dc1d",
     "scenario.lamport.6.fresh.2":
-        "fee3105e1e724c5b400c4ba8365e0cc484a14b57e84264b694446e95ac705860",
+        "90e4cd34f7017b871b1cbcb915b2061fd9649c58cf54f275f5f8c62943918493",
     "scenario.lamport.6.fresh.3":
-        "37dc478d844a17ad27786d7e1a693e0de4e3becdd446a97ee0f378516fc7a88d",
+        "68632c00b006e76b31e430ecb262e5e9d48d017f9bfc9752e62016ae0ddc96a5",
     "scenario.lamport.6.fresh.4":
-        "6c455c4068c3f840a9e8abcd7600bce46d00d885f118aba31e17babaa85c7397",
+        "93a127f05061adc9fb0e7ded6943d8d82ed975c9f778533e134009da83fa7878",
     "scenario.lamport.6.fresh.5":
-        "f137258b5d4729bb5a4a70c2ce505dde46930826f8583f93bc962f06a4732dcd",
+        "acd52a3216754e174865bfa099b5a4fbe3d802723db955cc63331ceb256cdc0a",
     "scenario.lamport.6.exact-sk.0":
         "851482fd19831f18319d61017daa744598d3f8d9889a25394225b6e45b043c6a",
     "scenario.lamport.6.exact-sk.1":
@@ -63,17 +63,17 @@ FROZEN = {
     "scenario.lamport.6.exact-sk.5":
         "851482fd19831f18319d61017daa744598d3f8d9889a25394225b6e45b043c6a",
     "scenario.lamport.0.fresh.0":
-        "0fb840716bfcd00ae492c84a4c6203dbc0a59276b6a57df8686b2ae47e5046a3",
+        "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
     "scenario.lamport.0.fresh.1":
         "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
     "scenario.lamport.0.fresh.2":
         "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
     "scenario.lamport.0.fresh.3":
-        "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
+        "1b56123e9819c157a47f11561d9133c4b794a3f7ebe1d407459629b1e1bf3b28",
     "scenario.lamport.0.fresh.4":
-        "b36092a6fe1da126b7c843b5f6881749f40b51ace8a5ab05a04f85da0ef51085",
+        "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
     "scenario.lamport.0.fresh.5":
-        "74804388bf58a7e6e4efb616840d0c8dc21881689d031e30bdb80b75212df98f",
+        "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
     "scenario.lamport.0.exact-sk.0":
         "851482fd19831f18319d61017daa744598d3f8d9889a25394225b6e45b043c6a",
     "scenario.lamport.0.exact-sk.1":
@@ -87,17 +87,17 @@ FROZEN = {
     "scenario.lamport.0.exact-sk.5":
         "851482fd19831f18319d61017daa744598d3f8d9889a25394225b6e45b043c6a",
     "scenario.wots.2.fresh.0":
-        "1a5a370a0a74cb425d2765e3292618cf4b777e391c840eca090e7d76d57823e5",
+        "c7b33d1633543d76d5b70827486cc5592c4c6dbbd464af4fbd1967c3d95c3a7c",
     "scenario.wots.2.fresh.1":
-        "ee811b52f28343fc3528254158af2b1ded1ef43990741d0496fc523a7c4b5747",
+        "afc4c0d7aa4eda6426893cf33ec8a45192b31130524f61f87e44140a94db2563",
     "scenario.wots.2.fresh.2":
-        "a57d726426bac34a7b81abafc4da71c0753744e1618d6597e53ff9654224a330",
+        "ff3042200c4c5c98540313bb5073fd66c21c32c39e668ed7287cb715ccf869a0",
     "scenario.wots.2.fresh.3":
-        "90fadef6f5366942ee80d2def7b38e950da94b561bcc1d5a75c0957257909702",
+        "0036abe0ec068f1499feac45626cc1ae90dafe1d110a80d07cb658d6fe300aa4",
     "scenario.wots.2.fresh.4":
-        "4f3033e87e964f6849650d606506f0022327c5ef3e99fc79f6bf5e0b8eb0f81a",
+        "e2a17fe7d8cce10e7075e5b30b30a4611a759311ae86754defade9d6e27dddf6",
     "scenario.wots.2.fresh.5":
-        "cc3c779a9353af3860961a48eddd77c58e5adf55e14351b300bd94fa189dbb9c",
+        "7723778ade23c7efdc313baec8ed504b0ad2a6945f28e203d80e4082d5ef1370",
     "scenario.wots.2.exact-sk.0":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
     "scenario.wots.2.exact-sk.1":
@@ -111,7 +111,7 @@ FROZEN = {
     "scenario.wots.2.exact-sk.5":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
 }
-FROZEN_ALL = "4e3c037b02ed75b5c2b3be2fa8b232010b7617efdf110b9c62f51ceaa3814d91"
+FROZEN_ALL = "551f92ad2fdb96c4e79ee7a42ee980a1c62f3eefd1d052e45c0ee1e0ff60c585"
 
 
 def _load_tool():

@@ -153,7 +153,7 @@ class TestDomainImages:
     )
     def test_one_step_matches_oracle_eval(self, domain_bits, out_bits):
         prefix = tag_prefix(LAM, out_bits, domain_bits)
-        assert lamport_steps(out_bits, domain_bits) == [(prefix, out_bits)]
+        assert lamport_steps(out_bits, domain_bits) == ((prefix, out_bits),)
         images = list(domain_images([(prefix, out_bits)], domain_bits))
         assert len(images) == 1 << domain_bits
         for v, y in enumerate(images):
