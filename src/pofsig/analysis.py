@@ -124,10 +124,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentReport:
     """undetected_rate, stderr, the CI and the verdict belong to the
-    estimator named in ``estimator``:
+    estimator that ``estimator_for`` picks from the parameters:
 
-    - "monte-carlo" (Lamport): the share of trials whose forgery went
-      undetected;
+    - "monte-carlo": the share of trials whose forgery went undetected;
     - "exact-given-r" (WOTS): the mean over trials of P_r, the undetected
       probability given the trial key's seed r, exact over secret keys
       and message pairs (``undetected_probability``).
@@ -147,8 +146,11 @@ class ExperimentReport:
     bounds: BoundsReport
     evidence_ok_count: int
     verdict: str  # "pass" | "fail" against the upper bound
-    estimator: str
     avg_matching_positions: Optional[float] = None
+
+    @property
+    def estimator(self) -> str:
+        return estimator_for(self.config.params)
 
     @property
     def monte_carlo_rate(self) -> float:
@@ -165,6 +167,28 @@ def trial_rng(master: int, t: int) -> random.Random:
     hashes both numbers (SHA-512), so nearby master seeds run unrelated
     trials."""
     return random.Random(f"{master}:{t}")
+
+
+# A move of the checksum DP takes ~0.07-0.11 us and a chain-table hash
+# ~0.9-1.9 us (2-core Xeon VM, Python 3.11), so at most 16 moves per hash
+# keep the DP to about the time of the trial's own table sweep.
+EXACT_MOVES_PER_HASH = 16
+
+
+def estimator_for(params: Params) -> str:
+    """The experiment's estimator: "exact-given-r" for WOTS where the
+    checksum DP of ``undetected_probability`` costs at most
+    EXACT_MOVES_PER_HASH moves per hash of the full chain table,
+    "monte-carlo" otherwise.  The DP grows as l1^3 w^4 and the table as
+    w 2^sk_bits, so large w (above all with delta = 0) falls back to the
+    0/1 count."""
+    if params.scheme == "wots":
+        w = params.w
+        moves = w * w * sum((i * (w - 1) + 1) ** 2 for i in range(params.l1))
+        hashes = sum(1 << params.value_bits(d) for d in range(w - 1))
+        if moves <= EXACT_MOVES_PER_HASH * hashes:
+            return "exact-given-r"
+    return "monte-carlo"
 
 
 def match_probabilities(params: WotsParams, tops: dict[int, list[bytes]]) -> list[float]:
@@ -226,15 +250,17 @@ def _forgery_trial(
     budget: ForgeryBudget,
     index: Optional[dict] = None,
     exact_sk: bool = False,
-) -> tuple[DetectionOutcome, Optional[int], Optional[float]]:
+    full_table: bool = False,
+) -> tuple[DetectionOutcome, Optional[int], Optional[dict[int, list[bytes]]]]:
     """One chosen-message attack: keygen, sign a random M, forge a different
     M*, and let the signer run detection.  exact_sk models full key
     recovery: the adversary signs M* with the secret key instead.
 
-    Returns the outcome and, for WOTS, how many positions of the forgery
-    equal the legitimate signature of M* and (unless exact_sk) P_r, the
-    undetected probability given the key's seed r, from the full chain
-    table the forger inverts through.
+    Returns the outcome, for WOTS how many positions of the forgery equal
+    the legitimate signature of M*, and, if full_table is set (WOTS), the
+    key's full chain table (``chain_tops`` down to depth 0), which the
+    forger then inverts through; otherwise the forger builds only the
+    depths it inverts.
     """
     scheme = SCHEMES[params.scheme]
     kp = scheme.keygen(params, rng)
@@ -246,42 +272,43 @@ def _forgery_trial(
         while M_star == M:
             M_star = draw_bits(rng, params.L)
     sigma = scheme.sign(kp, M)
-    p_r = None
+    tops = None
     if exact_sk:
         sigma_star = scheme.sign(kp, M_star)
     else:
-        if params.scheme == "wots":
-            index = chain_tops(params, kp.r, 0, budget)
-            p_r = undetected_probability(params, match_probabilities(params, index))
+        if full_table:
+            index = tops = chain_tops(params, kp.r, 0, budget)
         sigma_star = forge(kp.public(), M, sigma, M_star, budget, rng, index=index)
     outcome = detect_forgery(kp, M_star, sigma_star)
     if params.scheme == "lamport":
         return outcome, None, None
     legit = outcome.evidence.sigma_tilde_star if outcome.detected else sigma_star
-    return outcome, sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma)), p_r
+    return outcome, sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma)), tops
 
 
 def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the forgery-detection experiment: keygen, one chosen-message
     signature, exhaustive forgery, signer-side detection; estimate the
-    rate at which the forgery reproduced the legitimate signature (see
-    ``ExperimentReport`` for the estimator of each scheme).
+    rate at which the forgery reproduced the legitimate signature with
+    the estimator that ``estimator_for`` picks (see ``ExperimentReport``).
 
     Deterministic for a given master seed: trial t draws from
     ``trial_rng(master_seed, t)``, so the aggregate is schedule-independent.
     """
     params = config.params
-    config.budget.check(params.sk_bits)
+    exact = estimator_for(params) == "exact-given-r"
     index = None
     if params.scheme == "lamport":
+        config.budget.check(params.sk_bits)
         index = build_lamport_preimage_index(params)
     undetected = 0
     evidence_ok = 0
     match_total = 0
-    exact = []
+    p_rs = []
     for t in range(config.trials):
-        outcome, matches, p_r = _forgery_trial(
-            params, trial_rng(config.master_seed, t), config.budget, index)
+        outcome, matches, tops = _forgery_trial(
+            params, trial_rng(config.master_seed, t), config.budget, index,
+            full_table=exact)
         if outcome.detected:
             if verify_pof2(outcome.evidence):
                 evidence_ok += 1
@@ -289,20 +316,18 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
             undetected += 1
         if matches is not None:
             match_total += matches
-        if p_r is not None:
-            exact.append(p_r)
+        if exact:
+            p_rs.append(undetected_probability(params, match_probabilities(params, tops)))
     detected = config.trials - undetected
     if exact:
-        estimator = "exact-given-r"
-        rate = math.fsum(exact) / config.trials
+        rate = math.fsum(p_rs) / config.trials
         # one trial has no spread to measure; p(1 - p) bounds that of any
         # [0, 1] variable with mean p
         var = (
-            math.fsum((p - rate) ** 2 for p in exact) / (config.trials - 1)
+            math.fsum((p - rate) ** 2 for p in p_rs) / (config.trials - 1)
             if config.trials > 1 else rate * (1.0 - rate)
         )
     else:
-        estimator = "monte-carlo"
         rate = undetected / config.trials
         var = rate * (1.0 - rate)
     stderr = math.sqrt(var / config.trials)
@@ -320,7 +345,6 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
         bounds=bounds,
         evidence_ok_count=evidence_ok,
         verdict=verdict,
-        estimator=estimator,
         avg_matching_positions=(
             match_total / config.trials if params.scheme == "wots" else None
         ),

@@ -20,7 +20,7 @@ This module is the only one that knows the layout.  ``lamport_steps``
 and ``chain_steps`` describe each scheme's map as a list of oracle steps
 [(tag_prefix, out_bits), ...]; ``apply_steps`` pushes one value through
 such a list, and ``domain_images`` is the one kernel that sweeps a whole
-input domain through it for exhaustive search and the census.
+input domain through one step for exhaustive search and the census.
 """
 
 from __future__ import annotations
@@ -111,31 +111,29 @@ def domain_images(
     steps: Sequence[tuple[bytes, int]], domain_bits: int
 ) -> Iterator[bytes]:
     """Iterate, in ascending input order, over the image (as ``digest_bits``
-    returns it) of every domain_bits-bit input pushed through the oracle
-    steps [(tag_prefix, out_bits), ...]; no steps yields the inputs.
+    returns it) of every domain_bits-bit input pushed through at most one
+    oracle step [(tag_prefix, out_bits)]; no steps yields the inputs.
 
-    Steps after the first are memoized.  Outputs are capped at 256 bits,
-    the first block of the counter stream: one hash of ``payload ||
-    be32(0)`` on a copy of the prefix's hash state per evaluation.
+    Outputs are capped at 256 bits, the first block of the counter
+    stream: one hash of ``payload || be32(0)`` on a copy of the prefix's
+    hash state per evaluation.  Longer maps are swept one step at a time
+    (see ``adversary.chain_tops``).
     """
-    stages = []
-    for prefix, out_bits in steps:
-        if not 1 <= out_bits <= 256:
-            raise InvalidParams(
-                f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
-            )
-        stages.append((hashlib.sha256(prefix), *_tail(out_bits)))
     nbytes = (domain_bits + 7) // 8
     pad = 8 * nbytes - domain_bits
-    if not stages:
+    if not steps:
         return map(
             int.to_bytes, range(0, 1 << domain_bits << pad, 1 << pad),
             repeat(nbytes), repeat("big"),
         )
-    images = _sweep(stages[0], nbytes, pad, domain_bits)
-    for stage in stages[1:]:
-        images = _memoized(stage, images)
-    return images
+    if len(steps) > 1:
+        raise InvalidParams(f"domain_images sweeps at most one step, got {len(steps)}")
+    (prefix, out_bits), = steps
+    if not 1 <= out_bits <= 256:
+        raise InvalidParams(
+            f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
+        )
+    return _sweep(hashlib.sha256(prefix), *_tail(out_bits), nbytes, pad, domain_bits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,27 +145,13 @@ def _tail(out_bits: int) -> tuple[int, tuple[bytes, ...]]:
     return last, tuple(bytes([b & keep]) for b in range(256))
 
 
-def _sweep(stage, nbytes: int, pad: int, domain_bits: int) -> Iterator[bytes]:
-    h0, last, tail = stage
+def _sweep(h0, last: int, tail, nbytes: int, pad: int, domain_bits: int) -> Iterator[bytes]:
     copy = h0.copy
     for v in range(1 << domain_bits):
         h = copy()
         h.update((v << pad).to_bytes(nbytes, "big") + _CTR0)
         d = h.digest()
         yield d[:last] + tail[d[last]]
-
-
-def _memoized(stage, values: Iterator[bytes]) -> Iterator[bytes]:
-    hk, last, tail = stage
-    memo: dict[bytes, bytes] = {}
-    for y in values:
-        z = memo.get(y)
-        if z is None:
-            c = hk.copy()
-            c.update(y + _CTR0)
-            d = c.digest()
-            z = memo[y] = d[:last] + tail[d[last]]
-        yield z
 
 
 @functools.lru_cache(maxsize=256)

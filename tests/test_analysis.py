@@ -208,6 +208,28 @@ class TestExactEstimator:
         assert r.stderr == math.sqrt(p * (1.0 - p))
         assert r.verdict == "pass"
 
+    @pytest.mark.parametrize(
+        "args,estimator",
+        [((6, 2, 4, 2), "exact-given-r"), ((4, 1, 4, 2), "exact-given-r"),
+         ((6, 1, 12, 3), "exact-given-r"),  # 3.0 DP moves per table hash
+         ((8, 0, 8, 4), "monte-carlo"),  # 17.1
+         ((8, 0, 16, 2), "monte-carlo"), ((8, 0, 16, 8), "monte-carlo")],
+    )
+    def test_estimator_follows_the_dp_cost(self, args, estimator):
+        assert analysis.estimator_for(derive_wots_params(*args)) == estimator
+
+    def test_exact_estimate_just_inside_the_dp_cost(self):
+        r = run_fda_experiment(ExperimentConfig("wots", derive_wots_params(6, 1, 12, 3), 2, 3))
+        assert r.estimator == "exact-given-r"
+        assert 0.0 < r.undetected_rate < 1.0
+
+    def test_large_w_runs_the_monte_carlo_count(self):
+        # w = 256: the DP would take ~4.3e9 moves, the 0/1 count one trial's time
+        r = run_fda_experiment(ExperimentConfig("wots", derive_wots_params(8, 0, 16, 8), 1, 1))
+        assert r.estimator == "monte-carlo"
+        assert r.undetected_rate == r.monte_carlo_rate
+        assert "monte carlo:" not in analysis.report_text(r)
+
     def test_depth0_width_over_the_budget_raises(self):
         cfg = ExperimentConfig("wots", WP, 3, 0, budget=ForgeryBudget(max_domain_bits=11))
         with pytest.raises(BudgetExceeded):
@@ -271,10 +293,24 @@ class TestScenario:
         if log.outcome == "evidence-delivered":
             assert (4, "S", "A") in {(e.step, e.sender, e.receiver) for e in log.events}
 
+    def test_fresh_wots_trial_inverts_only_the_depths_it_needs(self):
+        # depth 0 is 12 bits at WP: an 11-bit budget refuses only the
+        # trials whose forgery inverts down to depth 0
+        outcomes = set()
+        for seed in range(20):
+            try:
+                _, _, tops = analysis._forgery_trial(WP, trial_rng(seed, 0), ForgeryBudget(11))
+                assert tops is None
+                outcomes.add("forged")
+            except BudgetExceeded:
+                outcomes.add("refused")
+        assert outcomes == {"forged", "refused"}
+
     def test_scenario_runs_the_experiment_trial(self):
         # the scenario replays trial 0 of an experiment under the same
         # master seed, trial_rng(seed, 0); the scenario scans where the
-        # experiment looks up its Lamport index
+        # experiment looks up its Lamport index, and its WOTS forger builds
+        # only the depths it inverts where the experiment builds them all
         for scheme, params in (("lamport", LamportParams(8, 0)), ("wots", WP)):
             outcomes = set()
             for seed in range(6):

@@ -27,13 +27,13 @@ FROZEN = {
     "cli.wots.2a":
         "5bdbf9116a679a69f30cfa4a95d056a3e0643515adee83555bd2e895caa5d9a0",
     "experiment.lamport.42":
-        "ac19c5adc9f7b1134aa0e7d1e89964c789b75d2fdd661fee5ec455c14d3f727d",
+        "7a3804572803608f4da9b096c42ff31e6c9551021320d39810a0a1573dd5f7f0",
     "experiment.lamport.7":
-        "b21bf62a17f2b32335d477830a053398395a9e22077abfbf02a65f1e1c136e04",
+        "b440a14b399f0a2363449a0ce6d9e4b39e81ce85f799823b7d34154ca20d2790",
     "experiment.wots.42":
-        "b515cc62caf4038569cb62dffdc0dee183878770d7e997fbdfb76715e9efcfcb",
+        "32595d4b689179ce870d960ba24338778c1db58ad5094041e83d6486e58f614a",
     "experiment.wots.7":
-        "b0fddf17ef71a12ebc7c7c5aed7664b429a195cabfb62015394890697519d993",
+        "ae9dd6671ec6d0a4c87e2d9ff30879ab7352392a4b32ae0f9d9581b35cee3c74",
     "census.8.0":
         "561e34fc7e60a22e02933b07d5303fde208e4e3ffbb052ce5ebe59e7c20b67db",
     "census.8.2":
@@ -111,7 +111,7 @@ FROZEN = {
     "scenario.wots.2.exact-sk.5":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
 }
-FROZEN_ALL = "551f92ad2fdb96c4e79ee7a42ee980a1c62f3eefd1d052e45c0ee1e0ff60c585"
+FROZEN_ALL = "da43692ce23ed287ba3cd16f712692c0156622d2d7fff96f8ea1404113c0a9c2"
 
 
 def _load_tool():

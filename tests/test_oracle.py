@@ -178,8 +178,14 @@ class TestDomainImages:
             out_bits = params.value_bits(i)
             steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
         assert chain_steps(params, self.r, start, params.w - 1) == steps
+        # compose one-step sweeps, each looked up by its input
         domain_bits = params.value_bits(start)
-        for v, y in enumerate(domain_images(steps, domain_bits)):
+        images = list(domain_images([], domain_bits))
+        for i, step in enumerate(steps, start + 1):
+            in_bits = params.value_bits(i - 1)
+            table = dict(zip(domain_images([], in_bits), domain_images([step], in_bits)))
+            images = [table[y] for y in images]
+        for v, y in enumerate(images):
             x = BitString.from_int(v, domain_bits)
             assert y == chain(params, self.r, start, params.w - 1, x).payload
 
@@ -193,8 +199,11 @@ class TestDomainImages:
         prefix = tag_prefix(LAM, out_bits, 4)
         with pytest.raises(InvalidParams):
             domain_images([(prefix, out_bits)], 4)
+
+    def test_more_than_one_step_refused(self):
+        steps = chain_steps(derive_wots_params(6, 2, 4, 2), self.r, 0, 2)
         with pytest.raises(InvalidParams):
-            domain_images([(tag_prefix(LAM, 8, 4), 8), (prefix, out_bits)], 4)
+            domain_images(steps, 12)
 
 
 def test_tags_are_built_only_in_oracle():
