@@ -47,13 +47,45 @@ def exact_expectation(n: int, delta: int) -> float:
 
 def exact_expectation_by_summation(n: int, delta: int) -> float:
     """Independent check: direct sum of pmf(k)/(1+k) over the binomial."""
-    import numpy as np
-    from scipy import stats
-
     trials = 2 ** (n + delta) - 1
-    k = np.arange(trials + 1)
-    pmf = stats.binom.pmf(k, trials, 2.0 ** -n)
-    return float(np.sum(pmf / (1.0 + k)))
+    pmf = binom_pmf(trials, 2.0 ** -n, trials)
+    return math.fsum(q / (1 + k) for k, q in enumerate(pmf))
+
+
+def binom_pmf(m: int, p: float, kmax: int) -> list[float]:
+    """[pmf(0), ..., pmf(kmax)] of Bin(m, p), for 0 < p < 1 and kmax <= m.
+
+    The ratio recurrence pmf(k) = pmf(k-1)·(m-k+1)/k·p/(1-p) runs in log
+    space from log pmf(0) = m·log1p(-p): pmf(0) itself underflows to 0
+    once m·p passes ~745, and every later term with it.
+    """
+    log_odds = math.log(p) - math.log1p(-p)
+    log_pmf = m * math.log1p(-p)
+    pmf = [math.exp(log_pmf)]
+    for k in range(1, kmax + 1):
+        log_pmf += math.log((m - k + 1) / k) + log_odds
+        pmf.append(math.exp(log_pmf))
+    return pmf
+
+
+def chi2_sf(x: float, k: int) -> float:
+    """Survival function of the chi-square law with k integer degrees of
+    freedom, in closed form (nan for k = 0): Q(k/2, x/2), summed up from
+    Q(1, y) = exp(-y) or Q(1/2, y) = erfc(sqrt(y)) by
+    Q(a+1, y) = Q(a, y) + y^a exp(-y) / Gamma(a+1)."""
+    if k < 1:
+        return math.nan
+    y = x / 2.0
+    if k % 2:
+        a, terms, term = 0.5, [math.erfc(math.sqrt(y))], 2.0 * math.sqrt(y / math.pi)
+    else:
+        a, terms, term = 0.0, [], 1.0
+    term *= math.exp(-y)
+    for _ in range(k // 2):
+        terms.append(term)
+        a += 1.0
+        term *= y / a
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -417,6 +449,8 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     enumeration.  Fresh functions make instances independent, matching
     the model the chi-square test assumes.
     """
+    if instances < 1:
+        raise InvalidParams("instances must be >= 1")
     domain_bits = n + delta
     ForgeryBudget().check(domain_bits)
     params = derive_wots_params(n, delta, 1, 1)
@@ -440,31 +474,21 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
 
 def _census_gof(n, delta, instances, counts):
     """Chi-square of observed N counts against 1 + Bin(2^-n, 2^(n+delta)-1),
-    pooling the right tail until its expected count reaches 5."""
-    # Imported here, so that the CLI and the experiments start without them.
-    import numpy as np
-    from scipy import stats
-
-    m = 2 ** (n + delta) - 1
-    p = 2.0 ** -n
+    pooling the right tail, then the left, until its expected count reaches 5
+    or one bin is left (whose p-value is nan)."""
     max_n = max(counts)
-    cut = max_n
-    while cut > 1:
-        tail = instances * float(stats.binom.sf(cut - 2, m, p))
-        if tail >= 5.0:
-            break
-        cut -= 1
-    observed, expected = [], []
-    for N in range(1, cut):
-        observed.append(counts.get(N, 0))
-        expected.append(instances * float(stats.binom.pmf(N - 1, m, p)))
-    observed.append(sum(c for N, c in counts.items() if N >= cut))
-    expected.append(instances * float(stats.binom.sf(cut - 2, m, p)))
-    obs = np.asarray(observed, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    exp *= obs.sum() / exp.sum()
-    chi2, p_value = stats.chisquare(obs, exp)
-    return float(chi2), float(p_value)
+    pmf = binom_pmf(2 ** (n + delta) - 1, 2.0 ** -n, max_n - 1)  # pmf[N-1] = P(N)
+    observed = [counts.get(N, 0) for N in range(1, max_n + 1)]
+    expected = [instances * q for q in pmf]
+    expected[-1] = instances * (1.0 - math.fsum(pmf[:-1]))  # the last bin is N >= max_n
+    while len(expected) > 1 and expected[-1] < 5.0:
+        observed[-2:] = [sum(observed[-2:])]
+        expected[-2:] = [sum(expected[-2:])]
+    while len(expected) > 1 and expected[0] < 5.0:
+        observed[:2] = [sum(observed[:2])]
+        expected[:2] = [sum(expected[:2])]
+    chi2 = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return chi2, chi2_sf(chi2, len(expected) - 1)
 
 
 # ---------------------------------------------------------------------------

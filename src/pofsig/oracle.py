@@ -17,9 +17,9 @@ bit-mask-XOR construction; each member still behaves as an independent
 random oracle.
 
 This module is the only one that knows the layout.  ``lamport_steps``
-and ``chain_steps`` describe each scheme's map as a list of oracle steps
-[(tag_prefix, out_bits), ...]; ``apply_steps`` pushes one value through
-such a list, and ``domain_images`` is the one kernel that sweeps a whole
+and ``chain_steps`` describe each scheme's map as a tuple of oracle steps
+((tag_prefix, out_bits), ...); ``apply_steps`` pushes one value through
+such a tuple, and ``domain_images`` is the one kernel that sweeps a whole
 input domain through one step for exhaustive search and the census.
 """
 
@@ -160,16 +160,17 @@ def lamport_steps(n: int, sk_bits: int) -> tuple[tuple[bytes, int], ...]:
     return ((tag_prefix(_LAMPORT_TAG, n, sk_bits), n),)
 
 
+@functools.lru_cache(maxsize=256)  # w(w+1)/2 = 136 (a, b) pairs per key at w = 16
 def chain_steps(
     params: WotsParams, r: Seed, a: int, b: int
-) -> list[tuple[bytes, int]]:
+) -> tuple[tuple[bytes, int], ...]:
     """Chain steps a+1..b: the map from position-a to position-b values."""
     steps = []
     for i in range(a + 1, b + 1):
         out_bits = params.value_bits(i)
         tag = OracleTag(LABEL_WOTS_CHAIN, r, i)
         steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
-    return steps
+    return tuple(steps)
 
 
 def apply_steps(steps: Sequence[tuple[bytes, int]], x: BitString) -> BitString:

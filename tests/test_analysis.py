@@ -263,6 +263,18 @@ class TestCensus:
         model_var = (2 ** 10 - 1) * 2 ** -8 * (1 - 2 ** -8)
         assert abs(c.mean - model_mean) <= 3 * (model_var / c.instances) ** 0.5
 
+    def test_left_tail_pooled_where_the_pmf_underflows(self):
+        # the linear pmf(0) = exp(-1057) underflows to 0: the bins near N = 1
+        # must pool, not divide by 0
+        c = preimage_census(4, 10, 20, 5)
+        assert math.isfinite(c.chi2)
+        assert 0.0 <= c.p_value <= 1.0
+
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_rejects_nonpositive_instances(self, instances):
+        with pytest.raises(InvalidParams):
+            preimage_census(8, 0, instances, 1)
+
 
 class TestScenario:
     def test_exact_sk_always_undetectable(self):

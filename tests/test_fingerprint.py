@@ -35,9 +35,9 @@ FROZEN = {
     "experiment.wots.7":
         "ae9dd6671ec6d0a4c87e2d9ff30879ab7352392a4b32ae0f9d9581b35cee3c74",
     "census.8.0":
-        "561e34fc7e60a22e02933b07d5303fde208e4e3ffbb052ce5ebe59e7c20b67db",
+        "877d21622a9edd21404dd4e613868a48f4b108f93ea73fb206d71c8002ef8ab2",
     "census.8.2":
-        "10a874fa03c625c4c7b2151febc7153f79e65a0acb0d34d61e7564fcf4a8d16c",
+        "17e1d0d5e04e1d8baa999e8172701d720ef9e8dad0bd52567c0f4977dc3bfe04",
     "scenario.lamport.6.fresh.0":
         "5205711c4ca10e2ce2f74b1486d5e0f7f4bf940de3a2a54afb496270b301ab8d",
     "scenario.lamport.6.fresh.1":
@@ -111,7 +111,7 @@ FROZEN = {
     "scenario.wots.2.exact-sk.5":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
 }
-FROZEN_ALL = "da43692ce23ed287ba3cd16f712692c0156622d2d7fff96f8ea1404113c0a9c2"
+FROZEN_ALL = "7436d453ab50a610a6803c855dadb18b5abe8492ec59fa1d7a8529509b5fc9fb"
 
 
 def _load_tool():

@@ -177,7 +177,7 @@ class TestDomainImages:
             tag = OracleTag(LABEL_WOTS_CHAIN, self.r, i)
             out_bits = params.value_bits(i)
             steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
-        assert chain_steps(params, self.r, start, params.w - 1) == steps
+        assert chain_steps(params, self.r, start, params.w - 1) == tuple(steps)
         # compose one-step sweeps, each looked up by its input
         domain_bits = params.value_bits(start)
         images = list(domain_images([], domain_bits))
