@@ -92,11 +92,6 @@ def _members(images: Iterable[bytes], target: BitString) -> list[int]:
     return list(compress(count(), map(target.payload.__eq__, images)))
 
 
-def _preimage_set(images: Iterable[bytes], target: BitString, domain_bits: int) -> PreimageSet:
-    members = tuple(BitString.from_int(v, domain_bits) for v in _members(images, target))
-    return PreimageSet(target=target, domain_bits=domain_bits, members=members)
-
-
 def build_lamport_preimage_index(params: LamportParams) -> dict[bytes, array]:
     """Full image table of the Lamport oracle at these parameters.
 
@@ -117,20 +112,6 @@ def build_lamport_preimage_index(params: LamportParams) -> dict[bytes, array]:
     return index
 
 
-def lamport_preimages(
-    params: LamportParams,
-    y0: BitString,
-    budget: ForgeryBudget,
-    index: Optional[dict[bytes, array]] = None,
-) -> PreimageSet:
-    bits = params.sk_bits
-    budget.check(bits)
-    if index is None:
-        return _preimage_set(domain_images(lamport_steps(params.n, bits), bits), y0, bits)
-    members = tuple(BitString.from_int(v, bits) for v in index.get(y0.payload, ()))
-    return PreimageSet(target=y0, domain_bits=bits, members=members)
-
-
 def forge_lamport(
     pk: LamportPublicKey,
     known_m: int,
@@ -147,13 +128,14 @@ def forge_lamport(
     """
     if m_star == known_m:
         raise DomainError("target message must differ from the signed one")
+    bits = pk.params.sk_bits
+    budget.check(bits)
     y0 = pk.half(m_star)
     if index is None:
-        ps = lamport_preimages(pk.params, y0, budget)
-        return LamportSignature(sample_preimage(ps, rng))
-    budget.check(pk.params.sk_bits)
-    v = _draw(index.get(y0.payload, ()), y0, rng)
-    return LamportSignature(BitString.from_int(v, pk.params.sk_bits))
+        members = _members(domain_images(lamport_steps(pk.params.n, bits), bits), y0)
+    else:
+        members = index.get(y0.payload, ())
+    return LamportSignature(BitString.from_int(_draw(members, y0, rng), bits))
 
 
 def chain_tops(
@@ -196,7 +178,8 @@ def chain_preimages(
         row = domain_images((), bits)
     else:
         row = chain_tops(params, r, b_star, budget)[b_star]
-    return _preimage_set(row, pk_value, bits)
+    members = tuple(BitString.from_int(v, bits) for v in _members(row, pk_value))
+    return PreimageSet(target=pk_value, domain_bits=bits, members=members)
 
 
 def forge_wots(

@@ -1,7 +1,6 @@
 """Line-oriented text format for keys, signatures, and evidence.
 
-Layout (UTF-8, LF line endings, trailing LF required, no trailing
-whitespace)::
+Layout (UTF-8, LF line endings)::
 
     FDA-SIG v1
     kind: <secret-key|public-key|signature|pof-1|pof-2>
@@ -13,13 +12,18 @@ whitespace)::
     <field>: <lowercase hex>     one line per bit-string field
 
 Hex encodes the MSB-first packed payload; bit lengths are implied by
-the parameters (and, for signatures, by the embedded message), so a
-parser can reject any truncated or padded field exactly.
+the parameters (and, for signatures, by the embedded message).
+
+The writer defines the format: the text ``dump_*`` writes for an object
+is the only text accepted for it.  ``loads`` reads the fields by name,
+builds the object, writes it back, and refuses the file with a
+FormatError naming the first line that differs, so padding, reordering,
+duplicates, case changes, CR characters or a missing final newline are
+all refused by the same rule.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,8 +36,6 @@ from .pof import SCHEMES, PofEvidenceI, PofEvidenceII
 HEADER = "FDA-SIG v1"
 KINDS = ("secret-key", "public-key", "signature", "pof-1", "pof-2")
 
-_HEX_RE = re.compile(r"^(?:[0-9a-f]{2})*$")
-_INT_RE = re.compile(r"^(?:0|[1-9][0-9]*)$")
 
 @dataclass(frozen=True)
 class SignatureFile:
@@ -51,7 +53,7 @@ class SignatureFile:
 
 def _param_lines(params) -> list[str]:
     lines = [f"n: {params.n}", f"delta: {params.delta}"]
-    if isinstance(params, WotsParams):
+    if params.scheme == "wots":
         lines += [f"L: {params.L}", f"nu: {params.nu}"]
     return lines
 
@@ -64,7 +66,7 @@ def _render(kind: str, params, fields: list[tuple[str, BitString]]) -> str:
 
 
 def _message_field(name: str, message, params) -> tuple[str, BitString]:
-    if isinstance(params, LamportParams):
+    if params.scheme == "lamport":
         return name, BitString.from_int(message, 1)
     return name, message
 
@@ -74,19 +76,19 @@ def _seed_field(r: Seed) -> tuple[str, BitString]:
 
 
 def _pk_fields(pk) -> list[tuple[str, BitString]]:
-    if isinstance(pk, lamport.LamportPublicKey):
+    if pk.params.scheme == "lamport":
         return [("pk.0", pk.pk0), ("pk.1", pk.pk1)]
     return [_seed_field(pk.r)] + [(f"pk.{i + 1}", p) for i, p in enumerate(pk.pk)]
 
 
-def _sig_fields(name: str, sig) -> list[tuple[str, BitString]]:
-    if isinstance(sig, lamport.LamportSignature):
+def _sig_fields(name: str, sig, params) -> list[tuple[str, BitString]]:
+    if params.scheme == "lamport":
         return [(name, sig.sigma)]
     return [(f"{name}.{i + 1}", s) for i, s in enumerate(sig.sigma)]
 
 
 def dump_secret_key(kp) -> str:
-    if isinstance(kp, lamport.LamportKeyPair):
+    if kp.params.scheme == "lamport":
         fields = [("sk.0", kp.sk0), ("sk.1", kp.sk1)] + _pk_fields(kp.public())
     else:
         fields = [_seed_field(kp.r)] + [(f"sk.{i + 1}", s) for i, s in enumerate(kp.sk)]
@@ -98,7 +100,7 @@ def dump_public_key(pk) -> str:
 
 
 def dump_signature(sig, message, params) -> str:
-    fields = [_message_field("message", message, params)] + _sig_fields("sigma", sig)
+    fields = [_message_field("message", message, params)] + _sig_fields("sigma", sig, params)
     return _render("signature", params, fields)
 
 
@@ -107,7 +109,7 @@ def dump_pof1(E: PofEvidenceI) -> str:
     fields = _pk_fields(E.pk)
     fields.append(_message_field("m", E.M, params))
     fields.append(_message_field("m_star", E.M_star, params))
-    fields += _sig_fields("sigma_star", E.sigma_star)
+    fields += _sig_fields("sigma_star", E.sigma_star, params)
     return _render("pof-1", params, fields)
 
 
@@ -115,116 +117,97 @@ def dump_pof2(E: PofEvidenceII) -> str:
     params = E.pk.params
     fields = _pk_fields(E.pk)
     fields.append(_message_field("m_star", E.M_star, params))
-    fields += _sig_fields("sigma_star", E.sigma_star)
-    fields += _sig_fields("sigma_tilde_star", E.sigma_tilde_star)
+    fields += _sig_fields("sigma_star", E.sigma_star, params)
+    fields += _sig_fields("sigma_tilde_star", E.sigma_tilde_star, params)
     return _render("pof-2", params, fields)
 
 
 # ---------------------------------------------------------------------------
-# Reading
+# Reading: fields by name, then the object is checked against its own text
 
 
-class _Parser:
-    def __init__(self, text: str):
-        if not text.endswith("\n"):
-            raise FormatError("missing trailing newline")
-        if "\r" in text:
-            raise FormatError("CR characters are not allowed")
-        self.lines = text.split("\n")[:-1]
-        self.pos = 0
-
-    def _next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError(f"line {self.pos + 1}: unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        if line != line.rstrip():
-            raise FormatError(f"line {self.pos}: trailing whitespace")
-        return line
-
-    def expect_header(self) -> None:
-        line = self._next()
-        if line == HEADER:
-            return
-        if line.startswith("FDA-SIG "):
-            raise FormatError(f"line 1: unsupported version {line[8:]!r}")
-        raise FormatError("line 1: not a FDA-SIG file")
-
-    def named(self, name: str) -> str:
-        line = self._next()
-        prefix = f"{name}: "
-        if not line.startswith(prefix):
-            raise FormatError(f"line {self.pos}: expected field {name!r}")
-        return line[len(prefix):]
-
-    def named_int(self, name: str) -> int:
-        value = self.named(name)
-        if not _INT_RE.match(value):
-            raise FormatError(f"line {self.pos}: field {name!r} is not an integer")
-        return int(value)
-
-    def named_bits(self, name: str, bit_len: int) -> BitString:
-        value = self.named(name)
-        if not _HEX_RE.match(value):
-            raise FormatError(f"line {self.pos}: field {name!r} is not lowercase hex")
-        payload = bytes.fromhex(value)
-        if len(payload) != (bit_len + 7) // 8:
-            raise FormatError(
-                f"line {self.pos}: field {name!r} has {len(payload)} bytes, "
-                f"expected {(bit_len + 7) // 8} for {bit_len} bits"
-            )
-        try:
-            return BitString(bit_len, payload)
-        except InvalidParams as exc:
-            raise FormatError(f"line {self.pos}: field {name!r}: {exc}") from exc
-
-    def done(self) -> None:
-        if self.pos != len(self.lines):
-            raise FormatError(f"line {self.pos + 1}: unexpected extra content")
+def _parse(fields: dict[str, str], name: str, parse=str):
+    """parse() of the named field's value; any failure is a FormatError
+    naming the field."""
+    try:
+        return parse(fields[name])
+    except KeyError:
+        raise FormatError(f"missing field {name!r}") from None
+    except (ValueError, InvalidParams) as exc:
+        raise FormatError(f"field {name!r}: {exc}") from None
 
 
-def _parse_params(p: _Parser, scheme: str):
-    n = p.named_int("n")
-    delta = p.named_int("delta")
+def _bits(fields: dict[str, str], name: str, bit_len: int) -> BitString:
+    return _parse(fields, name, lambda value: BitString(bit_len, bytes.fromhex(value)))
+
+
+def _params(fields: dict[str, str], scheme: str):
+    n = _parse(fields, "n", int)
+    delta = _parse(fields, "delta", int)
     try:
         if scheme == "lamport":
             return LamportParams(n, delta)
-        L = p.named_int("L")
-        nu = p.named_int("nu")
-        return derive_wots_params(n, delta, L, nu)
+        return derive_wots_params(n, delta, _parse(fields, "L", int), _parse(fields, "nu", int))
     except InvalidParams as exc:
         raise FormatError(f"invalid parameters: {exc}") from exc
 
 
-def _parse_message(p: _Parser, name: str, params):
-    if isinstance(params, LamportParams):
-        return p.named_bits(name, 1).to_int()
-    return p.named_bits(name, params.L)
+def _message(fields: dict[str, str], name: str, params):
+    if params.scheme == "lamport":
+        return _bits(fields, name, 1).to_int()
+    return _bits(fields, name, params.L)
 
 
-def _parse_seed(p: _Parser) -> Seed:
-    return Seed(p.named_bits("r", 8 * SEED_BYTES).payload)
+def _seed(fields: dict[str, str]) -> Seed:
+    return Seed(_bits(fields, "r", 8 * SEED_BYTES).payload)
 
 
-def _parse_signature(p: _Parser, name: str, params, message):
-    if isinstance(params, LamportParams):
-        return lamport.LamportSignature(p.named_bits(name, params.sk_bits))
+def _signature(fields: dict[str, str], name: str, params, message):
+    if params.scheme == "lamport":
+        return lamport.LamportSignature(_bits(fields, name, params.sk_bits))
     b = wots.extend(message, params)
-    sigma = tuple(
-        p.named_bits(f"{name}.{i + 1}", params.value_bits(b[i]))
-        for i in range(params.l)
-    )
-    return wots.WotsSignature(sigma)
+    return wots.WotsSignature(tuple(
+        _bits(fields, f"{name}.{i + 1}", params.value_bits(d)) for i, d in enumerate(b)
+    ))
 
 
-def _parse_public_fields(p: _Parser, params):
-    if isinstance(params, LamportParams):
-        pk0 = p.named_bits("pk.0", params.n)
-        pk1 = p.named_bits("pk.1", params.n)
+def _public_key(fields: dict[str, str], params):
+    if params.scheme == "lamport":
+        pk0, pk1 = (_bits(fields, f"pk.{m}", params.n) for m in (0, 1))
         return lamport.LamportPublicKey(params, pk0, pk1)
-    r = _parse_seed(p)
-    pk = tuple(p.named_bits(f"pk.{i + 1}", params.n) for i in range(params.l))
+    r = _seed(fields)
+    pk = tuple(_bits(fields, f"pk.{i + 1}", params.n) for i in range(params.l))
     return wots.WotsPublicKey(params, r, pk)
+
+
+def _secret_key(fields: dict[str, str], params):
+    if params.scheme == "lamport":
+        sk0, sk1 = (_bits(fields, f"sk.{m}", params.sk_bits) for m in (0, 1))
+        pk = _public_key(fields, params)
+        if (pk.pk0, pk.pk1) != tuple(lamport.hash_secret(params, s) for s in (sk0, sk1)):
+            raise FormatError("pk.0/pk.1 do not match the hashes of sk.0/sk.1")
+        return lamport.LamportKeyPair(params, sk0, sk1, pk.pk0, pk.pk1)
+    r = _seed(fields)
+    sk = tuple(_bits(fields, f"sk.{i + 1}", params.sk_bits) for i in range(params.l))
+    pk = tuple(chain(params, r, 0, params.w - 1, s) for s in sk)
+    return wots.WotsKeyPair(params, r, sk, pk)
+
+
+def _refuse_unless_written(text: str, written: str) -> None:
+    """FormatError unless text is exactly what the writer wrote.
+
+    The message names the first differing line and the field the writer
+    puts there, never a value: secret-key files hold secrets.
+    """
+    if text == written:
+        return
+    i = next((i for i, (a, b) in enumerate(zip(text, written)) if a != b),
+             min(len(text), len(written)))
+    k = written.count("\n", 0, i)
+    name = written.split("\n")[k].partition(": ")[0]
+    if not name:
+        raise FormatError(f"line {k + 1}: unexpected extra content")
+    raise FormatError(f"line {k + 1}: field {name!r} is not in canonical form")
 
 
 def loads(text: str, kinds=KINDS):
@@ -232,72 +215,60 @@ def loads(text: str, kinds=KINDS):
 
     Returns LamportKeyPair/WotsKeyPair for secret keys, the public-key
     types for public keys, SignatureFile for signatures, and the
-    evidence types for pof-1/pof-2.  A file of another kind raises
-    FormatError.
+    evidence types for pof-1/pof-2.  A file of another kind, or any text
+    other than the one the object writes back, raises FormatError.
     """
-    p = _Parser(text)
-    p.expect_header()
-    kind = p.named("kind")
+    header, *body = text.split("\n")
+    if header != HEADER:
+        if header.startswith("FDA-SIG "):
+            raise FormatError(f"line 1: unsupported version {header[8:]!r}")
+        raise FormatError("line 1: not a FDA-SIG file")
+    fields = dict(line.partition(": ")[::2] for line in body)
+    kind = _parse(fields, "kind")
     if kind not in KINDS:
         raise FormatError(f"unknown kind {kind!r}")
     if kind not in kinds:
         raise FormatError(f"is a {kind} file, expected {' or '.join(kinds)}")
-    scheme = p.named("scheme")
+    scheme = _parse(fields, "scheme")
     if scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {scheme!r}")
-    params = _parse_params(p, scheme)
+    params = _params(fields, scheme)
 
     if kind == "secret-key":
-        if scheme == "lamport":
-            sk0 = p.named_bits("sk.0", params.sk_bits)
-            sk1 = p.named_bits("sk.1", params.sk_bits)
-            pk = _parse_public_fields(p, params)
-            p.done()
-            if (pk.pk0, pk.pk1) != tuple(lamport.hash_secret(params, s) for s in (sk0, sk1)):
-                raise FormatError("pk.0/pk.1 do not match the hashes of sk.0/sk.1")
-            return lamport.LamportKeyPair(params, sk0, sk1, pk.pk0, pk.pk1)
-        r = _parse_seed(p)
-        sk = tuple(p.named_bits(f"sk.{i + 1}", params.sk_bits) for i in range(params.l))
-        p.done()
-        pk = tuple(chain(params, r, 0, params.w - 1, s) for s in sk)
-        return wots.WotsKeyPair(params, r, sk, pk)
-
-    if kind == "public-key":
-        pk = _parse_public_fields(p, params)
-        p.done()
-        return pk
-
-    if kind == "signature":
-        message = _parse_message(p, "message", params)
-        sig = _parse_signature(p, "sigma", params, message)
-        p.done()
-        return SignatureFile(params=params, message=message, signature=sig)
-
-    if kind == "pof-1":
-        pk = _parse_public_fields(p, params)
-        m = _parse_message(p, "m", params)
-        m_star = _parse_message(p, "m_star", params)
-        sig = _parse_signature(p, "sigma_star", params, m_star)
-        p.done()
-        return PofEvidenceI(pk=pk, sigma_star=sig, M=m, M_star=m_star)
-
-    # pof-2, the last of KINDS
-    pk = _parse_public_fields(p, params)
-    m_star = _parse_message(p, "m_star", params)
-    sig_star = _parse_signature(p, "sigma_star", params, m_star)
-    sig_tilde = _parse_signature(p, "sigma_tilde_star", params, m_star)
-    p.done()
-    return PofEvidenceII(
-        pk=pk, sigma_tilde_star=sig_tilde, sigma_star=sig_star, M_star=m_star
-    )
+        obj = _secret_key(fields, params)
+        written = dump_secret_key(obj)
+    elif kind == "public-key":
+        obj = _public_key(fields, params)
+        written = dump_public_key(obj)
+    elif kind == "signature":
+        message = _message(fields, "message", params)
+        sig = _signature(fields, "sigma", params, message)
+        obj = SignatureFile(params=params, message=message, signature=sig)
+        written = dump_signature(sig, message, params)
+    else:
+        pk = _public_key(fields, params)
+        m_star = _message(fields, "m_star", params)
+        sig_star = _signature(fields, "sigma_star", params, m_star)
+        if kind == "pof-1":
+            obj = PofEvidenceI(pk=pk, sigma_star=sig_star,
+                               M=_message(fields, "m", params), M_star=m_star)
+            written = dump_pof1(obj)
+        else:
+            sig_tilde = _signature(fields, "sigma_tilde_star", params, m_star)
+            obj = PofEvidenceII(pk=pk, sigma_tilde_star=sig_tilde,
+                                sigma_star=sig_star, M_star=m_star)
+            written = dump_pof2(obj)
+    _refuse_unless_written(text, written)
+    return obj
 
 
 def load_path(path, kinds=KINDS) -> object:
     """loads() on a file's text; a FormatError names the file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
     try:
-        return loads(text, kinds)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return loads(fh.read(), kinds)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -301,3 +301,21 @@ def test_file_of_the_wrong_kind_exits_2(tmp_path, lam_keys, capsys):
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err == (
         f"error: {sk}: is a secret-key file, expected public-key\n")
+
+
+@pytest.mark.parametrize("case", ["5000-digit delta", "not UTF-8"])
+def test_unreadable_public_key_exits_2(tmp_path, lam_keys, capsys, case):
+    sk, pk = lam_keys
+    sig = str(tmp_path / "sig")
+    assert cli.main(["sign", "--sk", str(sk), "--message", "1", "--out", sig]) == 0
+    text = pk.read_text()
+    if case == "not UTF-8":
+        pk.write_bytes(b"\xff\xfe" + text.encode())
+    else:
+        pk.write_text(text.replace("delta: 4\n", f"delta: {'1' * 5000}\n"))
+    capsys.readouterr()
+    code = cli.main(["verify", "--pk", str(pk), "--sig", sig, "--message", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {pk}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -233,3 +233,18 @@ def test_hash_layout_has_one_owner():
             if any(name.split(".")[0] == "hashlib" for name in names):
                 importers.add(path.name)
     assert importers == {"oracle.py"}
+
+
+def test_scheme_is_picked_from_params_not_from_classes():
+    # no isinstance in src/ names a Lamport*/Wots* class: the scheme comes
+    # from params.scheme, as pof.SCHEMES and adversary.forge look it up
+    sites = []
+    for path in Path(pofsig.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"):
+                continue
+            for sub in ast.walk(node.args[1]):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", "")
+                if name.startswith(("Lamport", "Wots")):
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []

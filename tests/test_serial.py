@@ -227,6 +227,61 @@ class TestMalformed:
             serial.load_path(path, ("pof-1", "pof-2"))
 
 
+def test_load_path_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "pk.txt"
+    path.write_bytes(b"\xff\xfe" + serial.dump_public_key(lamport_kp().public()).encode())
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: not UTF-8 text')}$"):
+        serial.load_path(path)
+
+
+def _with_field(text, name, value):
+    lines = text.split("\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith(f"{name}: "))
+    lines[k] = f"{name}: {value}"
+    return "\n".join(lines)
+
+
+def _texts_the_writer_would_not_write():
+    """(case, text): files a lenient reader could parse into a valid object
+    but whose object writes different text, and over-long integers."""
+    sk = serial.dump_secret_key(lamport_kp())
+    lines = sk.split("\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith("sk.0: "))
+    value = lines[k][len("sk.0: "):]
+    assert value != value.upper()
+    yield "n: +8", _with_field(sk, "n", "+8")
+    yield "n:  8", _with_field(sk, "n", " 8")
+    yield "n: 0_8", _with_field(sk, "n", "0_8")
+    yield "n: unicode digit", _with_field(sk, "n", "\u0668")
+    yield "hex with inner space", _with_field(sk, "sk.0", f"{value[:2]} {value[2:]}")
+    yield "hex in upper case", _with_field(sk, "sk.0", value.upper())
+    yield "two fields swapped", "\n".join(lines[:k] + [lines[k + 1], lines[k]] + lines[k + 2:])
+    yield "duplicated field line", "\n".join(lines[:k + 1] + lines[k:])
+    yield "CRLF line endings", sk.replace("\n", "\r\n")
+    pk = serial.dump_public_key(wots_kp().public())
+    for name in ("n", "delta", "L", "nu"):
+        yield f"5000-digit {name}", _with_field(pk, name, "1" * 5000)
+
+
+NOT_WRITTEN = dict(_texts_the_writer_would_not_write())
+
+
+@pytest.mark.parametrize("case", list(NOT_WRITTEN))
+def test_text_the_writer_would_not_write_is_refused(case):
+    with pytest.raises(FormatError):
+        serial.loads(NOT_WRITTEN[case])
+
+
+def test_refusal_names_line_and_field_but_no_value():
+    text = serial.dump_secret_key(lamport_kp())
+    value = text.split("\n")[5][len("sk.0: "):]
+    with pytest.raises(FormatError) as excinfo:
+        serial.loads(_with_field(text, "sk.0", value.upper()))
+    message = str(excinfo.value)
+    assert message == "line 6: field 'sk.0' is not in canonical form"
+    assert value not in message and value.upper() not in message
+
+
 def _files_of_every_kind():
     """(name, text) of a secret key, public key, signature and pof-2 for
     each scheme; the forgery at seed 0 is detected for both."""
