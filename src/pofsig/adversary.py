@@ -4,7 +4,8 @@ Everything here is exhaustive search: full preimage-set enumeration for
 the Lamport oracle and full inversion of Winternitz chains through a
 per-key table of every depth's chain tops (``chain_tops``).  Every
 domain sweep runs through ``oracle.domain_images`` over the step list
-that ``oracle.lamport_steps`` or ``oracle.chain_steps`` builds;
+that ``oracle.lamport_steps`` or ``oracle.chain_steps`` builds, on
+integers: only a drawn preimage becomes a ``BitString``.
 ``enumerate_preimages`` is the generic per-candidate reference that
 tests compare the sweeps against.  A hard cap on domain width keeps
 runs at desk scale; production sizes are refused outright.
@@ -87,23 +88,23 @@ def _draw(members, target: BitString, rng: random.Random):
     return members[rng.randrange(len(members))]
 
 
-def _members(images: Iterable[bytes], target: BitString) -> list[int]:
+def _members(images: Iterable[int], target: BitString) -> list[int]:
     """The inputs whose image is target, from images in ascending input order."""
-    return list(compress(count(), map(target.payload.__eq__, images)))
+    return list(compress(count(), map(target.to_int().__eq__, images)))
 
 
-def build_lamport_preimage_index(params: LamportParams) -> dict[bytes, array]:
+def build_lamport_preimage_index(params: LamportParams) -> dict[int, array]:
     """Full image table of the Lamport oracle at these parameters.
 
     The Lamport hash is one fixed function per (n, delta), so batch runs
     enumerate it once and answer every inversion by lookup.  Each image
-    maps to an ``array('I')`` of its preimages as integers, ascending as
+    (an int) maps to an ``array('I')`` of its preimages, ascending as
     a scan finds them: 4-6 B per domain entry at n = 8.  Domains wider
     than ``MAX_DOMAIN_BITS`` raise ``BudgetExceeded`` before enumerating.
     """
     domain_bits = params.sk_bits
     ForgeryBudget().check(domain_bits)
-    index: dict[bytes, array] = {}
+    index: dict[int, array] = {}
     for v, y in enumerate(domain_images(lamport_steps(params.n, domain_bits), domain_bits)):
         members = index.get(y)
         if members is None:
@@ -119,7 +120,7 @@ def forge_lamport(
     m_star: int,
     budget: ForgeryBudget,
     rng: random.Random,
-    index: Optional[dict[bytes, array]] = None,
+    index: Optional[dict[int, array]] = None,
 ) -> LamportSignature:
     """Invert the public half for the target bit and emit a random preimage.
 
@@ -134,31 +135,30 @@ def forge_lamport(
     if index is None:
         members = _members(domain_images(lamport_steps(pk.params.n, bits), bits), y0)
     else:
-        members = index.get(y0.payload, ())
+        members = index.get(y0.to_int(), ())
     return LamportSignature(BitString.from_int(_draw(members, y0, rng), bits))
 
 
 def chain_tops(
     params: WotsParams, r: Seed, d_min: int, budget: ForgeryBudget
-) -> dict[int, list[bytes]]:
+) -> dict[int, list[int]]:
     """The per-key chain table: for each depth d from w-2 down to d_min,
     the finished-chain (top) value of every depth-d input, in ascending
-    input order, as ``digest_bits`` returns it.
+    input order, as an integer.
 
     The chain oracles depend on r and the step only, so one table serves
     every position of a key.  It is built top-down: each depth takes one
-    single-step sweep, whose images are looked up in the depth above, so
-    the whole table costs the sum over d of 2^value_bits(d) hashes.
+    single-step sweep, whose images index the row above, so the whole
+    table costs the sum over d of 2^value_bits(d) hashes.
     """
     depths = range(params.w - 2, d_min - 1, -1)
     for d in depths:
         budget.check(params.value_bits(d))
-    tops: dict[int, list[bytes]] = {}
+    tops: dict[int, list[int]] = {}
     for d in depths:
         images = domain_images(chain_steps(params, r, d, d + 1), params.value_bits(d))
         if d + 1 in tops:
-            above = dict(zip(domain_images((), params.value_bits(d + 1)), tops[d + 1]))
-            images = map(above.__getitem__, images)
+            images = map(tops[d + 1].__getitem__, images)
         tops[d] = list(images)
     return tops
 
@@ -175,7 +175,7 @@ def chain_preimages(
     bits = params.value_bits(b_star)
     budget.check(bits)
     if b_star == params.w - 1:  # the top itself: no step to invert
-        row = domain_images((), bits)
+        row = range(1 << bits)
     else:
         row = chain_tops(params, r, b_star, budget)[b_star]
     members = tuple(BitString.from_int(v, bits) for v in _members(row, pk_value))
@@ -189,7 +189,7 @@ def forge_wots(
     M_star: BitString,
     budget: ForgeryBudget,
     rng: random.Random,
-    tops: Optional[dict[int, list[bytes]]] = None,
+    tops: Optional[dict[int, list[int]]] = None,
 ) -> WotsSignature:
     """Forge a signature for M_star from one observed message-signature pair.
 

@@ -223,7 +223,7 @@ def estimator_for(params: Params) -> str:
     return "monte-carlo"
 
 
-def match_probabilities(params: WotsParams, tops: dict[int, list[bytes]]) -> list[float]:
+def match_probabilities(params: WotsParams, tops: dict[int, list[int]]) -> list[float]:
     """g(d) for each depth d < w-1, from a full chain table (``chain_tops``
     down to depth 0): the chance, over a uniform secret sk, that a uniform
     depth-d preimage of top(sk) is sk's own depth-d value.  That is
@@ -283,7 +283,7 @@ def _forgery_trial(
     index: Optional[dict] = None,
     exact_sk: bool = False,
     full_table: bool = False,
-) -> tuple[DetectionOutcome, Optional[int], Optional[dict[int, list[bytes]]]]:
+) -> tuple[DetectionOutcome, Optional[int], Optional[dict[int, list[int]]]]:
     """One chosen-message attack: keygen, sign a random M, forge a different
     M*, and let the signer run detection.  exact_sk models full key
     recovery: the adversary signs M* with the secret key instead.
@@ -460,7 +460,7 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     for _ in range(instances):
         r = Seed(master.getrandbits(128).to_bytes(16, "big"))
         steps = chain_steps(params, r, 0, 1)
-        target = apply_steps(steps, draw_bits(master, domain_bits)).payload
+        target = apply_steps(steps, draw_bits(master, domain_bits)).to_int()
         N = operator.countOf(domain_images(steps, domain_bits), target)
         counts[N] = counts.get(N, 0) + 1
         total += N

@@ -20,7 +20,8 @@ This module is the only one that knows the layout.  ``lamport_steps``
 and ``chain_steps`` describe each scheme's map as a tuple of oracle steps
 ((tag_prefix, out_bits), ...); ``apply_steps`` pushes one value through
 such a tuple, and ``domain_images`` is the one kernel that sweeps a whole
-input domain through one step for exhaustive search and the census.
+input domain through one step for exhaustive search and the census,
+yielding each image as an integer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 from .core import BitString, WotsParams
@@ -109,49 +109,37 @@ def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
 
 def domain_images(
     steps: Sequence[tuple[bytes, int]], domain_bits: int
-) -> Iterator[bytes]:
-    """Iterate, in ascending input order, over the image (as ``digest_bits``
-    returns it) of every domain_bits-bit input pushed through at most one
-    oracle step [(tag_prefix, out_bits)]; no steps yields the inputs.
+) -> Iterator[int]:
+    """Iterate, in ascending input order, over the image of every
+    domain_bits-bit input pushed through exactly one oracle step
+    [(tag_prefix, out_bits)], each as the integer
+    ``apply_steps(steps, x).to_int()``.
 
     Outputs are capped at 256 bits, the first block of the counter
     stream: one hash of ``payload || be32(0)`` on a copy of the prefix's
-    hash state per evaluation.  Longer maps are swept one step at a time
-    (see ``adversary.chain_tops``).
+    hash state per evaluation, read as a big-endian integer and shifted
+    down to out_bits.  Longer maps are swept one step at a time (see
+    ``adversary.chain_tops``).
     """
-    nbytes = (domain_bits + 7) // 8
-    pad = 8 * nbytes - domain_bits
-    if not steps:
-        return map(
-            int.to_bytes, range(0, 1 << domain_bits << pad, 1 << pad),
-            repeat(nbytes), repeat("big"),
-        )
-    if len(steps) > 1:
-        raise InvalidParams(f"domain_images sweeps at most one step, got {len(steps)}")
+    if len(steps) != 1:
+        raise InvalidParams(f"domain_images sweeps exactly one step, got {len(steps)}")
     (prefix, out_bits), = steps
     if not 1 <= out_bits <= 256:
         raise InvalidParams(
             f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
         )
-    return _sweep(hashlib.sha256(prefix), *_tail(out_bits), nbytes, pad, domain_bits)
+    nbytes = (domain_bits + 7) // 8
+    pad = 8 * nbytes - domain_bits
+    return _sweep(hashlib.sha256(prefix), 256 - out_bits, nbytes, pad, domain_bits)
 
 
-@functools.lru_cache(maxsize=None)
-def _tail(out_bits: int) -> tuple[int, tuple[bytes, ...]]:
-    """(last, tail) for out_bits-bit outputs: the index of the final output
-    byte, and tail[b], a final byte b with its pad bits zeroed."""
-    last = (out_bits + 7) // 8 - 1
-    keep = (0xFF << (8 * last + 8 - out_bits)) & 0xFF
-    return last, tuple(bytes([b & keep]) for b in range(256))
-
-
-def _sweep(h0, last: int, tail, nbytes: int, pad: int, domain_bits: int) -> Iterator[bytes]:
+def _sweep(h0, shift: int, nbytes: int, pad: int, domain_bits: int) -> Iterator[int]:
     copy = h0.copy
+    from_bytes = int.from_bytes
     for v in range(1 << domain_bits):
         h = copy()
         h.update((v << pad).to_bytes(nbytes, "big") + _CTR0)
-        d = h.digest()
-        yield d[:last] + tail[d[last]]
+        yield from_bytes(h.digest(), "big") >> shift
 
 
 @functools.lru_cache(maxsize=256)

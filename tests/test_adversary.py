@@ -79,7 +79,7 @@ class TestEnumerate:
             x0 = BitString.from_int(rng.getrandbits(10), 10)
             y0 = lamport.hash_secret(LP, x0)
             scan = enumerate_preimages(lam_oracle(LP), y0, 10, BUDGET)
-            via_index = tuple(BitString.from_int(v, 10) for v in index.get(y0.payload, ()))
+            via_index = tuple(BitString.from_int(v, 10) for v in index.get(y0.to_int(), ()))
             assert scan.members == via_index
 
 
@@ -90,7 +90,7 @@ class TestLamportIndex:
         assert all(list(vs) == sorted(vs) for vs in index.values())
         assert sorted(v for vs in index.values() for v in vs) == list(range(1 << LP.sk_bits))
         for y, vs in index.items():
-            assert lamport.hash_secret(LP, BitString.from_int(vs[0], LP.sk_bits)).payload == y
+            assert lamport.hash_secret(LP, BitString.from_int(vs[0], LP.sk_bits)).to_int() == y
 
     def test_domain_above_the_cap_refused_before_enumerating(self, monkeypatch):
         params = LamportParams(20, 9)
@@ -129,7 +129,7 @@ class TestLamportIndex:
     def test_orphan_half_raises_through_the_index(self):
         params = LamportParams(8, 0)
         index = build_lamport_preimage_index(params)
-        orphan = next(v for v in range(256) if bytes([v]) not in index)
+        orphan = next(v for v in range(256) if v not in index)
         kp = lamport.keygen(params, random.Random(3))
         pk = lamport.LamportPublicKey(params, kp.pk0, BitString.from_int(orphan, 8))
         with pytest.raises(EmptyPreimageSet):
@@ -277,7 +277,7 @@ class TestChainTable:
             if d == top:
                 continue
             assert tops[d] == [
-                chain(params, kp.r, d, top, BitString.from_int(v, bits)).payload
+                chain(params, kp.r, d, top, BitString.from_int(v, bits)).to_int()
                 for v in range(1 << bits)
             ]
             partial = chain_tops(params, kp.r, d, BUDGET)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pofsig import cli
 from pofsig.adversary import build_lamport_preimage_index
@@ -205,10 +208,10 @@ def test_public_key_without_preimage_exits_2(tmp_path, capsys):
     assert cli.main(["sign", "--sk", sk, "--message", "0", "--out", sig]) == 0
     # an 8-bit value outside the image of the 8-bit Lamport hash
     index = build_lamport_preimage_index(LamportParams(8, 0))
-    orphan = next(bytes([v]) for v in range(256) if bytes([v]) not in index)
+    orphan = next(v for v in range(256) if v not in index)
     lines = pk_file.read_text().splitlines()
     assert lines[-1].startswith("pk.1: ")
-    lines[-1] = f"pk.1: {orphan.hex()}"
+    lines[-1] = f"pk.1: {orphan:02x}"
     pk_file.write_text("\n".join(lines) + "\n")
     code = cli.main(["forge", "--pk", pk, "--known-message", "0", "--known-sig", sig,
                      "--target-message", "1", "--max-domain-bits", "16", "--seed", "05",
@@ -319,3 +322,123 @@ def test_unreadable_public_key_exits_2(tmp_path, lam_keys, capsys, case):
     assert code == cli.EXIT_USAGE
     assert err.startswith(f"error: {pk}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,field", [("sign", "sk.1"), ("verify", "invalid parameters")])
+def test_file_with_thousand_digit_parameters_exits_2_on_one_short_line(
+        tmp_path, wots_keys, capsys, command, field):
+    # a 4200-digit delta makes sk.1 expect ~10^4200 bytes; a 4001-digit L
+    # is not a multiple of nu = 3: neither number is echoed
+    sk, pk = wots_keys
+    if command == "sign":
+        sk.write_text(sk.read_text().replace("delta: 1\n", f"delta: {'1' * 4200}\n"))
+        argv = ["sign", "--sk", str(sk), "--message", "d0", "--out", str(tmp_path / "sig")]
+    else:
+        text = pk.read_text().replace("L: 4\n", f"L: 1{'0' * 4000}\n")
+        pk.write_text(text.replace("nu: 2\n", "nu: 3\n"))
+        argv = ["verify", "--pk", str(pk), "--sig", str(tmp_path / "sig"), "--message", "d0"]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    assert field in err and "Traceback" not in err
+
+
+# Flags of each subcommand, and the values a generated vector draws for
+# them: valid in a Lamport vector, valid in a WOTS vector, or invalid (or
+# refused).  An empty valid pool leaves the flag out.  Sizes keep every
+# search domain at most 12 bits wide, or so wide (40 bits and up) that
+# the 28-bit budget refuses it before any hashing.
+CLI_FLAGS = {
+    "keygen": ("--scheme", "--n", "--delta", "--L", "--nu", "--seed", "--sk-out", "--pk-out"),
+    "sign": ("--sk", "--message", "--out"),
+    "verify": ("--pk", "--sig", "--message"),
+    "forge": ("--pk", "--known-message", "--known-sig", "--target-message",
+              "--max-domain-bits", "--seed", "--out"),
+    "detect": ("--sk", "--message", "--sig", "--pof-out"),
+    "verify-pof": ("--pof",),
+    "experiment": ("--scheme", "--n", "--delta", "--L", "--nu", "--trials", "--seed", "--csv"),
+    "scenario": ("--scheme", "--n", "--delta", "--L", "--nu", "--adversary-mode",
+                 "--notify-adversary", "--seed"),
+    "bounds": ("--n", "--delta"),
+}
+BAD_INPUTS = ("empty", "binary", "missing", ".", "lam.pof", "wots.pk", "lam.sk")
+OUTPUTS = ("out/a", "out/b")
+MESSAGES = (("0", "1"), ("d0", "50"), ("2", "0f", "zz", ""))
+CLI_VALUES = {
+    "--scheme": (("lamport",), ("wots",), ("rsa",)),
+    "--n": (("1", "4", "6"), ("4", "6"), ("40", "0", "-1", "x", "1.5")),
+    "--delta": (("0", "1", "2"), ("0", "1", "2"), ("50", "-1", "x")),
+    "--L": ((), ("2", "4"), ("3", "0", "-2")),
+    "--nu": ((), ("1", "2"), ("9", "0", "-1", "x")),
+    "--trials": (("1", "3"), ("1", "3"), ("0", "-3", "x")),
+    "--max-domain-bits": (("12", "28"), ("8", "28"), ("29", "0", "x", "4")),
+    "--seed": (("01", "c0ffee"), ("01", "c0ffee"), ("-1", "0x1", "", "G")),
+    "--adversary-mode": (("fresh", "exact-sk"), ("fresh", "exact-sk"), ("other",)),
+    "--notify-adversary": ((None,), (None,), (None,)),
+    "--message": MESSAGES, "--known-message": MESSAGES, "--target-message": MESSAGES,
+    "--sk": (("lam.sk",), ("wots.sk",), BAD_INPUTS),
+    "--pk": (("lam.pk",), ("wots.pk",), BAD_INPUTS),
+    "--sig": (("lam.sig",), ("wots.sig",), BAD_INPUTS),
+    "--known-sig": (("lam.sig",), ("wots.sig",), BAD_INPUTS),
+    "--pof": (("lam.pof",), ("lam.pof",), BAD_INPUTS),
+    **{flag: (OUTPUTS, OUTPUTS, ("out", "missing/x"))
+       for flag in ("--sk-out", "--pk-out", "--out", "--pof-out", "--csv")},
+}
+PATH_FLAGS = ("--sk", "--pk", "--sig", "--known-sig", "--pof",
+              "--sk-out", "--pk-out", "--out", "--pof-out", "--csv")
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """A directory holding one valid file of each input kind, plus an
+    empty file, a non-UTF-8 file and an output directory."""
+    d = tmp_path_factory.mktemp("cli")
+    for name, params, message in (
+        ("lam", ["lamport", "--n", "8", "--delta", "2"], "1"),
+        ("wots", ["wots", "--n", "4", "--delta", "1", "--L", "4", "--nu", "2"], "d0"),
+    ):
+        sk, pk, sig = (str(d / f"{name}.{k}") for k in ("sk", "pk", "sig"))
+        assert cli.main(["keygen", "--scheme", *params, "--seed", "01",
+                         "--sk-out", sk, "--pk-out", pk]) == 0
+        assert cli.main(["sign", "--sk", sk, "--message", message, "--out", sig]) == 0
+    forged = str(d / "forged")
+    assert cli.main(_forge_argv(d / "lam.pk", d / "lam.sig", "1", "0", forged)) == 0
+    assert cli.main(["detect", "--sk", str(d / "lam.sk"), "--message", "0", "--sig", forged,
+                     "--pof-out", str(d / "lam.pof")]) == 0
+    (d / "empty").write_text("")
+    (d / "binary").write_bytes(b"\xff\xfe")
+    (d / "out").mkdir()
+    return d
+
+
+@st.composite
+def cli_vectors(draw):
+    """A subcommand whose flags are each valid for one scheme, or now and
+    then missing, duplicated or invalid; or an unknown subcommand or flag."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS) + ["mystery"]))
+    scheme = draw(st.sampled_from((0, 1)))  # Lamport, WOTS
+    argv = [command]
+    for flag in CLI_FLAGS.get(command, ()):
+        roll = draw(st.integers(0, 19))  # 0 missing, 1 duplicated, 2 invalid
+        pool = CLI_VALUES[flag][2 if roll == 2 else scheme]
+        for _ in range(0 if roll == 0 or not pool else 1 + (roll == 1)):
+            value = draw(st.sampled_from(pool))
+            argv += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 19)) == 0:
+        argv += ["--bogus", "1"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_vectors())
+def test_every_argument_vector_ends_in_a_documented_exit_code(cli_dir, argv):
+    argv = [str(cli_dir / a) if flag in PATH_FLAGS else a for flag, a in zip([""] + argv, argv)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the vector
+            code = exc.code
+    assert code in (0, 1, 2, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

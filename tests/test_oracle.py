@@ -17,7 +17,6 @@ from pofsig.oracle import (
     apply_steps,
     chain,
     chain_steps,
-    digest_bits,
     domain_images,
     f_step,
     lamport_steps,
@@ -149,18 +148,19 @@ class TestDomainImages:
     r = Seed(bytes(range(16, 32)))
 
     @pytest.mark.parametrize(
-        "domain_bits,out_bits", [(8, 8), (16, 16), (10, 8), (12, 10), (4, 256)]
+        "domain_bits,out_bits",
+        [(8, 8), (16, 16), (10, 8), (12, 10), (4, 256), (8, 1), (12, 6), (4, 255)],
     )
     def test_one_step_matches_oracle_eval(self, domain_bits, out_bits):
+        # widths that are not whole bytes check the shift to out_bits
         prefix = tag_prefix(LAM, out_bits, domain_bits)
         assert lamport_steps(out_bits, domain_bits) == ((prefix, out_bits),)
         images = list(domain_images([(prefix, out_bits)], domain_bits))
         assert len(images) == 1 << domain_bits
         for v, y in enumerate(images):
             x = BitString.from_int(v, domain_bits)
-            assert y == oracle_eval(LAM, x, out_bits).payload
-            assert y == digest_bits(prefix, x.payload, out_bits)
-            assert y == apply_steps([(prefix, out_bits)], x).payload
+            assert y == oracle_eval(LAM, x, out_bits).to_int()
+            assert y == apply_steps([(prefix, out_bits)], x).to_int()
 
     @pytest.mark.parametrize(
         "params,start",
@@ -178,21 +178,15 @@ class TestDomainImages:
             out_bits = params.value_bits(i)
             steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
         assert chain_steps(params, self.r, start, params.w - 1) == tuple(steps)
-        # compose one-step sweeps, each looked up by its input
+        # compose one-step sweeps: an image is its input's row position
         domain_bits = params.value_bits(start)
-        images = list(domain_images([], domain_bits))
+        images = range(1 << domain_bits)
         for i, step in enumerate(steps, start + 1):
-            in_bits = params.value_bits(i - 1)
-            table = dict(zip(domain_images([], in_bits), domain_images([step], in_bits)))
-            images = [table[y] for y in images]
+            row = list(domain_images([step], params.value_bits(i - 1)))
+            images = [row[y] for y in images]
         for v, y in enumerate(images):
             x = BitString.from_int(v, domain_bits)
-            assert y == chain(params, self.r, start, params.w - 1, x).payload
-
-    def test_no_steps_yields_the_inputs(self):
-        assert list(domain_images([], 10)) == [
-            BitString.from_int(v, 10).payload for v in range(1 << 10)
-        ]
+            assert y == chain(params, self.r, start, params.w - 1, x).to_int()
 
     @pytest.mark.parametrize("out_bits", [0, 257, 300])
     def test_out_of_range_width_rejected_at_call(self, out_bits):
@@ -204,6 +198,8 @@ class TestDomainImages:
         steps = chain_steps(derive_wots_params(6, 2, 4, 2), self.r, 0, 2)
         with pytest.raises(InvalidParams):
             domain_images(steps, 12)
+        with pytest.raises(InvalidParams):
+            domain_images((), 12)
 
 
 def test_tags_are_built_only_in_oracle():
@@ -247,4 +243,13 @@ def test_scheme_is_picked_from_params_not_from_classes():
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", "")
                 if name.startswith(("Lamport", "Wots")):
                     sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
+
+
+def test_exhaustive_search_reads_no_byte_layout():
+    # adversary.py works on integers: images from domain_images, targets
+    # through to_int(), so byte layout stays inside oracle and core
+    tree = ast.parse((Path(pofsig.__file__).parent / "adversary.py").read_text(encoding="utf-8"))
+    sites = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "payload"]
     assert sites == []

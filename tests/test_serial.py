@@ -227,6 +227,14 @@ class TestMalformed:
             serial.load_path(path, ("pof-1", "pof-2"))
 
 
+def test_error_text_is_cut_to_200_characters():
+    # long numbers are elided rather than cut; tests/test_cli.py checks those
+    text = serial.dump_public_key(lamport_kp().public())
+    with pytest.raises(FormatError, match=r"^unknown kind 'x+\.\.\.$") as info:
+        serial.loads(text.replace("kind: public-key", "kind: " + "x" * 5000))
+    assert len(str(info.value)) == 200
+
+
 def test_load_path_refuses_text_that_is_not_utf8(tmp_path):
     path = tmp_path / "pk.txt"
     path.write_bytes(b"\xff\xfe" + serial.dump_public_key(lamport_kp().public()).encode())
