@@ -3,9 +3,10 @@
 Everything here is exhaustive search: full preimage-set enumeration for
 the Lamport oracle and full inversion of Winternitz chains through a
 per-key table of every depth's chain tops (``chain_tops``).  Every
-domain sweep runs through ``oracle.domain_images`` over the step list
-that ``oracle.lamport_steps`` or ``oracle.chain_steps`` builds, on
-integers: only a drawn preimage becomes a ``BitString``.
+domain sweep runs ``oracle.domain_images`` over one oracle step, the
+Lamport map ``oracle.lamport_step`` or one of a key's chain maps
+``oracle.chain_steps(params, r)``, on integers: only a drawn preimage
+becomes a ``BitString``.
 ``enumerate_preimages`` is the generic per-candidate reference that
 tests compare the sweeps against.  A hard cap on domain width keeps
 runs at desk scale; production sizes are refused outright.
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Optional
 from .core import BitString, LamportParams, WotsParams
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .lamport import LamportPublicKey, LamportSignature
-from .oracle import Seed, chain, chain_steps, domain_images, lamport_steps
+from .oracle import Seed, chain, chain_steps, domain_images, lamport_step
 from .wots import WotsPublicKey, WotsSignature, extend
 
 MAX_DOMAIN_BITS = 28
@@ -105,7 +106,7 @@ def build_lamport_preimage_index(params: LamportParams) -> dict[int, array]:
     domain_bits = params.sk_bits
     ForgeryBudget().check(domain_bits)
     index: dict[int, array] = {}
-    for v, y in enumerate(domain_images(lamport_steps(params.n, domain_bits), domain_bits)):
+    for v, y in enumerate(domain_images(lamport_step(params.n, domain_bits), domain_bits)):
         members = index.get(y)
         if members is None:
             members = index[y] = array("I")
@@ -133,7 +134,7 @@ def forge_lamport(
     budget.check(bits)
     y0 = pk.half(m_star)
     if index is None:
-        members = _members(domain_images(lamport_steps(pk.params.n, bits), bits), y0)
+        members = _members(domain_images(lamport_step(pk.params.n, bits), bits), y0)
     else:
         members = index.get(y0.to_int(), ())
     return LamportSignature(BitString.from_int(_draw(members, y0, rng), bits))
@@ -156,7 +157,7 @@ def chain_tops(
         budget.check(params.value_bits(d))
     tops: dict[int, list[int]] = {}
     for d in depths:
-        images = domain_images(chain_steps(params, r, d, d + 1), params.value_bits(d))
+        images = domain_images(chain_steps(params, r)[d], params.value_bits(d))
         if d + 1 in tops:
             images = map(tops[d + 1].__getitem__, images)
         tops[d] = list(images)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
 from .core import LamportParams, WotsParams, derive_wots_params, draw_bits
 from .errors import DomainError, InvalidParams
-from .oracle import Seed, apply_steps, chain_steps, domain_images
+from .oracle import Seed, apply_step, chain_steps, domain_images
 from .pof import SCHEMES, DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
 from .wots import digits
 
@@ -459,9 +459,9 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     total = 0
     for _ in range(instances):
         r = Seed(master.getrandbits(128).to_bytes(16, "big"))
-        steps = chain_steps(params, r, 0, 1)
-        target = apply_steps(steps, draw_bits(master, domain_bits)).to_int()
-        N = operator.countOf(domain_images(steps, domain_bits), target)
+        (step,) = chain_steps(params, r)
+        target = apply_step(step, draw_bits(master, domain_bits)).to_int()
+        N = operator.countOf(domain_images(step, domain_bits), target)
         counts[N] = counts.get(N, 0) + 1
         total += N
     mean = total / instances

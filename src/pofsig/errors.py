@@ -1,8 +1,20 @@
 """Exception hierarchy shared across the package."""
 
+import re
+
 
 class PofsigError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Its text, which the CLI prints after ``error:``, is one line of at
+    most 200 characters with digit runs over 20 elided, so an echoed
+    input cannot flood stderr.
+    """
+
+    def __str__(self) -> str:
+        text = " ".join(super().__str__().splitlines())
+        text = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])}-digit number>", text)
+        return text if len(text) <= 200 else text[:197] + "..."
 
 
 class InvalidParams(PofsigError):

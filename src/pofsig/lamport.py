@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import BitString, LamportParams, draw_bits
 from .errors import DomainError
-from .oracle import apply_steps, lamport_steps
+from .oracle import apply_step, lamport_step
 
 
 def hash_secret(params: LamportParams, s: BitString) -> BitString:
@@ -22,7 +22,7 @@ def hash_secret(params: LamportParams, s: BitString) -> BitString:
         raise DomainError(
             f"secret half must be {params.sk_bits} bits, got {s.bit_len}"
         )
-    return apply_steps(lamport_steps(params.n, params.sk_bits), s)
+    return apply_step(lamport_step(params.n, params.sk_bits), s)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ index i is realized by putting (r, i) into the tag instead of the
 bit-mask-XOR construction; each member still behaves as an independent
 random oracle.
 
-This module is the only one that knows the layout.  ``lamport_steps``
-and ``chain_steps`` describe each scheme's map as a tuple of oracle steps
-((tag_prefix, out_bits), ...); ``apply_steps`` pushes one value through
-such a tuple, and ``domain_images`` is the one kernel that sweeps a whole
-input domain through one step for exhaustive search and the census,
-yielding each image as an integer.
+This module is the only one that knows the layout.  Every oracle map is
+one step (tag_prefix, out_bits): ``lamport_step`` is the Lamport map, and
+``chain_steps(params, r)`` is the tuple of the w-1 chain maps
+f_{r,1} .. f_{r,w-1} of one key, built once per key.  ``apply_step``
+evaluates one value through a step, and ``domain_images`` is the one
+kernel that sweeps a whole input domain through a step for exhaustive
+search and the census, yielding each image as an integer.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .core import BitString, WotsParams
 from .errors import DomainError, InvalidParams
@@ -107,23 +108,18 @@ def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
     return bytes(buf)
 
 
-def domain_images(
-    steps: Sequence[tuple[bytes, int]], domain_bits: int
-) -> Iterator[int]:
+def domain_images(step: tuple[bytes, int], domain_bits: int) -> Iterator[int]:
     """Iterate, in ascending input order, over the image of every
-    domain_bits-bit input pushed through exactly one oracle step
-    [(tag_prefix, out_bits)], each as the integer
-    ``apply_steps(steps, x).to_int()``.
+    domain_bits-bit input under the oracle step (tag_prefix, out_bits),
+    each as the integer ``apply_step(step, x).to_int()``.
 
     Outputs are capped at 256 bits, the first block of the counter
     stream: one hash of ``payload || be32(0)`` on a copy of the prefix's
     hash state per evaluation, read as a big-endian integer and shifted
-    down to out_bits.  Longer maps are swept one step at a time (see
+    down to out_bits.  Chains are swept one step at a time (see
     ``adversary.chain_tops``).
     """
-    if len(steps) != 1:
-        raise InvalidParams(f"domain_images sweeps exactly one step, got {len(steps)}")
-    (prefix, out_bits), = steps
+    prefix, out_bits = step
     if not 1 <= out_bits <= 256:
         raise InvalidParams(
             f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
@@ -143,36 +139,33 @@ def _sweep(h0, shift: int, nbytes: int, pad: int, domain_bits: int) -> Iterator[
 
 
 @functools.lru_cache(maxsize=256)
-def lamport_steps(n: int, sk_bits: int) -> tuple[tuple[bytes, int], ...]:
+def lamport_step(n: int, sk_bits: int) -> tuple[bytes, int]:
     """The Lamport map from an sk_bits-bit secret half to its n-bit image."""
-    return ((tag_prefix(_LAMPORT_TAG, n, sk_bits), n),)
+    return tag_prefix(_LAMPORT_TAG, n, sk_bits), n
 
 
-@functools.lru_cache(maxsize=256)  # w(w+1)/2 = 136 (a, b) pairs per key at w = 16
-def chain_steps(
-    params: WotsParams, r: Seed, a: int, b: int
-) -> tuple[tuple[bytes, int], ...]:
-    """Chain steps a+1..b: the map from position-a to position-b values."""
-    steps = []
-    for i in range(a + 1, b + 1):
-        out_bits = params.value_bits(i)
-        tag = OracleTag(LABEL_WOTS_CHAIN, r, i)
-        steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
-    return tuple(steps)
+@functools.lru_cache(maxsize=256)
+def chain_steps(params: WotsParams, r: Seed) -> tuple[tuple[bytes, int], ...]:
+    """The w-1 chain maps of key r: steps[i-1] takes a position-(i-1) value
+    to position i, so steps[a:b] walks a value from position a to b."""
+    bits = [params.value_bits(i) for i in range(params.w)]
+    return tuple(
+        (tag_prefix(OracleTag(LABEL_WOTS_CHAIN, r, i), bits[i], bits[i - 1]), bits[i])
+        for i in range(1, params.w)
+    )
 
 
-def apply_steps(steps: Sequence[tuple[bytes, int]], x: BitString) -> BitString:
-    """Push one value through the oracle steps; no steps returns x."""
-    for prefix, out_bits in steps:
-        x = BitString(out_bits, digest_bits(prefix, x.payload, out_bits))
-    return x
+def apply_step(step: tuple[bytes, int], x: BitString) -> BitString:
+    """Evaluate one oracle step on x."""
+    prefix, out_bits = step
+    return BitString(out_bits, digest_bits(prefix, x.payload, out_bits))
 
 
 def oracle_eval(tag: OracleTag, x: BitString, out_bits: int) -> BitString:
     """Evaluate the oracle named by tag on x, producing exactly out_bits bits."""
     if out_bits < 1:
         raise InvalidParams("out_bits must be >= 1")
-    return apply_steps([(tag_prefix(tag, out_bits, x.bit_len), out_bits)], x)
+    return apply_step((tag_prefix(tag, out_bits, x.bit_len), out_bits), x)
 
 
 def f_step(params: WotsParams, r: Seed, i: int, x: BitString) -> BitString:
@@ -182,12 +175,7 @@ def f_step(params: WotsParams, r: Seed, i: int, x: BitString) -> BitString:
     """
     if not 1 <= i <= params.w - 1:
         raise IndexError(f"chain step index {i} outside 1..{params.w - 1}")
-    in_bits = params.value_bits(i - 1)
-    if x.bit_len != in_bits:
-        raise DomainError(
-            f"step {i} expects a {in_bits}-bit input, got {x.bit_len} bits"
-        )
-    return apply_steps(chain_steps(params, r, i - 1, i), x)
+    return chain(params, r, i - 1, i, x)
 
 
 def chain(params: WotsParams, r: Seed, a: int, b: int, x: BitString) -> BitString:
@@ -207,4 +195,6 @@ def chain(params: WotsParams, r: Seed, a: int, b: int, x: BitString) -> BitStrin
             f"value at position {a} must be {params.value_bits(a)} bits, "
             f"got {x.bit_len}"
         )
-    return apply_steps(chain_steps(params, r, a, b), x)
+    for step in chain_steps(params, r)[a:b]:
+        x = apply_step(step, x)
+    return x

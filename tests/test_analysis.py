@@ -21,7 +21,7 @@ from pofsig.analysis import (
 )
 from pofsig.core import BitString, LamportParams, derive_wots_params
 from pofsig.errors import BudgetExceeded, DomainError, InvalidParams
-from pofsig.oracle import chain
+from pofsig.oracle import chain, chain_steps
 from pofsig.pof import verify_pof2
 
 WP = derive_wots_params(6, 2, 4, 2)
@@ -317,6 +317,14 @@ class TestScenario:
             except BudgetExceeded:
                 outcomes.add("refused")
         assert outcomes == {"forged", "refused"}
+
+    def test_wots_trial_builds_the_key_steps_once(self):
+        # keygen, sign, the table the forger inverts through, and detection
+        # all walk the one cached tuple of the key's chain steps
+        chain_steps.cache_clear()
+        _, _, tops = analysis._forgery_trial(WP, trial_rng(7, 0), ForgeryBudget(), full_table=True)
+        assert sorted(tops) == [0, 1, 2]
+        assert chain_steps.cache_info().currsize == 1
 
     def test_scenario_runs_the_experiment_trial(self):
         # the scenario replays trial 0 of an experiment under the same

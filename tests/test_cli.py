@@ -344,6 +344,26 @@ def test_file_with_thousand_digit_parameters_exits_2_on_one_short_line(
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["4001-digit L", "5000-char seed", "lamport message", "wots message"])
+def test_long_flag_value_exits_2_on_one_short_line(tmp_path, lam_keys, wots_keys, capsys, case):
+    # pofsig's own error text is cut, whichever input it echoes
+    out = str(tmp_path / "out")
+    if case == "4001-digit L":
+        argv = ["keygen", "--scheme", "wots", "--n", "4", "--delta", "1", "--L",
+                "1" + "0" * 4000, "--nu", "3", "--seed", "01", "--sk-out", out, "--pk-out", out]
+    elif case == "5000-char seed":
+        argv = ["keygen", "--scheme", "lamport", "--n", "8", "--delta", "2",
+                "--seed", "x" * 5000, "--sk-out", out, "--pk-out", out]
+    else:
+        sk = (lam_keys if case == "lamport message" else wots_keys)[0]
+        argv = ["sign", "--sk", str(sk), "--message", "z" * 5000, "--out", out]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    assert "Traceback" not in err
+
+
 # Flags of each subcommand, and the values a generated vector draws for
 # them: valid in a Lamport vector, valid in a WOTS vector, or invalid (or
 # refused).  An empty valid pool leaves the flag out.  Sizes keep every

@@ -14,12 +14,12 @@ from pofsig.oracle import (
     LABEL_WOTS_CHAIN,
     OracleTag,
     Seed,
-    apply_steps,
+    apply_step,
     chain,
     chain_steps,
     domain_images,
     f_step,
-    lamport_steps,
+    lamport_step,
     oracle_eval,
     tag_prefix,
 )
@@ -103,15 +103,29 @@ class TestChain:
         assert y.bit_len == 8
         z = f_step(self.params, self.r, 2, y)
         assert z.bit_len == 7
+        self._f_step_is_one_chain_step(self.params)
 
     def test_f_step_delta_zero_keeps_length(self):
         p0 = derive_wots_params(8, 0, 4, 2)
         x = BitString.from_int(0xAA, 8)
         assert f_step(p0, self.r, 1, x).bit_len == 8
+        self._f_step_is_one_chain_step(p0)
+
+    def _f_step_is_one_chain_step(self, params):
+        rng = random.Random(5)
+        for i in range(1, params.w):
+            for _ in range(8):
+                bits = params.value_bits(i - 1)
+                x = BitString.from_int(rng.getrandbits(bits), bits)
+                assert f_step(params, self.r, i, x) == chain(params, self.r, i - 1, i, x)
 
     def test_f_step_wrong_length(self):
         with pytest.raises(DomainError):
             f_step(self.params, self.r, 1, BitString.from_int(0, 8))
+        for i in range(1, self.params.w):
+            with pytest.raises(DomainError):
+                f_step(self.params, self.r, i, BitString.from_int(0, self.params.value_bits(i)))
+        self._f_step_is_one_chain_step(self.params)
 
     def test_f_step_index_range(self):
         x = BitString.from_int(0, 9)
@@ -119,6 +133,7 @@ class TestChain:
             f_step(self.params, self.r, 0, x)
         with pytest.raises(IndexError):
             f_step(self.params, self.r, 4, x)
+        self._f_step_is_one_chain_step(self.params)
 
     def test_identity_at_equal_ends(self):
         x = BitString.from_int(0x55, 8)  # position 1 value
@@ -154,13 +169,13 @@ class TestDomainImages:
     def test_one_step_matches_oracle_eval(self, domain_bits, out_bits):
         # widths that are not whole bytes check the shift to out_bits
         prefix = tag_prefix(LAM, out_bits, domain_bits)
-        assert lamport_steps(out_bits, domain_bits) == ((prefix, out_bits),)
-        images = list(domain_images([(prefix, out_bits)], domain_bits))
+        assert lamport_step(out_bits, domain_bits) == (prefix, out_bits)
+        images = list(domain_images((prefix, out_bits), domain_bits))
         assert len(images) == 1 << domain_bits
         for v, y in enumerate(images):
             x = BitString.from_int(v, domain_bits)
             assert y == oracle_eval(LAM, x, out_bits).to_int()
-            assert y == apply_steps([(prefix, out_bits)], x).to_int()
+            assert y == apply_step((prefix, out_bits), x).to_int()
 
     @pytest.mark.parametrize(
         "params,start",
@@ -173,33 +188,28 @@ class TestDomainImages:
     )
     def test_chain_composition_matches_chain(self, params, start):
         steps = []
-        for i in range(start + 1, params.w):
+        for i in range(1, params.w):
             tag = OracleTag(LABEL_WOTS_CHAIN, self.r, i)
             out_bits = params.value_bits(i)
             steps.append((tag_prefix(tag, out_bits, params.value_bits(i - 1)), out_bits))
-        assert chain_steps(params, self.r, start, params.w - 1) == tuple(steps)
-        # compose one-step sweeps: an image is its input's row position
-        domain_bits = params.value_bits(start)
-        images = range(1 << domain_bits)
-        for i, step in enumerate(steps, start + 1):
-            row = list(domain_images([step], params.value_bits(i - 1)))
-            images = [row[y] for y in images]
-        for v, y in enumerate(images):
-            x = BitString.from_int(v, domain_bits)
-            assert y == chain(params, self.r, start, params.w - 1, x).to_int()
+        assert chain_steps(params, self.r) == tuple(steps)
+        # rows[i] sweeps steps[i]: an image is its input's position in the
+        # next row, so composing rows[a:b] walks every input from a to b
+        rows = [list(domain_images(step, params.value_bits(i))) for i, step in enumerate(steps)]
+        for a in range(start, params.w):
+            for b in range(a, params.w):
+                for v in range(1 << params.value_bits(a)):
+                    y = v
+                    for row in rows[a:b]:
+                        y = row[y]
+                    x = BitString.from_int(v, params.value_bits(a))
+                    assert y == chain(params, self.r, a, b, x).to_int()
 
     @pytest.mark.parametrize("out_bits", [0, 257, 300])
     def test_out_of_range_width_rejected_at_call(self, out_bits):
         prefix = tag_prefix(LAM, out_bits, 4)
         with pytest.raises(InvalidParams):
-            domain_images([(prefix, out_bits)], 4)
-
-    def test_more_than_one_step_refused(self):
-        steps = chain_steps(derive_wots_params(6, 2, 4, 2), self.r, 0, 2)
-        with pytest.raises(InvalidParams):
-            domain_images(steps, 12)
-        with pytest.raises(InvalidParams):
-            domain_images((), 12)
+            domain_images((prefix, out_bits), 4)
 
 
 def test_tags_are_built_only_in_oracle():
