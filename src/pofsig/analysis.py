@@ -22,7 +22,7 @@ from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, 
 from .core import LamportParams, WotsParams, derive_wots_params, draw_bits
 from .errors import DomainError, InvalidParams
 from .oracle import Seed, apply_step, chain_steps, domain_images
-from .pof import SCHEMES, DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
+from .pof import SCHEMES, DetectionOutcome, KeyPair, PofEvidenceII, detect_forgery, verify_pof2
 from .wots import digits
 
 UPPER_BOUND_CONSTANT = 5.22
@@ -133,12 +133,6 @@ def minimize_bound_constant() -> tuple[float, float]:
 # Monte Carlo forgery-detection experiment
 
 
-def _check_scheme(scheme: str, params: Params) -> None:
-    """The scheme name must be the one the parameters carry."""
-    if scheme != getattr(params, "scheme", None):
-        raise InvalidParams(f"scheme {scheme!r} does not match parameters {params!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     scheme: str  # must equal params.scheme
@@ -148,7 +142,9 @@ class ExperimentConfig:
     budget: ForgeryBudget = ForgeryBudget()
 
     def __post_init__(self):
-        _check_scheme(self.scheme, self.params)
+        if self.scheme != self.params.scheme:
+            raise InvalidParams(
+                f"scheme {self.scheme!r} does not match parameters {self.params!r}")
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
 
@@ -277,25 +273,18 @@ def undetected_probability(params: WotsParams, g: Sequence[float]) -> float:
 
 
 def _forgery_trial(
-    params: Params,
+    kp: KeyPair,
     rng: random.Random,
     budget: ForgeryBudget,
-    index: Optional[dict] = None,
+    table: Optional[dict] = None,
     exact_sk: bool = False,
-    full_table: bool = False,
-) -> tuple[DetectionOutcome, Optional[int], Optional[dict[int, list[int]]]]:
-    """One chosen-message attack: keygen, sign a random M, forge a different
-    M*, and let the signer run detection.  exact_sk models full key
-    recovery: the adversary signs M* with the secret key instead.
-
-    Returns the outcome, for WOTS how many positions of the forgery equal
-    the legitimate signature of M*, and, if full_table is set (WOTS), the
-    key's full chain table (``chain_tops`` down to depth 0), which the
-    forger then inverts through; otherwise the forger builds only the
-    depths it inverts.
-    """
+) -> DetectionOutcome:
+    """One chosen-message attack on kp, which the caller drew from rng: sign
+    a random M, forge a different M* (through table, the Lamport index or
+    the key's full chain table, when given), and let the signer detect.
+    exact_sk models full key recovery: the adversary signs M* with sk."""
+    params = kp.params
     scheme = SCHEMES[params.scheme]
-    kp = scheme.keygen(params, rng)
     if params.scheme == "lamport":
         M = rng.getrandbits(1)
         M_star = 1 - M
@@ -304,52 +293,47 @@ def _forgery_trial(
         while M_star == M:
             M_star = draw_bits(rng, params.L)
     sigma = scheme.sign(kp, M)
-    tops = None
     if exact_sk:
         sigma_star = scheme.sign(kp, M_star)
     else:
-        if full_table:
-            index = tops = chain_tops(params, kp.r, 0, budget)
-        sigma_star = forge(kp.public(), M, sigma, M_star, budget, rng, index=index)
-    outcome = detect_forgery(kp, M_star, sigma_star)
-    if params.scheme == "lamport":
-        return outcome, None, None
-    legit = outcome.evidence.sigma_tilde_star if outcome.detected else sigma_star
-    return outcome, sum(a == b for a, b in zip(sigma_star.sigma, legit.sigma)), tops
+        sigma_star = forge(kp.public(), M, sigma, M_star, budget, rng, index=table)
+    return detect_forgery(kp, M_star, sigma_star)
 
 
 def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the forgery-detection experiment: keygen, one chosen-message
-    signature, exhaustive forgery, signer-side detection; estimate the
-    rate at which the forgery reproduced the legitimate signature with
-    the estimator that ``estimator_for`` picks (see ``ExperimentReport``).
-
-    Deterministic for a given master seed: trial t draws from
-    ``trial_rng(master_seed, t)``, so the aggregate is schedule-independent.
+    """Run the forgery-detection experiment.  Trial t draws a key from
+    ``trial_rng(master_seed, t)``, takes P_r from the key's chain table
+    under the exact estimator, and attacks the key once (``_forgery_trial``)
+    through that table or the Lamport index all trials share.  The rate
+    comes from the estimator that ``estimator_for`` picks (see
+    ``ExperimentReport``); the aggregate is schedule-independent.
     """
     params = config.params
     exact = estimator_for(params) == "exact-given-r"
-    index = None
+    table = None
     if params.scheme == "lamport":
         config.budget.check(params.sk_bits)
-        index = build_lamport_preimage_index(params)
+        table = build_lamport_preimage_index(params)
     undetected = 0
     evidence_ok = 0
     match_total = 0
     p_rs = []
     for t in range(config.trials):
-        outcome, matches, tops = _forgery_trial(
-            params, trial_rng(config.master_seed, t), config.budget, index,
-            full_table=exact)
+        rng = trial_rng(config.master_seed, t)
+        kp = SCHEMES[params.scheme].keygen(params, rng)
+        if exact:
+            table = chain_tops(params, kp.r, 0, config.budget)
+            p_rs.append(undetected_probability(params, match_probabilities(params, table)))
+        outcome = _forgery_trial(kp, rng, config.budget, table)
         if outcome.detected:
-            if verify_pof2(outcome.evidence):
-                evidence_ok += 1
+            E = outcome.evidence
+            evidence_ok += verify_pof2(E)
+            if params.scheme == "wots":
+                match_total += sum(map(operator.eq, E.sigma_star.sigma, E.sigma_tilde_star.sigma))
         else:
             undetected += 1
-        if matches is not None:
-            match_total += matches
-        if exact:
-            p_rs.append(undetected_probability(params, match_probabilities(params, tops)))
+            if params.scheme == "wots":
+                match_total += params.l
     detected = config.trials - undetected
     if exact:
         rate = math.fsum(p_rs) / config.trials
@@ -513,25 +497,22 @@ class ScenarioLog:
 
 
 def run_scenario(
-    scheme: str,
     params: Params,
     seed: int,
     adversary_mode: str = "fresh",
     notify_adversary: bool = False,
 ) -> ScenarioLog:
-    """Replay the signer/adversary/receiver story step by step.
-
-    fresh mode runs the exhaustive forger; exact-sk mode hands the
-    adversary the secret key itself, modeling full key recovery, where
-    detection necessarily fails.
+    """Replay the signer/adversary/receiver story step by step: draw a key
+    from ``trial_rng(seed, 0)``, as experiment trial 0 does, and attack it
+    once (``_forgery_trial``).  fresh mode runs the exhaustive forger;
+    exact-sk mode hands the adversary the secret key itself, modeling full
+    key recovery, where detection necessarily fails.
     """
     if adversary_mode not in ("fresh", "exact-sk"):
         raise InvalidParams(f"unknown adversary mode {adversary_mode!r}")
-    _check_scheme(scheme, params)
-    outcome, _, _ = _forgery_trial(
-        params, trial_rng(seed, 0), ForgeryBudget(),
-        exact_sk=adversary_mode == "exact-sk",
-    )
+    rng = trial_rng(seed, 0)
+    kp = SCHEMES[params.scheme].keygen(params, rng)
+    outcome = _forgery_trial(kp, rng, ForgeryBudget(), exact_sk=adversary_mode == "exact-sk")
     events = [
         ScenarioEvent(0, "S", "A", "public key"),
         ScenarioEvent(0, "S", "R", "public key"),
@@ -545,7 +526,7 @@ def run_scenario(
         if notify_adversary:
             events.append(ScenarioEvent(4, "S", "A", "proof-of-forgery evidence E"))
     result = "evidence-delivered" if outcome.detected else "undetectable"
-    return ScenarioLog(scheme, adversary_mode, tuple(events), result, outcome.evidence)
+    return ScenarioLog(params.scheme, adversary_mode, tuple(events), result, outcome.evidence)
 
 
 def scenario_text(log: ScenarioLog) -> str:

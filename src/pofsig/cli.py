@@ -18,7 +18,7 @@ import traceback
 from . import analysis, pof, serial
 from .adversary import ForgeryBudget, forge
 from .core import BitString, LamportParams, derive_wots_params
-from .errors import InvalidParams, NotAValidSignature, PofsigError
+from .errors import InvalidParams, NotAValidSignature, PofsigError, one_short_line
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -29,6 +29,14 @@ EXIT_UNDETECTABLE = 4
 
 class UsageError(PofsigError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose error text is cut as pofsig's own is;
+    add_subparsers builds the subcommands' parsers with this class too."""
+
+    def error(self, message):
+        super().error(one_short_line(message))
 
 
 def _parse_seed(text: str) -> int:
@@ -45,7 +53,7 @@ def _rng(seed_hex: str) -> random.Random:
 
 def _build_params(args):
     if args.scheme == "lamport":
-        if getattr(args, "L", None) is not None or getattr(args, "nu", None) is not None:
+        if args.L is not None or args.nu is not None:
             raise UsageError("--L/--nu are only valid for --scheme wots")
         return LamportParams(args.n, args.delta)
     if args.L is None or args.nu is None:
@@ -159,7 +167,6 @@ def _cmd_experiment(args) -> int:
 def _cmd_scenario(args) -> int:
     params = _build_params(args)
     log = analysis.run_scenario(
-        args.scheme,
         params,
         _parse_seed(args.seed),
         adversary_mode=args.adversary_mode,
@@ -188,7 +195,7 @@ def _add_scheme_params(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pofsig",
         description="One-time hash-based signatures with proof-of-forgery evidence",
     )
@@ -264,7 +271,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (PofsigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {one_short_line(str(exc))}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
         traceback.print_exc()

@@ -3,18 +3,20 @@
 import re
 
 
-class PofsigError(Exception):
-    """Base class for all package-specific errors.
+def one_short_line(text: str) -> str:
+    """text as one line of at most 200 characters with digit runs over 20
+    elided, so an echoed input cannot flood stderr."""
+    text = " ".join(text.splitlines())
+    text = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])}-digit number>", text)
+    return text if len(text) <= 200 else text[:197] + "..."
 
-    Its text, which the CLI prints after ``error:``, is one line of at
-    most 200 characters with digit runs over 20 elided, so an echoed
-    input cannot flood stderr.
-    """
+
+class PofsigError(Exception):
+    """Base class for all package-specific errors; its text, which the CLI
+    prints after ``error:``, is ``one_short_line``."""
 
     def __str__(self) -> str:
-        text = " ".join(super().__str__().splitlines())
-        text = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])}-digit number>", text)
-        return text if len(text) <= 200 else text[:197] + "..."
+        return one_short_line(super().__str__())
 
 
 class InvalidParams(PofsigError):

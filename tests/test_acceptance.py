@@ -148,12 +148,12 @@ def test_criterion_8_exact_sk_scenario():
     undetectable = 0
     runs = 0
     for seed in range(20):
-        log = run_scenario("lamport", LamportParams(8, 6), seed, "exact-sk")
+        log = run_scenario(LamportParams(8, 6), seed, "exact-sk")
         undetectable += log.outcome == "undetectable"
         runs += 1
     wp = derive_wots_params(6, 2, 4, 2)
     for seed in range(10):
-        log = run_scenario("wots", wp, seed, "exact-sk")
+        log = run_scenario(wp, seed, "exact-sk")
         undetectable += log.outcome == "undetectable"
         runs += 1
     _report("8 exact-sk always undetectable", undetectable == runs, f"{undetectable}/{runs}")

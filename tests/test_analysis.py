@@ -279,19 +279,19 @@ class TestCensus:
 class TestScenario:
     def test_exact_sk_always_undetectable(self):
         for seed in range(10):
-            log = run_scenario("lamport", LamportParams(8, 6), seed, "exact-sk")
+            log = run_scenario(LamportParams(8, 6), seed, "exact-sk")
             assert log.outcome == "undetectable"
             assert all(ev.step < 4 for ev in log.events)
 
     def test_fresh_detected_run_has_valid_evidence(self):
         # fixture seed chosen so detection succeeds at delta=6
-        log = run_scenario("lamport", LamportParams(8, 6), 1, "fresh")
+        log = run_scenario(LamportParams(8, 6), 1, "fresh")
         assert log.outcome == "evidence-delivered"
         assert verify_pof2(log.evidence) == 1
         assert log.events[-1].step == 4
 
     def test_event_structure(self):
-        log = run_scenario("wots", WP, 5, "fresh", notify_adversary=True)
+        log = run_scenario(WP, 5, "fresh", notify_adversary=True)
         steps = [ev.step for ev in log.events]
         assert steps == sorted(steps)
         assert {(ev.step, ev.sender, ev.receiver) for ev in log.events} >= {
@@ -310,9 +310,10 @@ class TestScenario:
         # trials whose forgery inverts down to depth 0
         outcomes = set()
         for seed in range(20):
+            rng = trial_rng(seed, 0)
+            kp = wots.keygen(WP, rng)
             try:
-                _, _, tops = analysis._forgery_trial(WP, trial_rng(seed, 0), ForgeryBudget(11))
-                assert tops is None
+                analysis._forgery_trial(kp, rng, ForgeryBudget(11))
                 outcomes.add("forged")
             except BudgetExceeded:
                 outcomes.add("refused")
@@ -322,8 +323,11 @@ class TestScenario:
         # keygen, sign, the table the forger inverts through, and detection
         # all walk the one cached tuple of the key's chain steps
         chain_steps.cache_clear()
-        _, _, tops = analysis._forgery_trial(WP, trial_rng(7, 0), ForgeryBudget(), full_table=True)
-        assert sorted(tops) == [0, 1, 2]
+        rng = trial_rng(7, 0)
+        kp = wots.keygen(WP, rng)
+        table = chain_tops(WP, kp.r, 0, ForgeryBudget())
+        analysis._forgery_trial(kp, rng, ForgeryBudget(), table)
+        assert sorted(table) == [0, 1, 2]
         assert chain_steps.cache_info().currsize == 1
 
     def test_scenario_runs_the_experiment_trial(self):
@@ -334,7 +338,7 @@ class TestScenario:
         for scheme, params in (("lamport", LamportParams(8, 0)), ("wots", WP)):
             outcomes = set()
             for seed in range(6):
-                log = run_scenario(scheme, params, seed, "fresh")
+                log = run_scenario(params, seed, "fresh")
                 r = run_fda_experiment(ExperimentConfig(scheme, params, 1, seed))
                 undetected = log.outcome == "undetectable"
                 assert undetected == (r.undetected_count == 1)
@@ -343,21 +347,9 @@ class TestScenario:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParams):
-            run_scenario("lamport", LamportParams(8, 2), 0, "weird")
-
-    @pytest.mark.parametrize(
-        "scheme,params",
-        [
-            ("lamport", derive_wots_params(6, 2, 4, 2)),
-            ("wots", LamportParams(8, 2)),
-            ("other", LamportParams(8, 2)),
-        ],
-    )
-    def test_scheme_must_match_params(self, scheme, params):
-        with pytest.raises(InvalidParams):
-            run_scenario(scheme, params, 5)
+            run_scenario(LamportParams(8, 2), 0, "weird")
 
     def test_scenario_text(self):
-        log = run_scenario("lamport", LamportParams(8, 2), 3, "exact-sk")
+        log = run_scenario(LamportParams(8, 2), 3, "exact-sk")
         text = analysis.scenario_text(log)
         assert "outcome: undetectable" in text

@@ -364,6 +364,26 @@ def test_long_flag_value_exits_2_on_one_short_line(tmp_path, lam_keys, wots_keys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["5000-digit n", "3000-char path"])
+def test_argparse_and_os_error_text_is_cut_too(tmp_path, capsys, case):
+    # argparse's usage error and the OSError of a file name echo the
+    # input as well; their text is cut as pofsig's own is
+    out = str(tmp_path / "out")
+    if case == "5000-digit n":
+        argv = ["keygen", "--scheme", "lamport", "--n", "9" * 5000, "--delta", "2",
+                "--seed", "01", "--sk-out", out, "--pk-out", out]
+    else:
+        argv = ["verify-pof", "--pof", str(tmp_path / ("p" * 3000))]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert "error: " in err and max(map(len, err.splitlines())) < 300
+    assert "Traceback" not in err
+
+
 # Flags of each subcommand, and the values a generated vector draws for
 # them: valid in a Lamport vector, valid in a WOTS vector, or invalid (or
 # refused).  An empty valid pool leaves the flag out.  Sizes keep every

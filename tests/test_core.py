@@ -19,6 +19,7 @@ class TestPackBits:
         bs = pack_bits([])
         assert bs.bit_len == 0
         assert bs.payload == b""
+        assert BitString(0, b"").to_int() == 0
 
     def test_msb_first(self):
         bs = pack_bits([1, 0, 1, 1])
@@ -69,6 +70,8 @@ class TestBitString:
         bs = pack_bits([1, 0, 1, 1])
         assert bs.flip_bit(1).to_bits() == [1, 1, 1, 1]
         assert bs.flip_bit(0).to_bits() == [0, 0, 1, 1]
+        with pytest.raises(InvalidParams):
+            bs.flip_bit(4)
 
     def test_hex(self):
         assert pack_bits([1, 0, 1, 1]).hex() == "b0"
@@ -127,6 +130,9 @@ class TestDeriveWotsParams:
         assert p.pk_bits == 6
         assert p.value_bits(0) == p.sk_bits
         assert p.value_bits(p.w - 1) == p.n
+        for pos in (-1, p.w):
+            with pytest.raises(InvalidParams):
+                p.value_bits(pos)
 
     def test_checksum_always_representable(self):
         # maximum checksum l1*(w-1) must fit in l2 base-w digits

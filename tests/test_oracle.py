@@ -38,6 +38,8 @@ def test_output_length_exact():
     for out in (1, 7, 8, 9, 64, 300):
         y = oracle_eval(LAM, x, out)
         assert y.bit_len == out
+    with pytest.raises(InvalidParams):
+        oracle_eval(LAM, x, 0)
 
 
 def test_widths_are_independent_oracles():
@@ -153,6 +155,8 @@ class TestChain:
             chain(self.params, self.r, 2, 1, x)
         with pytest.raises(IndexError):
             chain(self.params, self.r, 0, 4, x)
+        with pytest.raises(IndexError):
+            chain(self.params, self.r, -1, 1, x)
         with pytest.raises(DomainError):
             chain(self.params, self.r, 1, 2, x)  # 9 bits is a position-0 length
 
@@ -254,6 +258,20 @@ def test_scheme_is_picked_from_params_not_from_classes():
                 if name.startswith(("Lamport", "Wots")):
                     sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def test_keys_are_drawn_only_by_the_experiment_loops():
+    # a trial attacks a key its caller drew: in analysis.py only the
+    # experiment loop and the scenario call keygen
+    tree = ast.parse((Path(pofsig.__file__).parent / "analysis.py").read_text(encoding="utf-8"))
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")) == "keygen":
+                    callers.add(getattr(top, "name", "<module>"))
+    assert callers == {"run_fda_experiment", "run_scenario"}
 
 
 def test_exhaustive_search_reads_no_byte_layout():

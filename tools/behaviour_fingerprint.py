@@ -66,11 +66,11 @@ def outputs():
     for n, delta, instances, seed in ((8, 0, 300, 2024), (8, 2, 100, 9)):
         c = analysis.preimage_census(n, delta, instances, seed)
         yield f"census.{n}.{delta}", repr((c.counts, c.mean, c.chi2, c.p_value))
-    for scheme, params in (("lamport", lp), ("lamport", LamportParams(8, 0)), ("wots", wp)):
+    for params in (lp, LamportParams(8, 0), wp):
         for mode in ("fresh", "exact-sk"):
             for seed in range(6):
-                log = analysis.run_scenario(scheme, params, seed, mode, notify_adversary=seed % 2)
-                yield (f"scenario.{scheme}.{params.delta}.{mode}.{seed}",
+                log = analysis.run_scenario(params, seed, mode, notify_adversary=seed % 2)
+                yield (f"scenario.{params.scheme}.{params.delta}.{mode}.{seed}",
                        analysis.scenario_text(log) + "\n" + repr(log))
 
 
