@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .core import BitString, LamportParams, WotsParams
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
+from .forkjoin import MIN_JOB_HASHES, fork_map, split
 from .lamport import LamportPublicKey, LamportSignature
 from .oracle import Seed, chain, chain_steps, domain_images, lamport_step
 from .wots import WotsPublicKey, WotsSignature, extend
@@ -102,15 +103,24 @@ def build_lamport_preimage_index(params: LamportParams) -> dict[int, array]:
     (an int) maps to an ``array('I')`` of its preimages, ascending as
     a scan finds them: 4-6 B per domain entry at n = 8.  Domains wider
     than ``MAX_DOMAIN_BITS`` raise ``BudgetExceeded`` before enumerating.
+    Contiguous input ranges are swept by forked workers (``forkjoin``),
+    each sending back its images as one array; they are filed in
+    ascending input order, so the index is the serial sweep's.
     """
     domain_bits = params.sk_bits
     ForgeryBudget().check(domain_bits)
+    step = lamport_step(params.n, domain_bits)
+    width = "BHI"[(params.n > 8) + (params.n > 16)]  # the narrowest array for n-bit images
+    jobs = split(1 << domain_bits, MIN_JOB_HASHES)
+    sweeps = fork_map(
+        lambda inputs: array(width, domain_images(step, domain_bits, inputs)).tobytes(), jobs)
     index: dict[int, array] = {}
-    for v, y in enumerate(domain_images(lamport_step(params.n, domain_bits), domain_bits)):
-        members = index.get(y)
-        if members is None:
-            members = index[y] = array("I")
-        members.append(v)
+    for inputs in jobs:
+        for v, y in zip(inputs, array(width, sweeps.pop(0))):  # each freed once filed
+            members = index.get(y)
+            if members is None:
+                members = index[y] = array("I")
+            members.append(v)
     return index
 
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
-from .core import LamportParams, WotsParams, derive_wots_params, draw_bits
+from .core import BitString, LamportParams, WotsParams, derive_wots_params, draw_bits
 from .errors import DomainError, InvalidParams
+from .forkjoin import MIN_JOB_HASHES, fork_map, split
 from .oracle import Seed, apply_step, chain_steps, domain_images
 from .pof import SCHEMES, DetectionOutcome, KeyPair, PofEvidenceII, detect_forgery, verify_pof2
 from .wots import digits
@@ -306,34 +307,47 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     under the exact estimator, and attacks the key once (``_forgery_trial``)
     through that table or the Lamport index all trials share.  The rate
     comes from the estimator that ``estimator_for`` picks (see
-    ``ExperimentReport``); the aggregate is schedule-independent.
+    ``ExperimentReport``).  Contiguous runs of trials go to forked
+    workers (``forkjoin``), and the report is the serial loop's for any
+    worker count.
     """
     params = config.params
     exact = estimator_for(params) == "exact-given-r"
-    table = None
+    index = None
     if params.scheme == "lamport":
         config.budget.check(params.sk_bits)
-        table = build_lamport_preimage_index(params)
-    undetected = 0
-    evidence_ok = 0
-    match_total = 0
-    p_rs = []
-    for t in range(config.trials):
-        rng = trial_rng(config.master_seed, t)
-        kp = SCHEMES[params.scheme].keygen(params, rng)
-        if exact:
-            table = chain_tops(params, kp.r, 0, config.budget)
-            p_rs.append(undetected_probability(params, match_probabilities(params, table)))
-        outcome = _forgery_trial(kp, rng, config.budget, table)
-        if outcome.detected:
-            E = outcome.evidence
-            evidence_ok += verify_pof2(E)
-            if params.scheme == "wots":
-                match_total += sum(map(operator.eq, E.sigma_star.sigma, E.sigma_tilde_star.sigma))
-        else:
-            undetected += 1
-            if params.scheme == "wots":
-                match_total += params.l
+        index = build_lamport_preimage_index(params)
+    elif exact:  # every trial sweeps every depth of its key's table
+        for d in range(params.w - 2, -1, -1):
+            config.budget.check(params.value_bits(d))
+
+    def run_trials(trials: range) -> tuple[int, int, int, list[float]]:
+        table = index
+        undetected = evidence_ok = match_total = 0
+        p_rs = []
+        for t in trials:
+            rng = trial_rng(config.master_seed, t)
+            kp = SCHEMES[params.scheme].keygen(params, rng)
+            if exact:
+                table = chain_tops(params, kp.r, 0, config.budget)
+                p_rs.append(undetected_probability(params, match_probabilities(params, table)))
+            outcome = _forgery_trial(kp, rng, config.budget, table)
+            if outcome.detected:
+                E = outcome.evidence
+                evidence_ok += verify_pof2(E)
+                if params.scheme == "wots":
+                    match_total += sum(map(operator.eq, E.sigma_star.sigma, E.sigma_tilde_star.sigma))
+            else:
+                undetected += 1
+                if params.scheme == "wots":
+                    match_total += params.l
+        return undetected, evidence_ok, match_total, p_rs
+
+    parts = fork_map(run_trials, split(config.trials))
+    undetected = sum(part[0] for part in parts)
+    evidence_ok = sum(part[1] for part in parts)
+    match_total = sum(part[2] for part in parts)
+    p_rs = [p for part in parts for p in part[3]]
     detected = config.trials - undetected
     if exact:
         rate = math.fsum(p_rs) / config.trials
@@ -431,7 +445,9 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     of a w = 2 chain with its own randomizer, (n+delta) bits to n),
     picks a random input, and counts the preimages of its image by full
     enumeration.  Fresh functions make instances independent, matching
-    the model the chi-square test assumes.
+    the model the chi-square test assumes.  The parent draws every
+    instance; contiguous runs of instances are counted by forked workers
+    (``forkjoin``).
     """
     if instances < 1:
         raise InvalidParams("instances must be >= 1")
@@ -439,16 +455,21 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     ForgeryBudget().check(domain_bits)
     params = derive_wots_params(n, delta, 1, 1)
     master = random.Random(seed)
-    counts: dict[int, int] = {}
-    total = 0
-    for _ in range(instances):
-        r = Seed(master.getrandbits(128).to_bytes(16, "big"))
-        (step,) = chain_steps(params, r)
-        target = apply_step(step, draw_bits(master, domain_bits)).to_int()
-        N = operator.countOf(domain_images(step, domain_bits), target)
-        counts[N] = counts.get(N, 0) + 1
-        total += N
-    mean = total / instances
+    draws = [(master.getrandbits(128), master.getrandbits(domain_bits))
+             for _ in range(instances)]
+
+    def count_preimages(part: range) -> list[int]:
+        sizes = []
+        for r, x in draws[part.start:part.stop]:
+            (step,) = chain_steps(params, Seed(r.to_bytes(16, "big")))
+            target = apply_step(step, BitString.from_int(x, domain_bits)).to_int()
+            sizes.append(operator.countOf(domain_images(step, domain_bits), target))
+        return sizes
+
+    jobs = split(instances, max(1, MIN_JOB_HASHES >> domain_bits))
+    sizes = [N for part in fork_map(count_preimages, jobs) for N in part]
+    counts = Counter(sizes)
+    mean = sum(sizes) / instances
     chi2, p_value = _census_gof(n, delta, instances, counts)
     return CensusReport(
         n=n, delta=delta, instances=instances, counts=dict(sorted(counts.items())),

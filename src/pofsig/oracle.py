@@ -108,10 +108,13 @@ def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
     return bytes(buf)
 
 
-def domain_images(step: tuple[bytes, int], domain_bits: int) -> Iterator[int]:
+def domain_images(
+    step: tuple[bytes, int], domain_bits: int, inputs: Optional[range] = None
+) -> Iterator[int]:
     """Iterate, in ascending input order, over the image of every
     domain_bits-bit input under the oracle step (tag_prefix, out_bits),
-    each as the integer ``apply_step(step, x).to_int()``.
+    each as the integer ``apply_step(step, x).to_int()``; inputs, when
+    given, is the sub-range of the domain to sweep.
 
     Outputs are capped at 256 bits, the first block of the counter
     stream: one hash of ``payload || be32(0)`` on a copy of the prefix's
@@ -126,13 +129,15 @@ def domain_images(step: tuple[bytes, int], domain_bits: int) -> Iterator[int]:
         )
     nbytes = (domain_bits + 7) // 8
     pad = 8 * nbytes - domain_bits
-    return _sweep(hashlib.sha256(prefix), 256 - out_bits, nbytes, pad, domain_bits)
+    if inputs is None:
+        inputs = range(1 << domain_bits)
+    return _sweep(hashlib.sha256(prefix), 256 - out_bits, nbytes, pad, inputs)
 
 
-def _sweep(h0, shift: int, nbytes: int, pad: int, domain_bits: int) -> Iterator[int]:
+def _sweep(h0, shift: int, nbytes: int, pad: int, inputs: range) -> Iterator[int]:
     copy = h0.copy
     from_bytes = int.from_bytes
-    for v in range(1 << domain_bits):
+    for v in inputs:
         h = copy()
         h.update((v << pad).to_bytes(nbytes, "big") + _CTR0)
         yield from_bytes(h.digest(), "big") >> shift

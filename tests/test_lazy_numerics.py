@@ -1,5 +1,6 @@
 """pofsig runs on the standard library alone: no command, experiment or
-census loads numpy or scipy.  The census's own binomial pmf and chi-square
+census loads numpy or scipy, nor a process pool (multiprocessing or
+concurrent.futures).  The census's own binomial pmf and chi-square
 survival function are checked here against scipy, a test-only dependency."""
 
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from scipy import stats
 
 import pofsig
@@ -15,7 +17,7 @@ from pofsig.analysis import binom_pmf, chi2_sf, preimage_census
 
 # Runs in a fresh interpreter: every subcommand through cli.main, the
 # census and the pmf-sum check, then the names of the numpy and scipy
-# modules that got loaded.
+# modules that got loaded, and those of the process-pool packages.
 CHILD = """\
 import contextlib, io, os, sys, tempfile
 import pofsig
@@ -41,19 +43,30 @@ census = analysis.preimage_census(8, 2, 30, 1)
 summed = analysis.exact_expectation_by_summation(8, 2)
 print(codes)
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
 """
 
 
-def test_cli_commands_load_neither_numpy_nor_scipy():
+@pytest.fixture(scope="module")
+def child_output():
     src = os.path.dirname(os.path.dirname(pofsig.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     res = subprocess.run([sys.executable, "-c", CHILD], capture_output=True,
                          text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    codes, loaded = res.stdout.splitlines()
+    return res.stdout.splitlines()
+
+
+def test_cli_commands_load_neither_numpy_nor_scipy(child_output):
+    codes, numerics, _ = child_output
     assert codes == "[0, 0, 0, 0, 0, 0, 0, 0, 0]"
-    assert loaded == "[]"
+    assert numerics == "[]"
+
+
+def test_cli_commands_load_no_process_pool(child_output):
+    _, _, pools = child_output
+    assert pools == "[]"
 
 
 def _scipy_census_gof(n, delta, instances, counts):

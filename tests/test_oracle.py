@@ -180,6 +180,10 @@ class TestDomainImages:
             x = BitString.from_int(v, domain_bits)
             assert y == oracle_eval(LAM, x, out_bits).to_int()
             assert y == apply_step((prefix, out_bits), x).to_int()
+        half = 1 << (domain_bits - 1)
+        for part in (range(half), range(half, 2 * half), range(3, 5)):
+            assert list(domain_images((prefix, out_bits), domain_bits, part)) == images[
+                part.start:part.stop]
 
     @pytest.mark.parametrize(
         "params,start",
