@@ -1,21 +1,22 @@
 """Fork-join over independent jobs, with the serial loop's results.
 
-``fork_map(fn, jobs)`` is ``[fn(job) for job in jobs]``: every job but
-the last runs in a forked child, the last in the caller's process, and
-the results come back in job order.  A child inherits the caller's
-memory, so ``fn`` may be a closure over tables the caller built; only
-its result crosses a pipe, as ``marshal`` data (ints, floats, strings,
-bytes, tuples and lists; floats round-trip exactly).  A child leaves by
-``os._exit``: it never flushes the caller's stdio or runs ``atexit``.
+``fork_map(fn, jobs)`` is ``[fn(job) for job in jobs]``: the caller runs
+the first job and a forked child each other one.  A child inherits the
+caller's memory, so ``fn`` may close over tables the caller built.  It
+sends back its result as ``marshal`` data (floats round-trip exactly)
+and exits 0, or exits non-zero with nothing sent: it raised, was killed
+or returned what marshal cannot carry.  It leaves by ``os._exit``, so it
+never flushes the caller's stdio or runs ``atexit``.
 
-The first job, in job order, that raises decides the error, rebuilt
-with the same type and text, so a caller raises what its serial loop
-would have raised.  No child outlives a call.
+``fn`` must be pure in its job and in the memory the caller forked with:
+the caller runs, in job order, every job whose child did not deliver or
+could not be forked.  So the first failing job in job order raises the
+serial loop's own exception, with its cause and traceback, and no child
+outlives a call.
 
 ``split(units)`` cuts ``range(units)`` into one contiguous range per
-usable CPU (``usable_cpus``); a single range runs inline, which is the
-serial loop itself.  Only ``os``, ``marshal`` and ``sys`` are used, which
-every interpreter has loaded already, so no import is added at start.
+usable CPU; one range runs inline.  ``os``, ``marshal`` and ``sys``, the
+only modules used, are loaded in every interpreter: no import is added.
 """
 
 from __future__ import annotations
@@ -58,32 +59,30 @@ def split(units: int, min_units: int = 1) -> list[range]:
 
 
 def fork_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
-    """[fn(job) for job in jobs], every job but the last in a forked child."""
-    *forked, last = jobs
-    children: list[tuple[int, BinaryIO]] = []
+    """[fn(job) for job in jobs], every job but the first in a forked child."""
+    first, *rest = jobs
+    children: dict[int, tuple[int, BinaryIO]] = {}
     try:
-        for job in forked:
-            children.append(_fork(fn, job))
-        try:
-            mine = fn(last)
-        except Exception as exc:  # an earlier job's error comes first
-            mine = exc
-        results = []
-        while children:
-            pid, pipe = children[0]
-            data = pipe.read()
-            pipe.close()
-            _, status = os.waitpid(pid, 0)
-            del children[0]
-            results.append(_result(len(results), data, status))
+        for i, job in enumerate(rest):
+            try:
+                children[i] = _fork(fn, job)
+            except OSError:  # no pipe or no process: the caller runs it
+                pass
+        results = [fn(first)]
+        for i, job in enumerate(rest):
+            status = 1  # no child: the caller runs the job
+            if i in children:
+                pid, pipe = children[i]
+                data = pipe.read()
+                pipe.close()
+                status = os.waitpid(pid, 0)[1]
+                del children[i]
+            results.append(fn(job) if status else marshal.loads(data))
     finally:
-        for pid, pipe in children:
+        for pid, pipe in children.values():
             pipe.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    if isinstance(mine, Exception):
-        raise mine
-    results.append(mine)
     return results
 
 
@@ -97,49 +96,10 @@ def _fork(fn, job) -> tuple[int, BinaryIO]:
         raise
     if pid == 0:
         try:
-            os.close(r)
-            try:
-                data = marshal.dumps((True, fn(job)))
-            except BaseException as exc:
-                data = _error_data(exc)
             with open(w, "wb") as out:
-                out.write(data)
-        finally:
+                out.write(marshal.dumps(fn(job)))
             os._exit(0)
+        finally:
+            os._exit(1)
     os.close(w)
     return pid, open(r, "rb")
-
-
-def _error_data(exc: BaseException) -> bytes:
-    """exc's class and the arguments that rebuild it, those pickle uses,
-    or its text where marshal cannot carry them."""
-    name = (type(exc).__module__, type(exc).__qualname__)
-    try:
-        return marshal.dumps((False, (*name, exc.__reduce__()[1])))
-    except ValueError:
-        return marshal.dumps((False, (*name, (str(exc),))))
-
-
-def _result(i: int, data: bytes, status: int):
-    """Job i's result from its child's pipe data; its error is raised again."""
-    try:
-        ok, value = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
-        raise ChildProcessError(
-            f"worker for job {i} died (wait status {status})") from None
-    if ok:
-        return value
-    raise _rebuild(*value)
-
-
-def _rebuild(module: str, qualname: str, args: tuple) -> BaseException:
-    """The exception a child reported, as its class and arguments."""
-    cls = sys.modules.get(module)
-    for name in qualname.split("."):
-        cls = getattr(cls, name, None)
-    if isinstance(cls, type) and issubclass(cls, BaseException):
-        try:
-            return cls(*args)
-        except Exception:  # a constructor that does not take its own args
-            pass
-    return ChildProcessError(f"{qualname}: {' '.join(map(str, args))}")

@@ -1,13 +1,19 @@
 """Fork-join over independent units: the experiment, the Lamport index
-and the census give the serial loop's results under any worker count,
-the first failing unit's error surfaces with its type and text, and no
-child outlives a call."""
+and the census give the serial loop's results under any worker count.
+The caller runs the first job and every job whose child did not deliver
+(it raised, was killed, could not be forked or returned what marshal
+cannot carry), so the first failing unit raises the serial loop's own
+exception, with its type, text, cause and traceback.  No child outlives
+a call, and the module adds no import at start."""
 
+import ast
+import errno
 import os
 import signal
 import subprocess
 import sys
 import time
+import traceback
 
 import pytest
 
@@ -15,7 +21,7 @@ import pofsig
 from pofsig import analysis, forkjoin
 from pofsig.adversary import ForgeryBudget, build_lamport_preimage_index
 from pofsig.analysis import ExperimentConfig, preimage_census, run_fda_experiment
-from pofsig.core import LamportParams, derive_wots_params
+from pofsig.core import BitString, LamportParams, derive_wots_params
 from pofsig.errors import BudgetExceeded, DomainError
 
 WP = derive_wots_params(6, 2, 4, 2)
@@ -84,10 +90,10 @@ def test_budget_refusal_comes_before_any_fork(cpus):
 
 
 @pytest.mark.parametrize("failing, first", [
-    ((5, 7), 5),  # the second child's job and the caller's own
-    ((8,), 8),  # the caller's job alone
+    ((5, 7), 5),  # both children's jobs
+    ((8,), 8),  # the last child's job alone
     ((1, 4, 8), 1),  # every job
-    ((4,), 4),  # one child's job
+    ((4,), 4),  # the first child's job
 ])
 def test_the_first_failing_trial_decides_the_error(cpus, monkeypatch, failing, first):
     trial_rng = analysis.trial_rng
@@ -98,7 +104,7 @@ def test_the_first_failing_trial_decides_the_error(cpus, monkeypatch, failing, f
         return trial_rng(master, t)
 
     monkeypatch.setattr(analysis, "trial_rng", failing_trial_rng)
-    forks = cpus(3)  # jobs: trials 0-2, 3-5, and 6-8 in the caller
+    forks = cpus(3)  # jobs: trials 0-2 in the caller, 3-5 and 6-8
     with pytest.raises(DomainError, match=f"^trial {first} failed$"):
         run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 2), 9, 1))
     assert len(forks) == 2
@@ -109,7 +115,7 @@ def test_an_interrupt_in_the_callers_job_kills_every_child(cpus, monkeypatch):
     trial_rng = analysis.trial_rng
 
     def interrupted(master, t):
-        if t >= 6:
+        if t < 3:
             raise KeyboardInterrupt
         time.sleep(60)  # the children are still busy when the caller stops
         return trial_rng(master, t)
@@ -123,37 +129,97 @@ def test_an_interrupt_in_the_callers_job_kills_every_child(cpus, monkeypatch):
     assert_no_child_left()
 
 
-def test_a_worker_killed_by_a_signal_is_an_os_error(cpus, monkeypatch):
-    trial_rng, caller = analysis.trial_rng, os.getpid()
+def test_a_worker_killed_by_a_signal_has_its_job_run_by_the_caller(cpus, monkeypatch):
+    trial_rng, caller, run_here = analysis.trial_rng, os.getpid(), []
 
     def killed(master, t):
-        if t == 0 and os.getpid() != caller:
+        if os.getpid() == caller:
+            run_here.append(t)
+        elif t == 2:
             os.kill(os.getpid(), signal.SIGKILL)
         return trial_rng(master, t)
 
     monkeypatch.setattr(analysis, "trial_rng", killed)
-    cpus(2)
-    with pytest.raises(ChildProcessError, match="worker for job 0 died"):
-        run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 2), 4, 1))
+    config = ExperimentConfig("lamport", LamportParams(8, 2), 4, 1)
+    cpus(1)
+    serial = run_fda_experiment(config)
+    forks = cpus(2)  # jobs: trials 0-1 in the caller, 2-3 in the child
+    run_here.clear()
+    assert run_fda_experiment(config) == serial
+    assert forks == [range(2, 4)] and run_here == [0, 1, 2, 3]
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_job_that_cannot_be_forked_is_run_by_the_caller(cpus, monkeypatch, call):
+    made, calls = getattr(os, call), []
+
+    def second_fails():
+        calls.append(call)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return made()
+
+    config = ExperimentConfig("lamport", LamportParams(8, 4), 500, 3)
+    cpus(1)
+    serial = run_fda_experiment(config)
+    forks = cpus(3)
+    monkeypatch.setattr(forkjoin.os, call, second_fails)
+    assert run_fda_experiment(config) == serial
+    assert len(forks) == 2 and len(calls) == 2
+    assert_no_child_left()
+
+
+class KeywordError(Exception):
+    """An error whose constructor does not take its own args."""
+
+    def __init__(self, text, *, key):
+        super().__init__(text)
+        self.key = key
 
 
 @pytest.mark.parametrize("exc", [
     BudgetExceeded("enumerating a " + "9" * 40 + "-bit\ndomain " + "x" * 300),
     FileNotFoundError(2, "No such file or directory", "missing.pk"),
     KeyError("k"),
-    DomainError(range(3)),  # an argument marshal cannot carry: sent as text
-], ids=["pofsig", "os", "builtin", "unmarshallable"])
+    DomainError(range(3)),  # an argument marshal cannot carry
+    KeywordError("no key", key=1),
+], ids=["pofsig", "os", "builtin", "unmarshallable", "keyword-only"])
 def test_a_childs_error_keeps_its_type_and_text(exc):
     def job(i):
-        if i == 0:
+        if i == 1:  # the first child's job
             raise exc
         return i
 
     with pytest.raises(type(exc)) as info:
-        forkjoin.fork_map(job, [0, 1])
+        forkjoin.fork_map(job, [0, 1, 2])
     assert type(info.value) is type(exc)
     assert str(info.value) == str(exc)
+    assert_no_child_left()
+
+
+def test_a_childs_error_keeps_its_cause_and_traceback():
+    def failing_job(i):
+        if i == 1:
+            raise DomainError("x") from KeyError("k")
+        return i
+
+    with pytest.raises(DomainError, match="^x$") as info:
+        forkjoin.fork_map(failing_job, [0, 1, 2])
+    assert type(info.value.__cause__) is KeyError
+    assert "failing_job" in [frame.name for frame in traceback.extract_tb(info.tb)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("result", [
+    lambda i: BitString.from_int(i, 8),
+    lambda i: range(i),
+], ids=["bitstring", "range"])
+def test_a_result_marshal_cannot_carry_is_the_serial_loops(result):
+    def job(i):
+        return result(i) if i == 1 else i
+
+    assert forkjoin.fork_map(job, [0, 1, 2]) == [job(i) for i in range(3)]
     assert_no_child_left()
 
 
@@ -163,6 +229,18 @@ def test_results_cross_the_pipe_exactly():
 
     assert forkjoin.fork_map(job, range(3)) == [job(i) for i in range(3)]
     assert_no_child_left()
+
+
+def test_forkjoin_imports_only_what_every_interpreter_has_loaded():
+    with open(forkjoin.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "marshal", "os", "sys", "typing"}
 
 
 def _run(*argv):
