@@ -5,8 +5,8 @@ space, exhaustive toy-scale forgery, signer-side forgery detection, and
 Monte Carlo validation of the detection-probability bounds.
 """
 
-from .core import BitString, LamportParams, WotsParams, derive_wots_params, pack_bits
-from .oracle import OracleTag, Seed, chain, f_step, oracle_eval
+from .core import BitString, LamportParams, WotsParams, derive_wots_params
+from .oracle import OracleTag, Seed, chain, oracle_eval
 from .lamport import (
     LamportKeyPair,
     LamportPublicKey,
@@ -27,7 +27,6 @@ from .adversary import (
     enumerate_preimages,
     forge_lamport,
     forge_wots,
-    sample_preimage,
 )
 from .analysis import (
     BoundsReport,

@@ -54,8 +54,6 @@ class ForgeryBudget:
 class PreimageSet:
     """The complete preimage set of one oracle output, in ascending input order."""
 
-    target: BitString
-    domain_bits: int
     members: tuple[BitString, ...] = field(repr=False)
 
     @property
@@ -76,11 +74,7 @@ def enumerate_preimages(
         x = BitString.from_int(v, domain_bits)
         if oracle_fn(x) == y0:
             members.append(x)
-    return PreimageSet(target=y0, domain_bits=domain_bits, members=tuple(members))
-
-
-def sample_preimage(ps: PreimageSet, rng: random.Random) -> BitString:
-    return _draw(ps.members, ps.target, rng)
+    return PreimageSet(tuple(members))
 
 
 def _draw(members, target: BitString, rng: random.Random):
@@ -190,7 +184,7 @@ def chain_preimages(
     else:
         row = chain_tops(params, r, b_star, budget)[b_star]
     members = tuple(BitString.from_int(v, bits) for v in _members(row, pk_value))
-    return PreimageSet(target=pk_value, domain_bits=bits, members=members)
+    return PreimageSet(members)
 
 
 def forge_wots(

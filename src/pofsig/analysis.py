@@ -18,7 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
+from .adversary import (
+    MAX_DOMAIN_BITS, ForgeryBudget, build_lamport_preimage_index, chain_tops, forge,
+)
 from .core import BitString, LamportParams, WotsParams, derive_wots_params, draw_bits
 from .errors import DomainError, InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
@@ -106,7 +108,7 @@ def fda_bounds(n: int, delta: int) -> BoundsReport:
         n=n,
         delta=delta,
         lower=math.exp(-(2.0 ** min(delta, 64))),  # 0.0 from delta = 10 on
-        upper=UPPER_BOUND_CONSTANT * 2.0 ** -delta,
+        upper=math.ldexp(UPPER_BOUND_CONSTANT, -delta),
         exact_expectation=exact_expectation(n, delta),
     )
 
@@ -210,11 +212,13 @@ def estimator_for(params: Params) -> str:
     EXACT_MOVES_PER_HASH moves per hash of the full chain table,
     "monte-carlo" otherwise.  The DP grows as l1^3 w^4 and the table as
     w 2^sk_bits, so large w (above all with delta = 0) falls back to the
-    0/1 count."""
+    0/1 count.  A depth wider than MAX_DOMAIN_BITS counts as
+    2^(MAX_DOMAIN_BITS+1) hashes: no sweep that wide runs, and the shift
+    stays small however large delta is."""
     if params.scheme == "wots":
         w = params.w
         moves = w * w * sum((i * (w - 1) + 1) ** 2 for i in range(params.l1))
-        hashes = sum(1 << params.value_bits(d) for d in range(w - 1))
+        hashes = sum(1 << min(params.value_bits(d), MAX_DOMAIN_BITS + 1) for d in range(w - 1))
         if moves <= EXACT_MOVES_PER_HASH * hashes:
             return "exact-given-r"
     return "monte-carlo"

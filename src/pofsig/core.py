@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar
 
 from .errors import EntropyError, InvalidParams
 
@@ -38,29 +38,11 @@ class BitString:
             raise InvalidParams("pad bits beyond bit_len must be zero")
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitString":
-        n = len(bits)
-        buf = bytearray((n + 7) // 8)
-        for k, b in enumerate(bits):
-            if b not in (0, 1):
-                raise InvalidParams(f"bit {k} is {b!r}, expected 0 or 1")
-            if b:
-                buf[k // 8] |= 1 << (7 - k % 8)
-        return cls(n, bytes(buf))
-
-    @classmethod
     def from_int(cls, value: int, bit_len: int) -> "BitString":
         if value < 0 or value >> bit_len:
             raise InvalidParams(f"{value} does not fit in {bit_len} bits")
         nbytes = (bit_len + 7) // 8
         return cls(bit_len, (value << (8 * nbytes - bit_len)).to_bytes(nbytes, "big"))
-
-    @classmethod
-    def zeros(cls, bit_len: int) -> "BitString":
-        return cls(bit_len, bytes((bit_len + 7) // 8))
-
-    def to_bits(self) -> list[int]:
-        return [(self.payload[k // 8] >> (7 - k % 8)) & 1 for k in range(self.bit_len)]
 
     def to_int(self) -> int:
         if self.bit_len == 0:
@@ -70,18 +52,6 @@ class BitString:
 
     def hex(self) -> str:
         return self.payload.hex()
-
-    def flip_bit(self, k: int) -> "BitString":
-        if not 0 <= k < self.bit_len:
-            raise InvalidParams(f"bit index {k} out of range")
-        buf = bytearray(self.payload)
-        buf[k // 8] ^= 1 << (7 - k % 8)
-        return BitString(self.bit_len, bytes(buf))
-
-
-def pack_bits(bits: Iterable[int]) -> BitString:
-    """Pack a 0/1 sequence MSB-first into a BitString."""
-    return BitString.from_bits(list(bits))
 
 
 def draw_bits(rng: random.Random, bit_len: int) -> BitString:
@@ -111,10 +81,6 @@ class LamportParams:
     def sk_bits(self) -> int:
         return self.n + self.delta
 
-    @property
-    def pk_bits(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class WotsParams:
@@ -137,10 +103,6 @@ class WotsParams:
     @property
     def sk_bits(self) -> int:
         return self.n + self.delta * (self.w - 1)
-
-    @property
-    def pk_bits(self) -> int:
-        return self.n
 
     def value_bits(self, pos: int) -> int:
         """Bit length of a chain value at position pos in {0..w-1}."""

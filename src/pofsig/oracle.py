@@ -173,16 +173,6 @@ def oracle_eval(tag: OracleTag, x: BitString, out_bits: int) -> BitString:
     return apply_step((tag_prefix(tag, out_bits, x.bit_len), out_bits), x)
 
 
-def f_step(params: WotsParams, r: Seed, i: int, x: BitString) -> BitString:
-    """One chain step: maps a position-(i-1) value to a position-i value.
-
-    Input width is n + delta*(w-i); output width shrinks by delta.
-    """
-    if not 1 <= i <= params.w - 1:
-        raise IndexError(f"chain step index {i} outside 1..{params.w - 1}")
-    return chain(params, r, i - 1, i, x)
-
-
 def chain(params: WotsParams, r: Seed, a: int, b: int, x: BitString) -> BitString:
     """Walk a value from chain position a up to position b (inclusive ends).
 

@@ -130,12 +130,15 @@ def test_criterion_7_scheme_correctness_and_tamper():
         kp = lamport.keygen(lp, rng)
         m = rng.getrandbits(1)
         sig = lamport.sign(kp, m)
-        bad = lamport.LamportSignature(sig.sigma.flip_bit(rng.randrange(lp.sk_bits)))
+        x, k = sig.sigma, rng.randrange(lp.sk_bits)
+        bad = lamport.LamportSignature(
+            BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len))
         rejections += lamport.verify(kp.public(), bad, m) == 0
     for kw, M, sig in wots_pairs[:500]:
         i = rng.randrange(wp.l)
         elems = list(sig.sigma)
-        elems[i] = elems[i].flip_bit(rng.randrange(elems[i].bit_len))
+        x, k = elems[i], rng.randrange(elems[i].bit_len)
+        elems[i] = BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len)
         rejections += wots.verify(kw.public(), wots.WotsSignature(tuple(elems)), M) == 0
     _report(
         "7 correctness + tamper rejection",

@@ -8,7 +8,6 @@ from pofsig import adversary, lamport, wots
 from pofsig.adversary import (
     MAX_DOMAIN_BITS,
     ForgeryBudget,
-    PreimageSet,
     build_lamport_preimage_index,
     chain_preimages,
     chain_tops,
@@ -16,7 +15,6 @@ from pofsig.adversary import (
     forge,
     forge_lamport,
     forge_wots,
-    sample_preimage,
 )
 from pofsig.analysis import exact_expectation
 from pofsig.core import BitString, LamportParams, derive_wots_params
@@ -146,25 +144,25 @@ class TestLamportIndex:
 
 
 class TestSample:
+    """``_draw``, the one sampling rule both forgers use."""
+
     def test_singleton(self):
         x = BitString.from_int(3, 4)
-        ps = PreimageSet(target=x, domain_bits=4, members=(x,))
         rng = random.Random(0)
-        assert all(sample_preimage(ps, rng) == x for _ in range(10))
+        assert all(adversary._draw((x,), x, rng) == x for _ in range(10))
 
     def test_empty_raises(self):
-        ps = PreimageSet(target=BitString.from_int(0, 4), domain_bits=4, members=())
         with pytest.raises(EmptyPreimageSet):
-            sample_preimage(ps, random.Random(0))
+            adversary._draw((), BitString.from_int(0, 4), random.Random(0))
 
     def test_uniform_over_members(self):
         members = tuple(BitString.from_int(v, 4) for v in (1, 5, 9, 13))
-        ps = PreimageSet(target=BitString.from_int(0, 4), domain_bits=4, members=members)
+        target = BitString.from_int(0, 4)
         rng = random.Random(8)
         counts = {m: 0 for m in members}
         draws = 10_000
         for _ in range(draws):
-            counts[sample_preimage(ps, rng)] += 1
+            counts[adversary._draw(members, target, rng)] += 1
         # each frequency within 3 sigma of 1/4
         sigma = (0.25 * 0.75 / draws) ** 0.5
         for c in counts.values():
@@ -176,7 +174,7 @@ class TestSample:
         ps = enumerate_preimages(lam_oracle(LP), y0, 10, BUDGET)
         rng = random.Random(4)
         for _ in range(5):
-            assert lamport.hash_secret(LP, sample_preimage(ps, rng)) == y0
+            assert lamport.hash_secret(LP, adversary._draw(ps.members, y0, rng)) == y0
 
 
 class TestForgeLamport:

@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from pofsig import analysis, wots
-from pofsig.adversary import ForgeryBudget, chain_preimages, chain_tops
+from pofsig.adversary import MAX_DOMAIN_BITS, ForgeryBudget, chain_preimages, chain_tops
 from pofsig.analysis import (
     ExperimentConfig,
     bound_constant,
@@ -217,6 +218,24 @@ class TestExactEstimator:
     )
     def test_estimator_follows_the_dp_cost(self, args, estimator):
         assert analysis.estimator_for(derive_wots_params(*args)) == estimator
+
+    def test_the_width_cap_changes_no_runnable_estimator(self):
+        # every point whose depths all fit the budget: the capped hash
+        # count picks what the plain sum of 2^value_bits(d) picks
+        seen = set()
+        for n, delta, nu in itertools.product(range(1, 9), range(5), range(1, 9)):
+            for L in (nu, 2 * nu, 4 * nu):
+                p = derive_wots_params(n, delta, L, nu)
+                if p.value_bits(0) > MAX_DOMAIN_BITS:
+                    continue
+                w = p.w
+                moves = w * w * sum((i * (w - 1) + 1) ** 2 for i in range(p.l1))
+                hashes = sum(1 << p.value_bits(d) for d in range(w - 1))
+                exact = moves <= analysis.EXACT_MOVES_PER_HASH * hashes
+                estimator = analysis.estimator_for(p)
+                assert estimator == ("exact-given-r" if exact else "monte-carlo")
+                seen.add(estimator)
+        assert seen == {"exact-given-r", "monte-carlo"}
 
     def test_exact_estimate_just_inside_the_dp_cost(self):
         r = run_fda_experiment(ExperimentConfig("wots", derive_wots_params(6, 1, 12, 3), 2, 3))

@@ -262,10 +262,24 @@ def test_cross_scheme_signature_is_invalid(tmp_path, lam_keys, wots_keys, capsys
     assert capsys.readouterr().out.strip() == "invalid"
 
 
-@pytest.mark.parametrize("n,delta", [(8, 1100), (1100, 0)])
+@pytest.mark.parametrize(
+    "n,delta", [(8, 1100), (1100, 0), pytest.param(8, 10**400, id="8-10**400")])
 def test_bounds_far_outside_float_range(n, delta, capsys):
     assert cli.main(["bounds", "--n", str(n), "--delta", str(delta)]) == 0
-    assert "exact expectation" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "exact expectation" in out
+    if delta > 1077:  # 5.22 * 2^-delta is below the smallest double
+        assert "upper bound:       0\n" in out
+
+
+def test_wots_experiment_wider_than_any_int_shift_is_refused(capsys):
+    # depth 0 is 8 + 3 * 10**30 bits wide: too wide for the estimator's 1 << bits
+    argv = ["experiment", "--scheme", "wots", "--n", "8", "--delta", str(10**30),
+            "--L", "4", "--nu", "2", "--trials", "1", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith("exceeds the 28-bit budget\n")
 
 
 def _forge_argv(pk, sig, known, target, out):

@@ -9,40 +9,40 @@ from pofsig.core import (
     LamportParams,
     WotsParams,
     derive_wots_params,
-    pack_bits,
 )
 from pofsig.errors import InvalidParams
 
 
 class TestPackBits:
+    """from_int packs a value MSB-first into whole bytes, pad bits zero."""
+
     def test_empty(self):
-        bs = pack_bits([])
+        bs = BitString.from_int(0, 0)
         assert bs.bit_len == 0
         assert bs.payload == b""
         assert BitString(0, b"").to_int() == 0
 
     def test_msb_first(self):
-        bs = pack_bits([1, 0, 1, 1])
+        bs = BitString.from_int(0b1011, 4)
         assert bs.bit_len == 4
         assert bs.payload == b"\xb0"
 
     def test_pad_bits_zero(self):
-        bs = pack_bits([1] * 9)
+        bs = BitString.from_int(0x1FF, 9)
         assert bs.bit_len == 9
         assert bs.payload == b"\xff\x80"
 
-    def test_rejects_non_bits(self):
-        with pytest.raises(InvalidParams):
-            pack_bits([0, 2, 1])
-
-    @given(st.lists(st.integers(0, 1), max_size=300))
-    def test_round_trip(self, bits):
-        assert pack_bits(bits).to_bits() == bits
+    @given(st.integers(0, 300).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, (1 << k) - 1))))
+    def test_round_trip(self, width_value):
+        k, v = width_value
+        bs = BitString.from_int(v, k)
+        assert len(bs.payload) == (k + 7) // 8
+        assert bs.to_int() == v
 
     def test_round_trip_large(self):
-        rng = random.Random(1234)
-        bits = [rng.getrandbits(1) for _ in range(10_000)]
-        assert pack_bits(bits).to_bits() == bits
+        v = random.Random(1234).getrandbits(10_000)
+        assert BitString.from_int(v, 10_000).to_int() == v
 
 
 class TestBitString:
@@ -66,22 +66,14 @@ class TestBitString:
         with pytest.raises(InvalidParams):
             BitString.from_int(16, 4)
 
-    def test_flip_bit(self):
-        bs = pack_bits([1, 0, 1, 1])
-        assert bs.flip_bit(1).to_bits() == [1, 1, 1, 1]
-        assert bs.flip_bit(0).to_bits() == [0, 0, 1, 1]
-        with pytest.raises(InvalidParams):
-            bs.flip_bit(4)
-
     def test_hex(self):
-        assert pack_bits([1, 0, 1, 1]).hex() == "b0"
+        assert BitString.from_int(0b1011, 4).hex() == "b0"
 
 
 class TestLamportParams:
     def test_lengths(self):
         p = LamportParams(8, 4)
         assert p.sk_bits == 12
-        assert p.pk_bits == 8
 
     @pytest.mark.parametrize("n,delta", [(0, 0), (-1, 2), (8, -1)])
     def test_rejects_bad(self, n, delta):
@@ -127,7 +119,6 @@ class TestDeriveWotsParams:
     def test_element_lengths(self):
         p = derive_wots_params(6, 1, 4, 2)
         assert p.sk_bits == 6 + 1 * 3
-        assert p.pk_bits == 6
         assert p.value_bits(0) == p.sk_bits
         assert p.value_bits(p.w - 1) == p.n
         for pos in (-1, p.w):

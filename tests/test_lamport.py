@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pofsig import lamport
-from pofsig.core import LamportParams
+from pofsig.core import BitString, LamportParams
 from pofsig.errors import DomainError, EntropyError
 
 P = LamportParams(16, 4)
@@ -73,7 +73,9 @@ def test_tampered_signature_rejected():
         kp = lamport.keygen(P, rng)
         m = rng.getrandbits(1)
         sig = lamport.sign(kp, m)
-        flipped = lamport.LamportSignature(sig.sigma.flip_bit(rng.randrange(P.sk_bits)))
+        x, k = sig.sigma, rng.randrange(P.sk_bits)
+        flipped = lamport.LamportSignature(
+            BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len))
         if lamport.verify(kp.public(), flipped, m) == 0:
             rejections += 1
     assert rejections >= 0.99 * trials

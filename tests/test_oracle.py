@@ -18,7 +18,6 @@ from pofsig.oracle import (
     chain,
     chain_steps,
     domain_images,
-    f_step,
     lamport_step,
     oracle_eval,
     tag_prefix,
@@ -99,43 +98,45 @@ class TestChain:
     params = derive_wots_params(6, 1, 4, 2)
     r = Seed(bytes(range(16)))
 
+    # The f-step cases: one chain step f_i is chain(params, r, i - 1, i, x).
+
     def test_f_step_lengths(self):
         x = BitString.from_int(0x1FF, 9)  # position 0 value: 6 + 1*3 bits
-        y = f_step(self.params, self.r, 1, x)
+        y = chain(self.params, self.r, 0, 1, x)
         assert y.bit_len == 8
-        z = f_step(self.params, self.r, 2, y)
+        z = chain(self.params, self.r, 1, 2, y)
         assert z.bit_len == 7
-        self._f_step_is_one_chain_step(self.params)
+        self._each_step_lands_on_its_width(self.params)
 
     def test_f_step_delta_zero_keeps_length(self):
         p0 = derive_wots_params(8, 0, 4, 2)
         x = BitString.from_int(0xAA, 8)
-        assert f_step(p0, self.r, 1, x).bit_len == 8
-        self._f_step_is_one_chain_step(p0)
+        assert chain(p0, self.r, 0, 1, x).bit_len == 8
+        self._each_step_lands_on_its_width(p0)
 
-    def _f_step_is_one_chain_step(self, params):
+    def _each_step_lands_on_its_width(self, params):
         rng = random.Random(5)
         for i in range(1, params.w):
             for _ in range(8):
                 bits = params.value_bits(i - 1)
                 x = BitString.from_int(rng.getrandbits(bits), bits)
-                assert f_step(params, self.r, i, x) == chain(params, self.r, i - 1, i, x)
+                assert chain(params, self.r, i - 1, i, x).bit_len == params.value_bits(i)
 
     def test_f_step_wrong_length(self):
         with pytest.raises(DomainError):
-            f_step(self.params, self.r, 1, BitString.from_int(0, 8))
+            chain(self.params, self.r, 0, 1, BitString.from_int(0, 8))
         for i in range(1, self.params.w):
             with pytest.raises(DomainError):
-                f_step(self.params, self.r, i, BitString.from_int(0, self.params.value_bits(i)))
-        self._f_step_is_one_chain_step(self.params)
+                chain(self.params, self.r, i - 1, i,
+                      BitString.from_int(0, self.params.value_bits(i)))
 
     def test_f_step_index_range(self):
+        # steps i = 0 and i = w are outside 1..w-1
         x = BitString.from_int(0, 9)
         with pytest.raises(IndexError):
-            f_step(self.params, self.r, 0, x)
+            chain(self.params, self.r, -1, 0, x)
         with pytest.raises(IndexError):
-            f_step(self.params, self.r, 4, x)
-        self._f_step_is_one_chain_step(self.params)
+            chain(self.params, self.r, 3, 4, x)
 
     def test_identity_at_equal_ends(self):
         x = BitString.from_int(0x55, 8)  # position 1 value

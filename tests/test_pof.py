@@ -81,8 +81,10 @@ class TestPof2:
     def test_tampered_pk_rejected(self):
         kp, E = self._evidence()
         # tamper the half that M_star = 1 actually selects
+        pk1 = E.pk.pk1
         bad_pk = lamport.LamportPublicKey(
-            E.pk.params, E.pk.pk0, E.pk.pk1.flip_bit(0)
+            E.pk.params, E.pk.pk0,
+            BitString.from_int(pk1.to_int() ^ (1 << (pk1.bit_len - 1)), pk1.bit_len),
         )
         tampered = PofEvidenceII(bad_pk, E.sigma_tilde_star, E.sigma_star, E.M_star)
         assert verify_pof2(tampered) == 0

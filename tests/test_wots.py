@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pofsig import wots
-from pofsig.core import BitString, derive_wots_params, pack_bits
+from pofsig.core import BitString, derive_wots_params
 from pofsig.errors import DomainError
 
 P = derive_wots_params(6, 1, 4, 2)  # w=4, l1=2, l2=2, l=4
@@ -16,18 +16,18 @@ def make_kp(seed=0, params=P):
 
 class TestEncoding:
     def test_to_base_w(self):
-        assert wots.to_base_w(pack_bits([1, 1, 0, 1]), P) == (3, 1)
+        assert wots.to_base_w(BitString.from_int(0b1101, 4), P) == (3, 1)
 
     def test_to_base_w_binary(self):
         p = derive_wots_params(8, 0, 2, 1)
-        assert wots.to_base_w(pack_bits([1, 0]), p) == (1, 0)
+        assert wots.to_base_w(BitString.from_int(0b10, 2), p) == (1, 0)
 
     def test_to_base_w_zero(self):
-        assert wots.to_base_w(BitString.zeros(4), P) == (0, 0)
+        assert wots.to_base_w(BitString.from_int(0, 4), P) == (0, 0)
 
     def test_to_base_w_wrong_length(self):
         with pytest.raises(DomainError):
-            wots.to_base_w(pack_bits([1, 0, 1]), P)
+            wots.to_base_w(BitString.from_int(0b101, 3), P)
 
     def test_checksum_maximal_digits(self):
         assert wots.checksum((3, 3), P) == (0, (0, 0))
@@ -40,10 +40,10 @@ class TestEncoding:
         assert wots.checksum((0,) * 8, p) == (8, (1, 0, 0, 0))
 
     def test_extend(self):
-        assert wots.extend(pack_bits([1, 1, 0, 1]), P) == (3, 1, 0, 2)
+        assert wots.extend(BitString.from_int(0b1101, 4), P) == (3, 1, 0, 2)
 
     def test_extend_zero_checksum(self):
-        assert wots.extend(pack_bits([1, 1, 1, 1]), P) == (3, 3, 0, 0)
+        assert wots.extend(BitString.from_int(0b1111, 4), P) == (3, 3, 0, 0)
 
     def test_checksum_never_overflows(self):
         for nu in (1, 2):
@@ -81,7 +81,7 @@ class TestScheme:
         kp = make_kp()
         # digits (3,3) with zero checksum: message chains fully walked,
         # checksum positions left at the secret value
-        sig = wots.sign(kp, pack_bits([1, 1, 1, 1]))
+        sig = wots.sign(kp, BitString.from_int(0b1111, 4))
         assert sig.sigma[0] == kp.pk[0]
         assert sig.sigma[1] == kp.pk[1]
         assert sig.sigma[2] == kp.sk[2]
@@ -89,18 +89,18 @@ class TestScheme:
 
     def test_sign_zero_message(self):
         kp = make_kp()
-        sig = wots.sign(kp, BitString.zeros(4))
+        sig = wots.sign(kp, BitString.from_int(0, 4))
         assert sig.sigma[0] == kp.sk[0]
         assert sig.sigma[1] == kp.sk[1]
 
     def test_sign_deterministic(self):
         kp = make_kp()
-        M = pack_bits([0, 1, 1, 0])
+        M = BitString.from_int(0b0110, 4)
         assert wots.sign(kp, M) == wots.sign(kp, M)
 
     def test_signature_element_lengths(self):
         kp = make_kp()
-        M = pack_bits([1, 0, 0, 1])
+        M = BitString.from_int(0b1001, 4)
         b = wots.extend(M, P)
         sig = wots.sign(kp, M)
         for b_i, s_i in zip(b, sig.sigma):
@@ -115,7 +115,7 @@ class TestScheme:
 
     def test_wrong_message_rejected(self):
         kp = make_kp(seed=3)
-        M = pack_bits([1, 1, 0, 1])
+        M = BitString.from_int(0b1101, 4)
         sig = wots.sign(kp, M)
         for v in range(16):
             M2 = BitString.from_int(v, 4)
@@ -125,22 +125,23 @@ class TestScheme:
     def test_tampered_element_rejected(self):
         rng = random.Random(2)
         kp = make_kp(seed=4)
-        M = pack_bits([0, 1, 1, 0])
+        M = BitString.from_int(0b0110, 4)
         sig = wots.sign(kp, M)
         rejected = 0
         for _ in range(100):
             i = rng.randrange(P.l)
             elems = list(sig.sigma)
-            elems[i] = elems[i].flip_bit(rng.randrange(elems[i].bit_len))
+            x, k = elems[i], rng.randrange(elems[i].bit_len)
+            elems[i] = BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len)
             if wots.verify(kp.public(), wots.WotsSignature(tuple(elems)), M) == 0:
                 rejected += 1
         assert rejected >= 99
 
     def test_structural_mismatch_verifies_zero(self):
         kp = make_kp()
-        M = pack_bits([0, 0, 1, 1])
+        M = BitString.from_int(0b0011, 4)
         sig = wots.sign(kp, M)
         # wrong element count
         assert wots.verify(kp.public(), wots.WotsSignature(sig.sigma[:-1]), M) == 0
         # wrong message length
-        assert wots.verify(kp.public(), sig, pack_bits([0, 0, 1])) == 0
+        assert wots.verify(kp.public(), sig, BitString.from_int(0b001, 3)) == 0
