@@ -33,7 +33,6 @@ from .analysis import (
     ExperimentConfig,
     ExperimentReport,
     ScenarioLog,
-    bound_constant,
     fda_bounds,
     preimage_census,
     run_fda_experiment,

@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Callable, Iterable, Optional
 
-from .core import BitString, LamportParams, WotsParams
+from .core import MAX_DOMAIN_BITS, BitString, LamportParams, WotsParams
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
 from .lamport import LamportPublicKey, LamportSignature
 from .oracle import Seed, chain, chain_steps, domain_images, lamport_step
 from .wots import WotsPublicKey, WotsSignature, extend
-
-MAX_DOMAIN_BITS = 28
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .adversary import (
-    MAX_DOMAIN_BITS, ForgeryBudget, build_lamport_preimage_index, chain_tops, forge,
-)
+from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
 from .core import BitString, LamportParams, WotsParams, derive_wots_params, draw_bits
-from .errors import DomainError, InvalidParams
+from .errors import InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
 from .oracle import Seed, apply_step, chain_steps, domain_images
 from .pof import SCHEMES, DetectionOutcome, KeyPair, PofEvidenceII, detect_forgery, verify_pof2
@@ -46,13 +44,6 @@ def exact_expectation(n: int, delta: int) -> float:
     per_bit = math.ldexp(math.log1p(-(2.0 ** -n)), n) if n <= 52 else -1.0
     log_term = math.ldexp(per_bit, min(delta, 64))
     return math.ldexp(1.0 - math.exp(log_term), -delta)
-
-
-def exact_expectation_by_summation(n: int, delta: int) -> float:
-    """Independent check: direct sum of pmf(k)/(1+k) over the binomial."""
-    trials = 2 ** (n + delta) - 1
-    pmf = binom_pmf(trials, 2.0 ** -n, trials)
-    return math.fsum(q / (1 + k) for k, q in enumerate(pmf))
 
 
 def binom_pmf(m: int, p: float, kmax: int) -> list[float]:
@@ -113,25 +104,6 @@ def fda_bounds(n: int, delta: int) -> BoundsReport:
     )
 
 
-def bound_constant(k: float) -> float:
-    """Coefficient of 2^-delta from the two-part tail bound: 1/(1-k)^2 + 1/k."""
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"k must lie strictly inside (0, 1), got {k}")
-    return 1.0 / (1.0 - k) ** 2 + 1.0 / k
-
-
-def minimize_bound_constant() -> tuple[float, float]:
-    """Minimum of the bound coefficient over (0, 1): (k_min, value).
-
-    Stationarity, 2k^2 = (1-k)^3, is the cubic k^3 - k^2 + 3k - 1 = 0.
-    Its derivative 3k^2 - 2k + 3 is always positive, so it has exactly
-    one real root, which Cardano's formula gives in closed form.
-    """
-    s = math.sqrt(513.0)
-    k = (1.0 + (s + 1.0) ** (1.0 / 3.0) - (s - 1.0) ** (1.0 / 3.0)) / 3.0
-    return k, bound_constant(k)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo forgery-detection experiment
 
@@ -142,7 +114,6 @@ class ExperimentConfig:
     params: Params
     trials: int
     master_seed: int
-    budget: ForgeryBudget = ForgeryBudget()
 
     def __post_init__(self):
         if self.scheme != self.params.scheme:
@@ -212,13 +183,11 @@ def estimator_for(params: Params) -> str:
     EXACT_MOVES_PER_HASH moves per hash of the full chain table,
     "monte-carlo" otherwise.  The DP grows as l1^3 w^4 and the table as
     w 2^sk_bits, so large w (above all with delta = 0) falls back to the
-    0/1 count.  A depth wider than MAX_DOMAIN_BITS counts as
-    2^(MAX_DOMAIN_BITS+1) hashes: no sweep that wide runs, and the shift
-    stays small however large delta is."""
+    0/1 count."""
     if params.scheme == "wots":
         w = params.w
         moves = w * w * sum((i * (w - 1) + 1) ** 2 for i in range(params.l1))
-        hashes = sum(1 << min(params.value_bits(d), MAX_DOMAIN_BITS + 1) for d in range(w - 1))
+        hashes = sum(1 << params.value_bits(d) for d in range(w - 1))
         if moves <= EXACT_MOVES_PER_HASH * hashes:
             return "exact-given-r"
     return "monte-carlo"
@@ -313,17 +282,18 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     comes from the estimator that ``estimator_for`` picks (see
     ``ExperimentReport``).  Contiguous runs of trials go to forked
     workers (``forkjoin``), and the report is the serial loop's for any
-    worker count.
+    worker count.  The parameters alone decide whether the run fits the
+    budget: every width it may sweep is checked before any trial runs.
     """
     params = config.params
-    exact = estimator_for(params) == "exact-given-r"
+    budget = ForgeryBudget()
     index = None
     if params.scheme == "lamport":
-        config.budget.check(params.sk_bits)
-        index = build_lamport_preimage_index(params)
-    elif exact:  # every trial sweeps every depth of its key's table
+        index = build_lamport_preimage_index(params)  # checks the domain first
+    else:  # a trial may sweep any depth of its key's table
         for d in range(params.w - 2, -1, -1):
-            config.budget.check(params.value_bits(d))
+            budget.check(params.value_bits(d))
+    exact = estimator_for(params) == "exact-given-r"
 
     def run_trials(trials: range) -> tuple[int, int, int, list[float]]:
         table = index
@@ -333,9 +303,9 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
             rng = trial_rng(config.master_seed, t)
             kp = SCHEMES[params.scheme].keygen(params, rng)
             if exact:
-                table = chain_tops(params, kp.r, 0, config.budget)
+                table = chain_tops(params, kp.r, 0, budget)
                 p_rs.append(undetected_probability(params, match_probabilities(params, table)))
-            outcome = _forgery_trial(kp, rng, config.budget, table)
+            outcome = _forgery_trial(kp, rng, budget, table)
             if outcome.detected:
                 E = outcome.evidence
                 evidence_ok += verify_pof2(E)

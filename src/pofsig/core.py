@@ -12,6 +12,10 @@ from typing import ClassVar
 
 from .errors import EntropyError, InvalidParams
 
+# The widest exhaustive sweep, and the most hashes one key may take to
+# build: 2^28 is minutes on a desktop.
+MAX_DOMAIN_BITS = 28
+
 
 @dataclass(frozen=True)
 class BitString:
@@ -116,7 +120,8 @@ def derive_wots_params(n: int, delta: int, L: int, nu: int) -> WotsParams:
 
     l2 is the number of base-w digits needed for the maximum checksum
     l1*(w-1): floor(log2(l1*(w-1)))/nu + 1, computed in exact integer
-    arithmetic.
+    arithmetic.  A key whose keygen takes more than 2^MAX_DOMAIN_BITS
+    hashes (l chains of w-1 steps) is refused.
     """
     if n < 1 or delta < 0 or L < 1 or nu < 1:
         raise InvalidParams("need n >= 1, delta >= 0, L >= 1, nu >= 1")
@@ -130,4 +135,8 @@ def derive_wots_params(n: int, delta: int, L: int, nu: int) -> WotsParams:
     # floor(log2(x)) == x.bit_length() - 1 for x >= 1
     l2 = (l1 * (w - 1)).bit_length() - 1
     l2 = l2 // nu + 1
-    return WotsParams(n=n, delta=delta, L=L, nu=nu, w=w, l1=l1, l2=l2, l=l1 + l2)
+    l = l1 + l2
+    if l * (w - 1) > 1 << MAX_DOMAIN_BITS:
+        raise InvalidParams(
+            f"a key of {l} chains of {w - 1} steps exceeds 2^{MAX_DOMAIN_BITS} hashes")
+    return WotsParams(n=n, delta=delta, L=L, nu=nu, w=w, l1=l1, l2=l2, l=l)

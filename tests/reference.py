@@ -1,0 +1,36 @@
+"""Reference computations that tests compare pofsig's own values against.
+
+None of these runs in pofsig itself: they are the independent checks of
+the closed-form expectation and of the 5.22 bound constant.
+"""
+
+import math
+
+from pofsig.analysis import binom_pmf
+from pofsig.errors import DomainError
+
+
+def exact_expectation_by_summation(n: int, delta: int) -> float:
+    """Independent check: direct sum of pmf(k)/(1+k) over the binomial."""
+    trials = 2 ** (n + delta) - 1
+    pmf = binom_pmf(trials, 2.0 ** -n, trials)
+    return math.fsum(q / (1 + k) for k, q in enumerate(pmf))
+
+
+def bound_constant(k: float) -> float:
+    """Coefficient of 2^-delta from the two-part tail bound: 1/(1-k)^2 + 1/k."""
+    if not 0.0 < k < 1.0:
+        raise DomainError(f"k must lie strictly inside (0, 1), got {k}")
+    return 1.0 / (1.0 - k) ** 2 + 1.0 / k
+
+
+def minimize_bound_constant() -> tuple[float, float]:
+    """Minimum of the bound coefficient over (0, 1): (k_min, value).
+
+    Stationarity, 2k^2 = (1-k)^3, is the cubic k^3 - k^2 + 3k - 1 = 0.
+    Its derivative 3k^2 - 2k + 3 is always positive, so it has exactly
+    one real root, which Cardano's formula gives in closed form.
+    """
+    s = math.sqrt(513.0)
+    k = (1.0 + (s + 1.0) ** (1.0 / 3.0) - (s - 1.0) ** (1.0 / 3.0)) / 3.0
+    return k, bound_constant(k)

@@ -14,9 +14,6 @@ from pofsig import lamport, serial, wots
 from pofsig.adversary import ForgeryBudget
 from pofsig.analysis import (
     ExperimentConfig,
-    bound_constant,
-    exact_expectation_by_summation,
-    minimize_bound_constant,
     preimage_census,
     run_fda_experiment,
     run_scenario,
@@ -24,6 +21,7 @@ from pofsig.analysis import (
 from pofsig.core import BitString, LamportParams, derive_wots_params
 from pofsig.errors import FormatError
 from pofsig.pof import PofEvidenceI, PofEvidenceII
+from reference import bound_constant, exact_expectation_by_summation, minimize_bound_constant
 
 
 def _report(name, ok, detail=""):

@@ -5,15 +5,12 @@ import random
 import pytest
 
 from pofsig import analysis, wots
-from pofsig.adversary import MAX_DOMAIN_BITS, ForgeryBudget, chain_preimages, chain_tops
+from pofsig.adversary import ForgeryBudget, chain_preimages, chain_tops
 from pofsig.analysis import (
     ExperimentConfig,
-    bound_constant,
     exact_expectation,
-    exact_expectation_by_summation,
     fda_bounds,
     match_probabilities,
-    minimize_bound_constant,
     preimage_census,
     run_fda_experiment,
     run_scenario,
@@ -24,6 +21,7 @@ from pofsig.core import BitString, LamportParams, derive_wots_params
 from pofsig.errors import BudgetExceeded, DomainError, InvalidParams
 from pofsig.oracle import chain, chain_steps
 from pofsig.pof import verify_pof2
+from reference import bound_constant, exact_expectation_by_summation, minimize_bound_constant
 
 WP = derive_wots_params(6, 2, 4, 2)
 
@@ -219,15 +217,12 @@ class TestExactEstimator:
     def test_estimator_follows_the_dp_cost(self, args, estimator):
         assert analysis.estimator_for(derive_wots_params(*args)) == estimator
 
-    def test_the_width_cap_changes_no_runnable_estimator(self):
-        # every point whose depths all fit the budget: the capped hash
-        # count picks what the plain sum of 2^value_bits(d) picks
+    def test_the_estimator_is_the_plain_cost_formula(self):
+        # DP moves against the plain sum of 2^value_bits(d) table hashes
         seen = set()
         for n, delta, nu in itertools.product(range(1, 9), range(5), range(1, 9)):
             for L in (nu, 2 * nu, 4 * nu):
                 p = derive_wots_params(n, delta, L, nu)
-                if p.value_bits(0) > MAX_DOMAIN_BITS:
-                    continue
                 w = p.w
                 moves = w * w * sum((i * (w - 1) + 1) ** 2 for i in range(p.l1))
                 hashes = sum(1 << p.value_bits(d) for d in range(w - 1))
@@ -250,8 +245,8 @@ class TestExactEstimator:
         assert "monte carlo:" not in analysis.report_text(r)
 
     def test_depth0_width_over_the_budget_raises(self):
-        cfg = ExperimentConfig("wots", WP, 3, 0, budget=ForgeryBudget(max_domain_bits=11))
-        with pytest.raises(BudgetExceeded):
+        cfg = ExperimentConfig("wots", derive_wots_params(20, 3, 4, 2), 3, 0)  # depth 0: 29 bits
+        with pytest.raises(BudgetExceeded, match="29-bit domain exceeds the 28-bit budget"):
             run_fda_experiment(cfg)
 
     def test_report_text_shows_both_estimates(self):

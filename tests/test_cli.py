@@ -273,13 +273,27 @@ def test_bounds_far_outside_float_range(n, delta, capsys):
 
 
 def test_wots_experiment_wider_than_any_int_shift_is_refused(capsys):
-    # depth 0 is 8 + 3 * 10**30 bits wide: too wide for the estimator's 1 << bits
+    # depth 0 is 8 + 3 * 10**30 bits wide: refused before the estimator's 1 << bits
     argv = ["experiment", "--scheme", "wots", "--n", "8", "--delta", str(10**30),
             "--L", "4", "--nu", "2", "--trials", "1", "--seed", "1"]
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: ") and err.endswith("exceeds the 28-bit budget\n")
+
+
+@pytest.mark.parametrize("command", ["experiment", "keygen"])
+def test_wots_key_of_more_than_2_to_the_28_hashes_is_refused(tmp_path, capsys, command):
+    # l chains of w-1 steps, l ~ 5 * 10**29: refused before any chain is walked
+    argv = [command, "--scheme", "wots", "--n", "8", "--delta", "1", "--L", str(10**30),
+            "--nu", "2", "--seed", "1"]
+    argv += (["--trials", "1"] if command == "experiment"
+             else ["--sk-out", str(tmp_path / "sk"), "--pk-out", str(tmp_path / "pk")])
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith("exceeds 2^28 hashes\n")
+    assert not any(tmp_path.iterdir())
 
 
 def _forge_argv(pk, sig, known, target, out):

@@ -116,6 +116,14 @@ class TestDeriveWotsParams:
         with pytest.raises(InvalidParams):
             derive_wots_params(4, 0, 9, 9)
 
+    def test_rejects_a_key_of_more_than_2_to_the_28_hashes(self):
+        # keygen walks l chains of w-1 steps: refused before any is built
+        assert derive_wots_params(8, 1, 4096, 2).l == 2055
+        with pytest.raises(InvalidParams, match="exceeds 2\\^28 hashes"):
+            derive_wots_params(8, 1, 10**30, 2)
+        with pytest.raises(InvalidParams):
+            derive_wots_params(8, 1, 8 << 28, 8)  # l1 = 2^28 chains of 255 steps
+
     def test_element_lengths(self):
         p = derive_wots_params(6, 1, 4, 2)
         assert p.sk_bits == 6 + 1 * 3

@@ -11,6 +11,9 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+from pofsig import analysis
+from pofsig.core import LamportParams, derive_wots_params
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "behaviour_fingerprint.py"
 
 FROZEN = {
@@ -27,13 +30,13 @@ FROZEN = {
     "cli.wots.2a":
         "5bdbf9116a679a69f30cfa4a95d056a3e0643515adee83555bd2e895caa5d9a0",
     "experiment.lamport.42":
-        "7a3804572803608f4da9b096c42ff31e6c9551021320d39810a0a1573dd5f7f0",
+        "b941896c987c053f1e39ef6393b8d1bf3a1d9b4f0e694978dd5a60cf42db4932",
     "experiment.lamport.7":
-        "b440a14b399f0a2363449a0ce6d9e4b39e81ce85f799823b7d34154ca20d2790",
+        "e073a0c833a2a55e50da77d317a6ca645350481e00215f6f5d5cf5809af757ce",
     "experiment.wots.42":
-        "32595d4b689179ce870d960ba24338778c1db58ad5094041e83d6486e58f614a",
+        "ac29319dd7749bca1371b08d662fb1abcad6e79d5773338f9dd2c56b182183fb",
     "experiment.wots.7":
-        "ae9dd6671ec6d0a4c87e2d9ff30879ab7352392a4b32ae0f9d9581b35cee3c74",
+        "a1a11d5ff3e57878ce86d74e6ea23cda5521d5568726745f5b0f5ac3061beeb0",
     "census.8.0":
         "877d21622a9edd21404dd4e613868a48f4b108f93ea73fb206d71c8002ef8ab2",
     "census.8.2":
@@ -111,7 +114,7 @@ FROZEN = {
     "scenario.wots.2.exact-sk.5":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
 }
-FROZEN_ALL = "7436d453ab50a610a6803c855dadb18b5abe8492ec59fa1d7a8529509b5fc9fb"
+FROZEN_ALL = "fe5b6e7f2b135d014048fa377ab35932d9a519f049ad59aac3b4261f3f175378"
 
 
 def _load_tool():
@@ -132,3 +135,23 @@ def test_seeded_outputs_match_frozen_digests():
         seen.append(name)
     assert seen == list(FROZEN)
     assert total.hexdigest() == FROZEN_ALL
+
+
+# The text and CSV renderings of the fingerprint's four experiments: the
+# fingerprint digests their repr, so these pin what `pofsig experiment`
+# prints, line for line.
+REPORTS = {
+    ("lamport", 0x2A): "99eed1dec68fee81ca42ca16a9bf6c5136c0ce69b9c8a562e6bf3c1ecd5e4154",
+    ("lamport", 7): "077773294591b1fa460f8bec3d04008e748dc5a6bf172c868b307ad49b37377a",
+    ("wots", 0x2A): "efdc613daddc6838c37ea9509f6ced695227efc3352672e1f2b094a217be8be7",
+    ("wots", 7): "2b54457078595c87f4b1f4ea2a08e5bd574fdee84b2d24293054247202b9607f",
+}
+
+
+def test_report_text_and_csv_match_frozen_digests():
+    params = {"lamport": (LamportParams(8, 6), 3000), "wots": (derive_wots_params(6, 2, 4, 2), 60)}
+    for (scheme, seed), frozen in REPORTS.items():
+        p, trials = params[scheme]
+        r = analysis.run_fda_experiment(analysis.ExperimentConfig(scheme, p, trials, seed))
+        text = "\n".join([analysis.report_text(r), analysis.CSV_HEADER, analysis.csv_row(r), ""])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == frozen, (scheme, seed)

@@ -19,7 +19,7 @@ import pytest
 
 import pofsig
 from pofsig import analysis, forkjoin
-from pofsig.adversary import ForgeryBudget, build_lamport_preimage_index
+from pofsig.adversary import build_lamport_preimage_index
 from pofsig.analysis import ExperimentConfig, preimage_census, run_fda_experiment
 from pofsig.core import BitString, LamportParams, derive_wots_params
 from pofsig.errors import BudgetExceeded, DomainError
@@ -80,13 +80,19 @@ def test_sweeps_too_small_to_pay_for_a_fork_run_inline(cpus):
 
 
 def test_budget_refusal_comes_before_any_fork(cpus):
-    # every trial would sweep a 12-bit depth-0 row: the parameters alone decide
-    for k in (1, 3):
-        forks = cpus(k)
-        with pytest.raises(BudgetExceeded, match="12-bit domain exceeds the 11-bit budget"):
-            run_fda_experiment(ExperimentConfig("wots", WP, 3, 0, budget=ForgeryBudget(11)))
-        assert forks == []
-        assert_no_child_left()
+    # the parameters alone decide: (20,3,4,2) has a 29-bit depth 0; at w = 256
+    # depth 234 is 29 bits, refused whether or not some trial would invert that
+    # deep, and whichever estimator the DP cost would pick (the 0/1 count at
+    # L = 96 if widths were capped)
+    for args, trials, seed in (((20, 3, 4, 2), 3, 0), ((8, 1, 16, 8), 4, 1),
+                               ((8, 1, 96, 8), 4, 1)):
+        config = ExperimentConfig("wots", derive_wots_params(*args), trials, seed)
+        for k in (1, 3):
+            forks = cpus(k)
+            with pytest.raises(BudgetExceeded, match="29-bit domain exceeds the 28-bit budget"):
+                run_fda_experiment(config)
+            assert forks == [], args
+            assert_no_child_left()
 
 
 @pytest.mark.parametrize("failing, first", [

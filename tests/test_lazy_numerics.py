@@ -15,9 +15,9 @@ from scipy import stats
 import pofsig
 from pofsig.analysis import binom_pmf, chi2_sf, preimage_census
 
-# Runs in a fresh interpreter: every subcommand through cli.main, the
-# census and the pmf-sum check, then the names of the numpy and scipy
-# modules that got loaded, and those of the process-pool packages.
+# Runs in a fresh interpreter: every subcommand through cli.main and the
+# census, then the names of the numpy and scipy modules that got loaded,
+# and those of the process-pool packages.
 CHILD = """\
 import contextlib, io, os, sys, tempfile
 import pofsig
@@ -40,7 +40,6 @@ with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO(
         ["verify-pof", "--pof", pof],
     )]
 census = analysis.preimage_census(8, 2, 30, 1)
-summed = analysis.exact_expectation_by_summation(8, 2)
 print(codes)
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))

@@ -5,9 +5,13 @@ and property of such a class, must be referred to somewhere else in
 ``src/pofsig`` (outside ``__init__.py``, whose re-exports do not count),
 in ``bench/*.py`` or in ``tools/*.py``.  A reference is a name, an
 attribute, an imported name, or a string constant spelling the name
-(``bench/spans.py`` wraps functions by name).  The two reference
-computations that tests compare the fast paths against are the only
-exceptions.
+(``bench/spans.py`` wraps functions by name).
+
+Every defaulted parameter of such a function or method, and every
+defaulted field of a public dataclass, must be passed by some call in
+those same files: an option that only tests set is test-only API too.
+A call passes it by keyword, positionally at or past its index, or
+through ``*args`` or ``**kwargs``; calls are matched by callee name.
 """
 
 import ast
@@ -15,7 +19,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pofsig"
-REFERENCE_COMPUTATIONS = {"exact_expectation_by_summation", "minimize_bound_constant"}
 
 
 def _public_definitions(tree):
@@ -41,16 +44,100 @@ def _references(tree):
             yield node.value
 
 
-def test_every_public_name_in_src_is_used_outside_the_tests():
+def _parameter_defaults(fn, skip):
+    """(parameter, call position or None) for fn's defaulted parameters;
+    skip is the number of leading parameters a call does not spell (self)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _field_defaults(cls):
+    """(field, call position) for a dataclass's defaulted fields."""
+    fields = [
+        s for s in cls.body
+        if isinstance(s, ast.AnnAssign) and "ClassVar" not in ast.unparse(s.annotation)
+    ]
+    for i, s in enumerate(fields):
+        value = s.value
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+            if not any(k.arg in ("default", "default_factory") for k in value.keywords):
+                continue
+        if value is not None:
+            yield s.target.id, i
+
+
+def _defaults(tree):
+    """(owner, callee, parameter, call position) for every defaulted
+    parameter of a public function or method and field of a public dataclass."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            for param, i in _parameter_defaults(node, 0):
+                yield node.name, node.name, param, i
+        elif isinstance(node, ast.ClassDef):
+            if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                for param, i in _field_defaults(node):
+                    yield node.name, node.name, param, i
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    static = any(ast.unparse(d) == "staticmethod" for d in m.decorator_list)
+                    for param, i in _parameter_defaults(m, 0 if static else 1):
+                        yield f"{node.name}.{m.name}", m.name, param, i
+
+
+def _passes(call, param, position):
+    if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == position:
+            return True
+    return False
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _sources():
     modules = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
     callers = [t for p, t in modules.items() if p.name != "__init__.py"]
     for p in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")):
         callers.append(ast.parse(p.read_text(encoding="utf-8")))
+    return modules, callers
+
+
+def test_every_public_name_in_src_is_used_outside_the_tests():
+    modules, callers = _sources()
     used = {name for tree in callers for name in _references(tree)}
     unused = [
         f"src/pofsig/{path.name}:{node.lineno} {node.name}"
         for path, tree in modules.items()
         for node in _public_definitions(tree)
-        if node.name not in used and node.name not in REFERENCE_COMPUTATIONS
+        if node.name not in used
     ]
     assert not unused, "only tests reach:\n" + "\n".join(unused)
+
+
+def test_every_defaulted_parameter_in_src_is_passed_outside_the_tests():
+    modules, callers = _sources()
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    unset = [
+        f"{path.name} {owner}.{param}"
+        for path, tree in modules.items()
+        for owner, callee, param, position in _defaults(tree)
+        if not any(_passes(call, param, position) for call in calls.get(callee, ()))
+    ]
+    assert not unset, "only tests set:\n" + "\n".join(unset)

@@ -196,6 +196,11 @@ class TestMalformed:
         with pytest.raises(FormatError, match="do not match"):
             serial.loads("\n".join(lines))
 
+    def test_key_of_more_than_2_to_the_28_hashes(self):
+        text = serial.dump_secret_key(wots_kp()).replace("L: 4", f"L: {10**30}", 1)
+        with pytest.raises(FormatError, match="invalid parameters"):
+            serial.loads(text)
+
     def test_chain_index_wider_than_u8(self):
         # nu=9 needs chain indices up to 511; the oracle stores them as u8.
         # L=9 gives l=2, so the file carries r, pk.1 and pk.2.
