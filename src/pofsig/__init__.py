@@ -5,14 +5,10 @@ space, exhaustive toy-scale forgery, signer-side forgery detection, and
 Monte Carlo validation of the detection-probability bounds.
 """
 
-from .core import BitString, LamportParams, WotsParams, derive_wots_params
-from .oracle import OracleTag, Seed, chain, oracle_eval
-from .lamport import (
-    LamportKeyPair,
-    LamportPublicKey,
-    LamportSignature,
+from .core import (
+    BitString, KeyPair, LamportParams, PublicKey, Signature, WotsParams, derive_wots_params,
 )
-from .wots import WotsKeyPair, WotsPublicKey, WotsSignature
+from .oracle import OracleTag, Seed, chain, oracle_eval
 from .pof import (
     DetectionOutcome,
     PofEvidenceI,

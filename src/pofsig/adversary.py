@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Callable, Iterable, Optional
 
-from .core import MAX_DOMAIN_BITS, BitString, LamportParams, WotsParams
+from .core import MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Signature, WotsParams
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
-from .lamport import LamportPublicKey, LamportSignature
 from .oracle import Seed, chain, chain_steps, domain_images, lamport_step
-from .wots import WotsPublicKey, WotsSignature, extend
+from .wots import extend
 
 
 @dataclass(frozen=True)
@@ -117,29 +116,29 @@ def build_lamport_preimage_index(params: LamportParams) -> dict[int, array]:
 
 
 def forge_lamport(
-    pk: LamportPublicKey,
+    pk: PublicKey,
     known_m: int,
-    known_sig: LamportSignature,
+    known_sig: Signature,
     m_star: int,
     budget: ForgeryBudget,
     rng: random.Random,
     index: Optional[dict[int, array]] = None,
-) -> LamportSignature:
+) -> Signature:
     """Invert the public half for the target bit and emit a random preimage.
 
     The output verifies unconditionally; whether it coincides with the
     signer's own secret half is exactly the detection-failure event.
     """
-    if m_star == known_m:
-        raise DomainError("target message must differ from the signed one")
+    if not isinstance(m_star, int) or m_star not in (0, 1) or m_star == known_m:
+        raise DomainError(f"target message must be the bit not signed, got {m_star!r}")
     bits = pk.params.sk_bits
     budget.check(bits)
-    y0 = pk.half(m_star)
+    y0 = pk.pk[m_star]
     if index is None:
         members = _members(domain_images(lamport_step(pk.params.n, bits), bits), y0)
     else:
         members = index.get(y0.to_int(), ())
-    return LamportSignature(BitString.from_int(_draw(members, y0, rng), bits))
+    return Signature((BitString.from_int(_draw(members, y0, rng), bits),))
 
 
 def chain_tops(
@@ -186,14 +185,14 @@ def chain_preimages(
 
 
 def forge_wots(
-    pk: WotsPublicKey,
+    pk: PublicKey,
     known_M: BitString,
-    known_sig: WotsSignature,
+    known_sig: Signature,
     M_star: BitString,
     budget: ForgeryBudget,
     rng: random.Random,
     tops: Optional[dict[int, list[int]]] = None,
-) -> WotsSignature:
+) -> Signature:
     """Forge a signature for M_star from one observed message-signature pair.
 
     Positions whose target depth is not below the known depth are
@@ -218,7 +217,7 @@ def forge_wots(
         else:
             v = _draw(_members(tops[b_star[i]], pk.pk[i]), pk.pk[i], rng)
             sigma_star.append(BitString.from_int(v, params.value_bits(b_star[i])))
-    return WotsSignature(tuple(sigma_star))
+    return Signature(tuple(sigma_star))
 
 
 def forge(

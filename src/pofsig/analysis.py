@@ -16,19 +16,17 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
-from .core import BitString, LamportParams, WotsParams, derive_wots_params, draw_bits
+from .core import BitString, KeyPair, Params, WotsParams, derive_wots_params, draw_bits
 from .errors import InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
 from .oracle import Seed, apply_step, chain_steps, domain_images
-from .pof import SCHEMES, DetectionOutcome, KeyPair, PofEvidenceII, detect_forgery, verify_pof2
+from .pof import SCHEMES, DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
 from .wots import digits
 
 UPPER_BOUND_CONSTANT = 5.22
-
-Params = Union[LamportParams, WotsParams]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Bit-exact bit strings and scheme parameters.
+"""Bit-exact bit strings, scheme parameters, and the key and signature
+shapes that both schemes share.
 
 All lengths are carried in bits, never inferred from byte counts, so
 excess widths that are not byte-aligned work everywhere.
@@ -7,14 +8,18 @@ excess widths that are not byte-aligned work everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional, Union
 
 from .errors import EntropyError, InvalidParams
 
 # The widest exhaustive sweep, and the most hashes one key may take to
 # build: 2^28 is minutes on a desktop.
 MAX_DOMAIN_BITS = 28
+
+# The widest value a key may hold, 8 KiB: one oracle call then hashes at
+# most 256 counter blocks, however the parameters were written.
+MAX_VALUE_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,7 @@ class LamportParams:
             raise InvalidParams("n must be >= 1")
         if self.delta < 0:
             raise InvalidParams("delta must be >= 0")
+        _check_value_bits(self.sk_bits)
 
     @property
     def sk_bits(self) -> int:
@@ -88,10 +94,14 @@ class LamportParams:
 
 @dataclass(frozen=True)
 class WotsParams:
-    """Winternitz scheme parameters with derived block/chain quantities.
+    """Winternitz scheme parameters: n, delta, L and nu, from which
+    w = 2^nu, l1, l2 and l are derived and checked.
 
-    Construct via :func:`derive_wots_params`; the derived fields (w, l1,
-    l2, l) are part of the value so that equality is structural.
+    l2 is the number of base-w digits needed for the maximum checksum
+    l1*(w-1): floor(log2(l1*(w-1)))/nu + 1, computed in exact integer
+    arithmetic.  A key whose keygen takes more than 2^MAX_DOMAIN_BITS
+    hashes (l chains of w-1 steps) is refused.  The derived fields are
+    part of the value, so that equality is structural.
     """
 
     scheme: ClassVar[str] = "wots"
@@ -99,10 +109,31 @@ class WotsParams:
     delta: int
     L: int
     nu: int
-    w: int
-    l1: int
-    l2: int
-    l: int
+    w: int = field(init=False)
+    l1: int = field(init=False)
+    l2: int = field(init=False)
+    l: int = field(init=False)
+
+    def __post_init__(self):
+        n, delta, L, nu = self.n, self.delta, self.L, self.nu
+        if n < 1 or delta < 0 or L < 1 or nu < 1:
+            raise InvalidParams("need n >= 1, delta >= 0, L >= 1, nu >= 1")
+        if L % nu != 0:
+            raise InvalidParams(f"L={L} must be a multiple of nu={nu}")
+        if nu > 8:
+            # the oracle layout stores the chain index, up to w-1, as a u8
+            raise InvalidParams(f"nu={nu} > 8 needs chain indices above 255")
+        w = 2 ** nu
+        l1 = (L + nu - 1) // nu
+        # floor(log2(x)) == x.bit_length() - 1 for x >= 1
+        l2 = ((l1 * (w - 1)).bit_length() - 1) // nu + 1
+        l = l1 + l2
+        if l * (w - 1) > 1 << MAX_DOMAIN_BITS:
+            raise InvalidParams(
+                f"a key of {l} chains of {w - 1} steps exceeds 2^{MAX_DOMAIN_BITS} hashes")
+        for name, value in (("w", w), ("l1", l1), ("l2", l2), ("l", l)):
+            object.__setattr__(self, name, value)
+        _check_value_bits(self.sk_bits)
 
     @property
     def sk_bits(self) -> int:
@@ -115,28 +146,46 @@ class WotsParams:
         return self.n + self.delta * (self.w - 1 - pos)
 
 
-def derive_wots_params(n: int, delta: int, L: int, nu: int) -> WotsParams:
-    """Fill in w = 2^nu, l1, l2 and l from the base parameters.
+# The name callers build WOTS parameters by, positionally.
+derive_wots_params = WotsParams
 
-    l2 is the number of base-w digits needed for the maximum checksum
-    l1*(w-1): floor(log2(l1*(w-1)))/nu + 1, computed in exact integer
-    arithmetic.  A key whose keygen takes more than 2^MAX_DOMAIN_BITS
-    hashes (l chains of w-1 steps) is refused.
-    """
-    if n < 1 or delta < 0 or L < 1 or nu < 1:
-        raise InvalidParams("need n >= 1, delta >= 0, L >= 1, nu >= 1")
-    if L % nu != 0:
-        raise InvalidParams(f"L={L} must be a multiple of nu={nu}")
-    if nu > 8:
-        # the oracle layout stores the chain index, up to w-1, as a u8
-        raise InvalidParams(f"nu={nu} > 8 needs chain indices above 255")
-    w = 2 ** nu
-    l1 = (L + nu - 1) // nu
-    # floor(log2(x)) == x.bit_length() - 1 for x >= 1
-    l2 = (l1 * (w - 1)).bit_length() - 1
-    l2 = l2 // nu + 1
-    l = l1 + l2
-    if l * (w - 1) > 1 << MAX_DOMAIN_BITS:
+Params = Union[LamportParams, WotsParams]
+
+
+def _check_value_bits(sk_bits: int) -> None:
+    """Refuse parameters whose widest value, the secret, exceeds MAX_VALUE_BITS."""
+    if sk_bits > MAX_VALUE_BITS:
         raise InvalidParams(
-            f"a key of {l} chains of {w - 1} steps exceeds 2^{MAX_DOMAIN_BITS} hashes")
-    return WotsParams(n=n, delta=delta, L=L, nu=nu, w=w, l1=l1, l2=l2, l=l)
+            f"secret values of {sk_bits} bits exceed the {MAX_VALUE_BITS}-bit cap")
+
+
+@dataclass(frozen=True)
+class PublicKey:
+    """The images of a key's secret values, one shape for both schemes:
+    Lamport's halves pk[0] and pk[1] with no seed (r is None: its map has
+    no key), or the tops of WOTS's l chains under the oracle.Seed r."""
+
+    params: Params
+    r: Optional[bytes]
+    pk: tuple[BitString, ...]
+
+
+@dataclass(frozen=True)
+class KeyPair:
+    """A public key and its secret values sk, in the order of pk."""
+
+    params: Params
+    r: Optional[bytes]
+    sk: tuple[BitString, ...]
+    pk: tuple[BitString, ...]
+
+    def public(self) -> PublicKey:
+        return PublicKey(self.params, self.r, self.pk)
+
+
+@dataclass(frozen=True)
+class Signature:
+    """The values a signature reveals: the 1-tuple of one Lamport half,
+    or one value on each of the l WOTS chains."""
+
+    sigma: tuple[BitString, ...]

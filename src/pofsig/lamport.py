@@ -9,9 +9,8 @@ probability, which is the whole point of the construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .core import BitString, LamportParams, draw_bits
+from .core import BitString, KeyPair, LamportParams, PublicKey, Signature, draw_bits
 from .errors import DomainError
 from .oracle import apply_step, lamport_step
 
@@ -25,56 +24,28 @@ def hash_secret(params: LamportParams, s: BitString) -> BitString:
     return apply_step(lamport_step(params.n, params.sk_bits), s)
 
 
-@dataclass(frozen=True)
-class LamportPublicKey:
-    params: LamportParams
-    pk0: BitString
-    pk1: BitString
-
-    def half(self, m: int) -> BitString:
-        return self.pk1 if m else self.pk0
+# Names the benchmark harness (bench/workloads.py) imports.
+LamportKeyPair = KeyPair
+LamportPublicKey = PublicKey
 
 
-@dataclass(frozen=True)
-class LamportKeyPair:
-    params: LamportParams
-    sk0: BitString
-    sk1: BitString
-    pk0: BitString
-    pk1: BitString
-
-    def public(self) -> LamportPublicKey:
-        return LamportPublicKey(self.params, self.pk0, self.pk1)
+def keygen(params: LamportParams, rng: random.Random) -> KeyPair:
+    """Two secret halves, sk[0] and sk[1], and their images; no seed."""
+    sk0, sk1 = draw_bits(rng, params.sk_bits), draw_bits(rng, params.sk_bits)
+    return KeyPair(params, None, (sk0, sk1), (hash_secret(params, sk0), hash_secret(params, sk1)))
 
 
-@dataclass(frozen=True)
-class LamportSignature:
-    sigma: BitString
-
-
-Signature = LamportSignature
-
-
-def keygen(params: LamportParams, rng: random.Random) -> LamportKeyPair:
-    sk0 = draw_bits(rng, params.sk_bits)
-    sk1 = draw_bits(rng, params.sk_bits)
-    return LamportKeyPair(
-        params=params,
-        sk0=sk0,
-        sk1=sk1,
-        pk0=hash_secret(params, sk0),
-        pk1=hash_secret(params, sk1),
-    )
-
-
-def sign(kp: LamportKeyPair, m: int) -> LamportSignature:
+def sign(kp: KeyPair, m: int) -> Signature:
     """Reveal the secret half matching the message bit; fully deterministic."""
-    if m not in (0, 1):
+    if not isinstance(m, int) or m not in (0, 1):
         raise DomainError(f"message must be the bit 0 or 1, got {m!r}")
-    return LamportSignature(kp.sk1 if m else kp.sk0)
+    return Signature((kp.sk[m],))
 
 
-def verify(pk: LamportPublicKey, sig: LamportSignature, m: int) -> int:
-    if m not in (0, 1):
+def verify(pk: PublicKey, sig: Signature, m: int) -> int:
+    """1 iff sig is one revealed half whose image is pk's half for m."""
+    if not isinstance(m, int) or m not in (0, 1):
         raise DomainError(f"message must be the bit 0 or 1, got {m!r}")
-    return 1 if hash_secret(pk.params, sig.sigma) == pk.half(m) else 0
+    if len(sig.sigma) != 1:
+        return 0
+    return 1 if hash_secret(pk.params, sig.sigma[0]) == pk.pk[m] else 0

@@ -10,27 +10,24 @@ re-signing the forged message and exhibiting the mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import lamport, wots
+from .core import KeyPair, PublicKey, Signature
 from .errors import NotAValidSignature, PofsigError
 
-PublicKey = Union[lamport.LamportPublicKey, wots.WotsPublicKey]
-Signature = Union[lamport.LamportSignature, wots.WotsSignature]
-KeyPair = Union[lamport.LamportKeyPair, wots.WotsKeyPair]
-
-# The one place a scheme name is mapped to its keygen, sign, verify and
-# Signature class; every caller looks the scheme up by params.scheme.
+# The one place a scheme name is mapped to its keygen, sign and verify;
+# every caller looks the scheme up by params.scheme.
 SCHEMES = {"lamport": lamport, "wots": wots}
 
 
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
-    """Verify under pk's scheme; a malformed or cross-scheme input counts as 0."""
-    scheme = SCHEMES[pk.params.scheme]
-    if not isinstance(sig, scheme.Signature):
+    """Verify under pk's scheme; a malformed or cross-scheme input counts as 0
+    (the other scheme's signature fails the verifier's own shape checks)."""
+    if not isinstance(sig, Signature):
         return 0
     try:
-        return scheme.verify(pk, sig, M)
+        return SCHEMES[pk.params.scheme].verify(pk, sig, M)
     except PofsigError:
         return 0
 

@@ -25,10 +25,9 @@ all refused by the same rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from . import lamport, wots
-from .core import BitString, LamportParams, WotsParams, derive_wots_params
+from .core import BitString, KeyPair, LamportParams, Params, PublicKey, Signature, derive_wots_params
 from .errors import FormatError, InvalidParams
 from .oracle import SEED_BYTES, Seed, chain
 from .pof import SCHEMES, PofEvidenceI, PofEvidenceII
@@ -42,9 +41,9 @@ class SignatureFile:
     """A parsed signature file: the scheme parameters, the message it was
     produced for, and the signature itself."""
 
-    params: Union[LamportParams, WotsParams]
+    params: Params
     message: object  # int bit for lamport, BitString for wots
-    signature: Union[lamport.LamportSignature, wots.WotsSignature]
+    signature: Signature
 
 
 # ---------------------------------------------------------------------------
@@ -71,27 +70,37 @@ def _message_field(name: str, message, params) -> tuple[str, BitString]:
     return name, message
 
 
-def _seed_field(r: Seed) -> tuple[str, BitString]:
-    return "r", BitString(8 * SEED_BYTES, bytes(r))
+def _names(prefix: str, params, count: int) -> list[str]:
+    """Field names of count values: Lamport numbers its two halves from 0,
+    WOTS its l chains from 1."""
+    first = 0 if params.scheme == "lamport" else 1
+    return [f"{prefix}.{i}" for i in range(first, first + count)]
 
 
-def _pk_fields(pk) -> list[tuple[str, BitString]]:
-    if pk.params.scheme == "lamport":
-        return [("pk.0", pk.pk0), ("pk.1", pk.pk1)]
-    return [_seed_field(pk.r)] + [(f"pk.{i + 1}", p) for i, p in enumerate(pk.pk)]
+def _numbered(prefix: str, values, params) -> list[tuple[str, BitString]]:
+    """Every value under its name, so a value too many is written and refused."""
+    return list(zip(_names(prefix, params, len(values)), values))
 
 
-def _sig_fields(name: str, sig, params) -> list[tuple[str, BitString]]:
+def _seed_fields(key) -> list[tuple[str, BitString]]:
+    """The WOTS seed r; a Lamport key has none."""
+    return [] if key.r is None else [("r", BitString(8 * SEED_BYTES, bytes(key.r)))]
+
+
+def _pk_fields(pk: PublicKey) -> list[tuple[str, BitString]]:
+    return _seed_fields(pk) + _numbered("pk", pk.pk, pk.params)
+
+
+def _sig_fields(prefix: str, sig: Signature, params) -> list[tuple[str, BitString]]:
     if params.scheme == "lamport":
-        return [(name, sig.sigma)]
-    return [(f"{name}.{i + 1}", s) for i, s in enumerate(sig.sigma)]
+        return [(prefix, s) for s in sig.sigma]
+    return _numbered(prefix, sig.sigma, params)
 
 
-def dump_secret_key(kp) -> str:
+def dump_secret_key(kp: KeyPair) -> str:
+    fields = _seed_fields(kp) + _numbered("sk", kp.sk, kp.params)
     if kp.params.scheme == "lamport":
-        fields = [("sk.0", kp.sk0), ("sk.1", kp.sk1)] + _pk_fields(kp.public())
-    else:
-        fields = [_seed_field(kp.r)] + [(f"sk.{i + 1}", s) for i, s in enumerate(kp.sk)]
+        fields += _pk_fields(kp.public())
     return _render("secret-key", kp.params, fields)
 
 
@@ -162,35 +171,34 @@ def _seed(fields: dict[str, str]) -> Seed:
     return Seed(_bits(fields, "r", 8 * SEED_BYTES).payload)
 
 
-def _signature(fields: dict[str, str], name: str, params, message):
+def _values(fields: dict[str, str], prefix: str, params, bit_len: int) -> tuple[BitString, ...]:
+    count = 2 if params.scheme == "lamport" else params.l
+    return tuple(_bits(fields, name, bit_len) for name in _names(prefix, params, count))
+
+
+def _signature(fields: dict[str, str], prefix: str, params, message) -> Signature:
     if params.scheme == "lamport":
-        return lamport.LamportSignature(_bits(fields, name, params.sk_bits))
+        return Signature((_bits(fields, prefix, params.sk_bits),))
     b = wots.extend(message, params)
-    return wots.WotsSignature(tuple(
-        _bits(fields, f"{name}.{i + 1}", params.value_bits(d)) for i, d in enumerate(b)
-    ))
+    names = _names(prefix, params, len(b))
+    return Signature(tuple(_bits(fields, name, params.value_bits(d)) for name, d in zip(names, b)))
 
 
-def _public_key(fields: dict[str, str], params):
+def _public_key(fields: dict[str, str], params) -> PublicKey:
+    r = None if params.scheme == "lamport" else _seed(fields)
+    return PublicKey(params, r, _values(fields, "pk", params, params.n))
+
+
+def _secret_key(fields: dict[str, str], params) -> KeyPair:
     if params.scheme == "lamport":
-        pk0, pk1 = (_bits(fields, f"pk.{m}", params.n) for m in (0, 1))
-        return lamport.LamportPublicKey(params, pk0, pk1)
-    r = _seed(fields)
-    pk = tuple(_bits(fields, f"pk.{i + 1}", params.n) for i in range(params.l))
-    return wots.WotsPublicKey(params, r, pk)
-
-
-def _secret_key(fields: dict[str, str], params):
-    if params.scheme == "lamport":
-        sk0, sk1 = (_bits(fields, f"sk.{m}", params.sk_bits) for m in (0, 1))
-        pk = _public_key(fields, params)
-        if (pk.pk0, pk.pk1) != tuple(lamport.hash_secret(params, s) for s in (sk0, sk1)):
+        sk = _values(fields, "sk", params, params.sk_bits)
+        pk = _values(fields, "pk", params, params.n)
+        if pk != tuple(lamport.hash_secret(params, s) for s in sk):
             raise FormatError("pk.0/pk.1 do not match the hashes of sk.0/sk.1")
-        return lamport.LamportKeyPair(params, sk0, sk1, pk.pk0, pk.pk1)
+        return KeyPair(params, None, sk, pk)
     r = _seed(fields)
-    sk = tuple(_bits(fields, f"sk.{i + 1}", params.sk_bits) for i in range(params.l))
-    pk = tuple(chain(params, r, 0, params.w - 1, s) for s in sk)
-    return wots.WotsKeyPair(params, r, sk, pk)
+    sk = _values(fields, "sk", params, params.sk_bits)
+    return KeyPair(params, r, sk, tuple(chain(params, r, 0, params.w - 1, s) for s in sk))
 
 
 def _refuse_unless_written(text: str, written: str) -> None:
@@ -213,10 +221,10 @@ def _refuse_unless_written(text: str, written: str) -> None:
 def loads(text: str, kinds=KINDS):
     """Parse an FDA-SIG file of one of the given kinds into its typed object.
 
-    Returns LamportKeyPair/WotsKeyPair for secret keys, the public-key
-    types for public keys, SignatureFile for signatures, and the
-    evidence types for pof-1/pof-2.  A file of another kind, or any text
-    other than the one the object writes back, raises FormatError.
+    Returns a KeyPair for secret keys, a PublicKey for public keys,
+    SignatureFile for signatures, and the evidence types for pof-1/pof-2.
+    A file of another kind, or any text other than the one the object
+    writes back, raises FormatError.
     """
     header, *body = text.split("\n")
     if header != HEADER:

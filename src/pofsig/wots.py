@@ -10,37 +10,15 @@ chain rather than merely advance known values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .core import BitString, WotsParams, draw_bits
+from .core import BitString, KeyPair, PublicKey, Signature, WotsParams, draw_bits
 from .errors import DomainError
 from .oracle import SEED_BYTES, Seed, chain
 
 
-@dataclass(frozen=True)
-class WotsPublicKey:
-    params: WotsParams
-    r: Seed
-    pk: tuple[BitString, ...]
-
-
-@dataclass(frozen=True)
-class WotsKeyPair:
-    params: WotsParams
-    r: Seed
-    sk: tuple[BitString, ...]
-    pk: tuple[BitString, ...]
-
-    def public(self) -> WotsPublicKey:
-        return WotsPublicKey(self.params, self.r, self.pk)
-
-
-@dataclass(frozen=True)
-class WotsSignature:
-    sigma: tuple[BitString, ...]
-
-
-Signature = WotsSignature
+# Names the benchmark harness (bench/workloads.py) imports.
+WotsKeyPair = KeyPair
+WotsPublicKey = PublicKey
 
 
 def digits(value: int, count: int, params: WotsParams) -> tuple[int, ...]:
@@ -70,22 +48,22 @@ def extend(M: BitString, params: WotsParams) -> tuple[int, ...]:
     return m + c
 
 
-def keygen(params: WotsParams, rng: random.Random) -> WotsKeyPair:
+def keygen(params: WotsParams, rng: random.Random) -> KeyPair:
     r = Seed(draw_bits(rng, 8 * SEED_BYTES).payload)
     sk = tuple(draw_bits(rng, params.sk_bits) for _ in range(params.l))
     pk = tuple(chain(params, r, 0, params.w - 1, s) for s in sk)
-    return WotsKeyPair(params=params, r=r, sk=sk, pk=pk)
+    return KeyPair(params, r, sk, pk)
 
 
-def sign(kp: WotsKeyPair, M: BitString) -> WotsSignature:
+def sign(kp: KeyPair, M: BitString) -> Signature:
     b = extend(M, kp.params)
     sigma = tuple(
         chain(kp.params, kp.r, 0, b_i, sk_i) for b_i, sk_i in zip(b, kp.sk)
     )
-    return WotsSignature(sigma)
+    return Signature(sigma)
 
 
-def verify(pk: WotsPublicKey, sig: WotsSignature, M: BitString) -> int:
+def verify(pk: PublicKey, sig: Signature, M: BitString) -> int:
     """Finish every chain from its claimed depth and compare to the public key.
 
     Structural mismatches (a message that is not an L-bit string, wrong

@@ -18,7 +18,7 @@ from pofsig.analysis import (
     run_fda_experiment,
     run_scenario,
 )
-from pofsig.core import BitString, LamportParams, derive_wots_params
+from pofsig.core import BitString, LamportParams, Signature, derive_wots_params
 from pofsig.errors import FormatError
 from pofsig.pof import PofEvidenceI, PofEvidenceII
 from reference import bound_constant, exact_expectation_by_summation, minimize_bound_constant
@@ -128,16 +128,16 @@ def test_criterion_7_scheme_correctness_and_tamper():
         kp = lamport.keygen(lp, rng)
         m = rng.getrandbits(1)
         sig = lamport.sign(kp, m)
-        x, k = sig.sigma, rng.randrange(lp.sk_bits)
-        bad = lamport.LamportSignature(
-            BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len))
+        (x,), k = sig.sigma, rng.randrange(lp.sk_bits)
+        bad = Signature(
+            (BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len),))
         rejections += lamport.verify(kp.public(), bad, m) == 0
     for kw, M, sig in wots_pairs[:500]:
         i = rng.randrange(wp.l)
         elems = list(sig.sigma)
         x, k = elems[i], rng.randrange(elems[i].bit_len)
         elems[i] = BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len)
-        rejections += wots.verify(kw.public(), wots.WotsSignature(tuple(elems)), M) == 0
+        rejections += wots.verify(kw.public(), Signature(tuple(elems)), M) == 0
     _report(
         "7 correctness + tamper rejection",
         ok_correct and rejections >= 990,
@@ -172,14 +172,14 @@ def _random_structures(count):
         sig_l = lamport.sign(kp, 0)
         sig_w = wots.sign(kw, M)
         b = wots.extend(M, wp)
-        other_w = wots.WotsSignature(
+        other_w = Signature(
             tuple(
                 BitString.from_int(rng.getrandbits(wp.value_bits(d)), wp.value_bits(d))
                 for d in b
             )
         )
-        other_l = lamport.LamportSignature(
-            BitString.from_int(rng.getrandbits(lp.sk_bits), lp.sk_bits)
+        other_l = Signature(
+            (BitString.from_int(rng.getrandbits(lp.sk_bits), lp.sk_bits),)
         )
         texts += [
             serial.dump_secret_key(kp),

@@ -17,7 +17,7 @@ from pofsig.adversary import (
     forge_wots,
 )
 from pofsig.analysis import exact_expectation
-from pofsig.core import BitString, LamportParams, derive_wots_params
+from pofsig.core import BitString, LamportParams, PublicKey, Signature, derive_wots_params
 from pofsig.errors import (
     BudgetExceeded,
     DomainError,
@@ -129,7 +129,7 @@ class TestLamportIndex:
         index = build_lamport_preimage_index(params)
         orphan = next(v for v in range(256) if v not in index)
         kp = lamport.keygen(params, random.Random(3))
-        pk = lamport.LamportPublicKey(params, kp.pk0, BitString.from_int(orphan, 8))
+        pk = PublicKey(params, None, (kp.pk[0], BitString.from_int(orphan, 8)))
         with pytest.raises(EmptyPreimageSet):
             forge_lamport(pk, 0, lamport.sign(kp, 0), 1, BUDGET, random.Random(0), index=index)
         with pytest.raises(EmptyPreimageSet):
@@ -196,6 +196,14 @@ class TestForgeLamport:
         with pytest.raises(DomainError):
             forge_lamport(kp.public(), 0, lamport.sign(kp, 0), 0, BUDGET, rng)
 
+    @pytest.mark.parametrize("m_star", [2, -1, "1", 1.0])
+    def test_target_that_is_not_a_bit_refused(self, m_star):
+        # the target indexes the public halves: -1 would pick pk[1]
+        rng = random.Random(6)
+        kp = lamport.keygen(LP, rng)
+        with pytest.raises(DomainError, match="must be the bit not signed"):
+            forge_lamport(kp.public(), 0, lamport.sign(kp, 0), m_star, BUDGET, rng)
+
     def test_collision_rate_matches_expectation_delta0(self):
         # fraction of forgeries that reproduce the signer's exact secret
         # should track E[1/N] ~ 0.632 at delta=0
@@ -211,7 +219,7 @@ class TestForgeLamport:
             forged = forge_lamport(
                 kp.public(), m, sigma, 1 - m, BUDGET, rng, index=index
             )
-            if forged.sigma == (kp.sk1 if 1 - m else kp.sk0):
+            if forged.sigma == (kp.sk[1 - m],):
                 hits += 1
         expect = exact_expectation(8, 0)
         sigma_mc = (expect * (1 - expect) / trials) ** 0.5
@@ -227,7 +235,7 @@ class TestForgeLamport:
             kp = lamport.keygen(params, rng)
             sigma = lamport.sign(kp, 0)
             forged = forge_lamport(kp.public(), 0, sigma, 1, BUDGET, rng, index=index)
-            if forged.sigma == kp.sk1:
+            if forged.sigma == (kp.sk[1],):
                 hits += 1
         bound = 5.22 * 2 ** -6
         assert hits / trials < bound + 3 * (bound * (1 - bound) / trials) ** 0.5
@@ -304,7 +312,7 @@ def reference_forge_wots(pk, M, sigma, M_star, rng):
                 lambda x: chain(params, pk.r, b_star[i], params.w - 1, x),
                 pk.pk[i], params.value_bits(b_star[i]), BUDGET)
             out.append(ps.members[rng.randrange(ps.count)])
-    return wots.WotsSignature(tuple(out))
+    return Signature(tuple(out))
 
 
 class TestForgeWots:
@@ -359,10 +367,10 @@ def test_forge_dispatches_on_the_key_scheme():
     rng = random.Random(41)
     lkp = lamport.keygen(LP, rng)
     forged = forge(lkp.public(), 0, lamport.sign(lkp, 0), 1, BUDGET, rng)
-    assert isinstance(forged, lamport.LamportSignature)
+    assert isinstance(forged, Signature) and len(forged.sigma) == 1
     assert lamport.verify(lkp.public(), forged, 1) == 1
     wkp = wots.keygen(WP, rng)
     M, M_star = BitString.from_int(3, 4), BitString.from_int(12, 4)
     forged = forge(wkp.public(), M, wots.sign(wkp, M), M_star, BUDGET, rng)
-    assert isinstance(forged, wots.WotsSignature)
+    assert isinstance(forged, Signature) and len(forged.sigma) == WP.l
     assert wots.verify(wkp.public(), forged, M_star) == 1

@@ -253,11 +253,17 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
 
 
 def test_cross_scheme_signature_is_invalid(tmp_path, lam_keys, wots_keys, capsys):
-    _, lam_pk = lam_keys
-    wots_sk, _ = wots_keys
+    lam_sk, lam_pk = lam_keys
+    wots_sk, wots_pk = wots_keys
     sig = str(tmp_path / "wsig")
     assert cli.main(["sign", "--sk", str(wots_sk), "--message", "d0", "--out", sig]) == 0
     code = cli.main(["verify", "--pk", str(lam_pk), "--sig", sig, "--message", "1"])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().out.strip() == "invalid"
+    # and a Lamport signature against the WOTS key
+    sig = str(tmp_path / "lsig")
+    assert cli.main(["sign", "--sk", str(lam_sk), "--message", "1", "--out", sig]) == 0
+    code = cli.main(["verify", "--pk", str(wots_pk), "--sig", sig, "--message", "d0"])
     assert code == cli.EXIT_INVALID
     assert capsys.readouterr().out.strip() == "invalid"
 
@@ -273,13 +279,30 @@ def test_bounds_far_outside_float_range(n, delta, capsys):
 
 
 def test_wots_experiment_wider_than_any_int_shift_is_refused(capsys):
-    # depth 0 is 8 + 3 * 10**30 bits wide: refused before the estimator's 1 << bits
+    # depth 0 is 8 + 3 * 10**30 bits wide: refused as parameters, before any 1 << bits
     argv = ["experiment", "--scheme", "wots", "--n", "8", "--delta", str(10**30),
             "--L", "4", "--nu", "2", "--trials", "1", "--seed", "1"]
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: ") and err.endswith("exceeds the 28-bit budget\n")
+    assert err.startswith("error: ") and err.endswith("exceed the 65536-bit cap\n")
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(["--scheme", "lamport", "--n", "1" + "0" * 40, "--delta", "0"], id="lamport-n"),
+    pytest.param(["--scheme", "wots", "--n", "8", "--delta", "1" + "0" * 40, "--L", "4",
+                  "--nu", "2"], id="wots-delta"),
+    pytest.param(["--scheme", "lamport", "--n", "8", "--delta", "40000000000"], id="lamport-delta"),
+])
+def test_value_wider_than_the_cap_is_refused_as_parameters(tmp_path, capsys, params):
+    # refused from the parameters alone, never by a randomness source failing to draw
+    argv = ["keygen", *params, "--seed", "1",
+            "--sk-out", str(tmp_path / "sk"), "--pk-out", str(tmp_path / "pk")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("exceed the 65536-bit cap\n") and "randomness source" not in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["experiment", "keygen"])
@@ -352,11 +375,14 @@ def test_unreadable_public_key_exits_2(tmp_path, lam_keys, capsys, case):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,field", [("sign", "sk.1"), ("verify", "invalid parameters")])
+@pytest.mark.parametrize("command,field", [
+    pytest.param("sign", "invalid parameters", id="sign-sk.1"),
+    ("verify", "invalid parameters"),
+])
 def test_file_with_thousand_digit_parameters_exits_2_on_one_short_line(
         tmp_path, wots_keys, capsys, command, field):
-    # a 4200-digit delta makes sk.1 expect ~10^4200 bytes; a 4001-digit L
-    # is not a multiple of nu = 3: neither number is echoed
+    # a 4200-digit delta makes sk.1 ~10^4200 bits wide, over the value cap;
+    # a 4001-digit L is not a multiple of nu = 3: neither number is echoed
     sk, pk = wots_keys
     if command == "sign":
         sk.write_text(sk.read_text().replace("delta: 1\n", f"delta: {'1' * 4200}\n"))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pofsig.core import (
+    MAX_VALUE_BITS,
     BitString,
     LamportParams,
     WotsParams,
@@ -81,6 +82,22 @@ class TestLamportParams:
             LamportParams(n, delta)
 
 
+class TestValueCap:
+    def test_lamport_secret_half_at_the_cap(self):
+        assert LamportParams(MAX_VALUE_BITS, 0).sk_bits == 1 << 16
+        with pytest.raises(InvalidParams, match="exceed the 65536-bit cap"):
+            LamportParams(1 << 16, 1)
+
+    def test_paper_scale_wots_is_accepted(self):
+        # (n, delta, L, nu) = (256, 32, 256, 8): 8416-bit secrets
+        assert derive_wots_params(256, 32, 256, 8).sk_bits == 256 + 32 * 255
+
+    @pytest.mark.parametrize("n,delta", [(10**40, 0), (8, 10**40), (1 << 16, 1)])
+    def test_wots_secret_over_the_cap_is_refused(self, n, delta):
+        with pytest.raises(InvalidParams, match="cap"):
+            derive_wots_params(n, delta, 4, 2)
+
+
 def test_params_name_their_scheme_outside_the_fields():
     lp, wp = LamportParams(8, 4), derive_wots_params(6, 1, 4, 2)
     assert (lp.scheme, wp.scheme) == ("lamport", "wots")
@@ -94,6 +111,22 @@ class TestDeriveWotsParams:
     def test_example_small(self):
         p = derive_wots_params(6, 1, 4, 2)
         assert (p.w, p.l1, p.l2, p.l) == (4, 2, 2, 4)
+
+    def test_derived_fields_are_not_arguments(self):
+        # w, l1, l2 and l follow from n, delta, L and nu, so none is taken
+        with pytest.raises(TypeError):
+            WotsParams(n=6, delta=2, L=4, nu=2, w=8, l1=1, l2=1, l=2)
+        for name in ("w", "l1", "l2", "l"):
+            with pytest.raises(TypeError):
+                WotsParams(6, 2, 4, 2, **{name: 4})
+        with pytest.raises(TypeError):
+            WotsParams(6, 2, 4, 2, 4)
+
+    def test_one_way_to_build(self):
+        p = WotsParams(6, 2, 4, 2)
+        assert p == derive_wots_params(6, 2, 4, 2)
+        assert hash(p) == hash(derive_wots_params(6, 2, 4, 2))
+        assert repr(p) == "WotsParams(n=6, delta=2, L=4, nu=2, w=4, l1=2, l2=2, l=4)"
 
     def test_example_binary(self):
         p = derive_wots_params(8, 0, 8, 1)

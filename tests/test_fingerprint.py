@@ -42,17 +42,17 @@ FROZEN = {
     "census.8.2":
         "17e1d0d5e04e1d8baa999e8172701d720ef9e8dad0bd52567c0f4977dc3bfe04",
     "scenario.lamport.6.fresh.0":
-        "5205711c4ca10e2ce2f74b1486d5e0f7f4bf940de3a2a54afb496270b301ab8d",
+        "7cce9f5ad7fa5458ef17557ef1ebbcd00e70376ffeb9698898fdc909eab2cb01",
     "scenario.lamport.6.fresh.1":
-        "de240c212c0dad0e07fbf15d0311d83ebd10bdfdcc2614ac5bc3383a0047dc1d",
+        "6b56dba6fa93105beb19c135c46eadba8ee047daf70ba9b85e1be58728c4a14c",
     "scenario.lamport.6.fresh.2":
-        "90e4cd34f7017b871b1cbcb915b2061fd9649c58cf54f275f5f8c62943918493",
+        "b07a73e3d568dde03b44f58fb02d8477fcad7f7767173f98fbf0565278ea7b6d",
     "scenario.lamport.6.fresh.3":
-        "68632c00b006e76b31e430ecb262e5e9d48d017f9bfc9752e62016ae0ddc96a5",
+        "c40da23132eb6596bea40a95b135cf78d8a6781da1979a40bba95e6c65f2c979",
     "scenario.lamport.6.fresh.4":
-        "93a127f05061adc9fb0e7ded6943d8d82ed975c9f778533e134009da83fa7878",
+        "0f3674dc47647d0931c827996d37643960e13db89e94305ac67ccc77ec4492f4",
     "scenario.lamport.6.fresh.5":
-        "acd52a3216754e174865bfa099b5a4fbe3d802723db955cc63331ceb256cdc0a",
+        "74757fc8edfcdf92d64b1ed33b79e8f8f1fc06d4ff8134a40040b5b6cefd046b",
     "scenario.lamport.6.exact-sk.0":
         "851482fd19831f18319d61017daa744598d3f8d9889a25394225b6e45b043c6a",
     "scenario.lamport.6.exact-sk.1":
@@ -72,7 +72,7 @@ FROZEN = {
     "scenario.lamport.0.fresh.2":
         "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
     "scenario.lamport.0.fresh.3":
-        "1b56123e9819c157a47f11561d9133c4b794a3f7ebe1d407459629b1e1bf3b28",
+        "0421863bb423fdac1372d146794a20773a294b26b58d64037457f0731cfb347a",
     "scenario.lamport.0.fresh.4":
         "d07224f148865fb1e7e72fc5487047ba60bf50ba6ff13ee3a30a368bcf0c65c2",
     "scenario.lamport.0.fresh.5":
@@ -90,17 +90,17 @@ FROZEN = {
     "scenario.lamport.0.exact-sk.5":
         "851482fd19831f18319d61017daa744598d3f8d9889a25394225b6e45b043c6a",
     "scenario.wots.2.fresh.0":
-        "c7b33d1633543d76d5b70827486cc5592c4c6dbbd464af4fbd1967c3d95c3a7c",
+        "1126b08da6ee01ef0e941509bb87958c94cac6052daf8134e79e35b4b8f80e44",
     "scenario.wots.2.fresh.1":
-        "afc4c0d7aa4eda6426893cf33ec8a45192b31130524f61f87e44140a94db2563",
+        "214fba13f9fe25a219a7191965a88d6330d7ddfda4fb6a74fa19c84e68806ad1",
     "scenario.wots.2.fresh.2":
-        "ff3042200c4c5c98540313bb5073fd66c21c32c39e668ed7287cb715ccf869a0",
+        "7acc68b6fadb4c834c545d3ef6b7cbef64c5f2383ba4bb6ba61d918f5ca6cf7e",
     "scenario.wots.2.fresh.3":
         "0036abe0ec068f1499feac45626cc1ae90dafe1d110a80d07cb658d6fe300aa4",
     "scenario.wots.2.fresh.4":
-        "e2a17fe7d8cce10e7075e5b30b30a4611a759311ae86754defade9d6e27dddf6",
+        "c8a1385879bf5c88094438e1c49a04c0f5be8fc31481fc1c72d0f45d4db3cc17",
     "scenario.wots.2.fresh.5":
-        "7723778ade23c7efdc313baec8ed504b0ad2a6945f28e203d80e4082d5ef1370",
+        "e6425f8de61f87d6d52668dcff2233742c797f9b7bf2229d531fddf809ec0c6e",
     "scenario.wots.2.exact-sk.0":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
     "scenario.wots.2.exact-sk.1":
@@ -114,7 +114,7 @@ FROZEN = {
     "scenario.wots.2.exact-sk.5":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
 }
-FROZEN_ALL = "fe5b6e7f2b135d014048fa377ab35932d9a519f049ad59aac3b4261f3f175378"
+FROZEN_ALL = "744d9b849b7f6ac0bc7cd4d5da3d41a7040b0ac7d8b5817afc77b4126329fcc8"
 
 
 def _load_tool():
@@ -155,3 +155,18 @@ def test_report_text_and_csv_match_frozen_digests():
         r = analysis.run_fda_experiment(analysis.ExperimentConfig(scheme, p, trials, seed))
         text = "\n".join([analysis.report_text(r), analysis.CSV_HEADER, analysis.csv_row(r), ""])
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == frozen, (scheme, seed)
+
+
+# The fingerprint's 36 scenario digests include the log's repr, which
+# names classes; this pins what `scenario_text` prints, by itself.
+SCENARIO_TEXT = "b96fbd14302b6e242278e004ec0482d6b9b9099817607b372eb879390c43c031"
+
+
+def test_scenario_text_matches_frozen_digest():
+    total = hashlib.sha256()
+    for params in (LamportParams(8, 6), LamportParams(8, 0), derive_wots_params(6, 2, 4, 2)):
+        for mode in ("fresh", "exact-sk"):
+            for seed in range(6):
+                log = analysis.run_scenario(params, seed, mode, notify_adversary=seed % 2)
+                total.update((analysis.scenario_text(log) + "\n").encode("utf-8"))
+    assert total.hexdigest() == SCENARIO_TEXT

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pofsig import lamport
-from pofsig.core import BitString, LamportParams
+from pofsig.core import BitString, LamportParams, Signature
 from pofsig.errors import DomainError, EntropyError
 
 P = LamportParams(16, 4)
@@ -22,8 +22,8 @@ def test_correctness_both_bits():
 
 def test_sign_reveals_matching_half():
     kp = make_kp()
-    assert lamport.sign(kp, 0).sigma == kp.sk0
-    assert lamport.sign(kp, 1).sigma == kp.sk1
+    assert lamport.sign(kp, 0).sigma == (kp.sk[0],)
+    assert lamport.sign(kp, 1).sigma == (kp.sk[1],)
 
 
 def test_sign_deterministic():
@@ -40,20 +40,20 @@ def test_keygen_distinct_across_draws():
     rng = random.Random(5)
     for _ in range(100):
         kp = lamport.keygen(P, rng)
-        seen.add((kp.sk0.payload, kp.sk1.payload))
+        seen.add((kp.sk[0].payload, kp.sk[1].payload))
     assert len(seen) == 100
 
 
 def test_public_key_invariant():
     kp = make_kp()
-    assert kp.pk0 == lamport.hash_secret(P, kp.sk0)
-    assert kp.pk1 == lamport.hash_secret(P, kp.sk1)
+    assert kp.pk[0] == lamport.hash_secret(P, kp.sk[0])
+    assert kp.pk[1] == lamport.hash_secret(P, kp.sk[1])
 
 
 def test_length_split_is_delta():
     kp = make_kp()
-    assert kp.sk0.bit_len - kp.pk0.bit_len == P.delta
-    assert kp.sk1.bit_len - kp.pk1.bit_len == P.delta
+    assert kp.sk[0].bit_len - kp.pk[0].bit_len == P.delta
+    assert kp.sk[1].bit_len - kp.pk[1].bit_len == P.delta
 
 
 def test_cross_bit_rejected():
@@ -73,9 +73,9 @@ def test_tampered_signature_rejected():
         kp = lamport.keygen(P, rng)
         m = rng.getrandbits(1)
         sig = lamport.sign(kp, m)
-        x, k = sig.sigma, rng.randrange(P.sk_bits)
-        flipped = lamport.LamportSignature(
-            BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len))
+        (x,), k = sig.sigma, rng.randrange(P.sk_bits)
+        flipped = Signature(
+            (BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len),))
         if lamport.verify(kp.public(), flipped, m) == 0:
             rejections += 1
     assert rejections >= 0.99 * trials
@@ -87,11 +87,16 @@ def test_bad_message_bit():
         lamport.sign(kp, 2)
     with pytest.raises(DomainError):
         lamport.verify(kp.public(), lamport.sign(kp, 0), "0")
+    # the bit indexes the key's halves: a float is not one
+    with pytest.raises(DomainError):
+        lamport.sign(kp, 1.0)
+    with pytest.raises(DomainError):
+        lamport.verify(kp.public(), lamport.sign(kp, 1), 1.0)
 
 
 def test_wrong_signature_length():
     kp = make_kp()
-    short = lamport.LamportSignature(kp.pk0)  # n bits, not n+delta
+    short = Signature((kp.pk[0],))  # n bits, not n+delta
     with pytest.raises(DomainError):
         lamport.verify(kp.public(), short, 0)
 
@@ -99,7 +104,7 @@ def test_wrong_signature_length():
 def test_hash_secret_checks_width():
     kp = make_kp()
     with pytest.raises(DomainError):
-        lamport.hash_secret(P, kp.pk0)
+        lamport.hash_secret(P, kp.pk[0])
 
 
 def test_entropy_failure_wrapped():
@@ -109,3 +114,12 @@ def test_entropy_failure_wrapped():
 
     with pytest.raises(EntropyError):
         lamport.keygen(P, Broken())
+
+
+def test_signature_of_more_than_one_half_rejected():
+    # the first element is the signer's own half for bit 0: only the
+    # length check refuses it
+    kp = make_kp()
+    assert lamport.verify(kp.public(), Signature((kp.sk[0], kp.sk[0])), 0) == 0
+    assert lamport.verify(kp.public(), Signature((kp.sk[0], kp.sk[1])), 0) == 0
+    assert lamport.verify(kp.public(), Signature(()), 0) == 0

@@ -9,7 +9,7 @@ from pofsig.adversary import (
     forge_lamport,
     forge_wots,
 )
-from pofsig.core import BitString, LamportParams, derive_wots_params
+from pofsig.core import BitString, LamportParams, PublicKey, Signature, derive_wots_params
 from pofsig.errors import NotAValidSignature
 from pofsig.pof import (
     PofEvidenceI,
@@ -30,31 +30,31 @@ def lamport_kp(seed=0, params=LP):
 
 
 def colliding_lamport_instance():
-    # two preimages of one image, found exhaustively; with pk0 = pk1 a
+    # two preimages of one image, found exhaustively; with pk[0] = pk[1] a
     # single signature is valid for both message bits
     params = LamportParams(8, 2)
     index = build_lamport_preimage_index(params)
     members = [BitString.from_int(v, 10)
                for v in next(ms for ms in index.values() if len(ms) >= 2)]
     y = lamport.hash_secret(params, members[0])
-    pk = lamport.LamportPublicKey(params, y, y)
+    pk = PublicKey(params, None, (y, y))
     return pk, members
 
 
 class TestPof1:
     def test_equal_messages_rejected(self):
         pk, members = colliding_lamport_instance()
-        E = PofEvidenceI(pk, lamport.LamportSignature(members[0]), M=1, M_star=1)
+        E = PofEvidenceI(pk, Signature((members[0],)), M=1, M_star=1)
         assert verify_pof1(E) == 0
 
     def test_failing_verification_rejected(self):
         kp = lamport_kp()
         E = PofEvidenceI(kp.public(), lamport.sign(kp, 0), M=0, M_star=1)
-        assert verify_pof1(E) == 0  # sk0 does not verify for bit 1
+        assert verify_pof1(E) == 0  # sk[0] does not verify for bit 1
 
     def test_hand_built_collision_accepted(self):
         pk, members = colliding_lamport_instance()
-        E = PofEvidenceI(pk, lamport.LamportSignature(members[0]), M=0, M_star=1)
+        E = PofEvidenceI(pk, Signature((members[0],)), M=0, M_star=1)
         assert verify_pof1(E) == 1
 
 
@@ -81,11 +81,10 @@ class TestPof2:
     def test_tampered_pk_rejected(self):
         kp, E = self._evidence()
         # tamper the half that M_star = 1 actually selects
-        pk1 = E.pk.pk1
-        bad_pk = lamport.LamportPublicKey(
-            E.pk.params, E.pk.pk0,
-            BitString.from_int(pk1.to_int() ^ (1 << (pk1.bit_len - 1)), pk1.bit_len),
-        )
+        pk0, pk1 = E.pk.pk
+        bad_pk = PublicKey(E.pk.params, None, (
+            pk0, BitString.from_int(pk1.to_int() ^ (1 << (pk1.bit_len - 1)), pk1.bit_len),
+        ))
         tampered = PofEvidenceII(bad_pk, E.sigma_tilde_star, E.sigma_star, E.M_star)
         assert verify_pof2(tampered) == 0
 
@@ -110,7 +109,7 @@ class TestDetectForgery:
 
     def test_garbage_raises(self):
         kp = lamport_kp(seed=2)
-        garbage = lamport.LamportSignature(BitString.from_int(0, LP.sk_bits))
+        garbage = Signature((BitString.from_int(0, LP.sk_bits),))
         with pytest.raises(NotAValidSignature):
             detect_forgery(kp, 1, garbage)
 
@@ -154,6 +153,8 @@ class TestSchemeVerify:
             assert scheme_verify(pk, sig, M) == 1
 
     def test_every_cross_scheme_pair_is_zero(self):
+        # one Signature class serves both schemes: each verifier refuses the
+        # other's shape, a 1-tuple against l chains and l values against one half
         signed = self._signed()
         for pk_scheme, (pk, _, _) in signed.items():
             for sig_scheme, (_, sig, _) in signed.items():
@@ -172,3 +173,18 @@ class TestSchemeVerify:
         monkeypatch.setattr(lamport, "verify", broken)
         with pytest.raises(RuntimeError):
             scheme_verify(pk, sig, M)
+
+    def test_non_signature_is_zero(self):
+        # a bare tuple of values is not a Signature, even of the right shape
+        pk, sig, M = self._signed()["lamport"]
+        assert scheme_verify(pk, sig.sigma, M) == 0
+        assert scheme_verify(pk, sig.sigma[0], M) == 0
+
+    def test_detect_refuses_the_other_schemes_signature(self):
+        lkp = lamport_kp(seed=3)
+        wkp = wots.keygen(WP, random.Random(4))
+        M_w = BitString.from_int(0b1011, 4)
+        with pytest.raises(NotAValidSignature):
+            detect_forgery(wkp, M_w, lamport.sign(lkp, 1))
+        with pytest.raises(NotAValidSignature):
+            detect_forgery(lkp, 1, wots.sign(wkp, M_w))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pofsig import lamport, serial, wots
 from pofsig.adversary import ForgeryBudget, forge, forge_lamport
-from pofsig.core import BitString, LamportParams, derive_wots_params
+from pofsig.core import BitString, KeyPair, LamportParams, Signature, derive_wots_params
 from pofsig.errors import FormatError
 from pofsig.pof import SCHEMES, PofEvidenceI, PofEvidenceII, detect_forgery
 
@@ -201,6 +201,21 @@ class TestMalformed:
         with pytest.raises(FormatError, match="invalid parameters"):
             serial.loads(text)
 
+    @pytest.mark.parametrize("scheme", ["lamport", "wots"])
+    def test_signature_with_a_value_too_many_is_written_and_refused(self, scheme):
+        # the writer drops no value, so the reader refuses what verify refuses
+        kp, M = (lamport_kp(), 0) if scheme == "lamport" else (wots_kp(), BitString.from_int(5, 4))
+        sig = SCHEMES[scheme].sign(kp, M)
+        text = serial.dump_signature(Signature(sig.sigma * 2), M, kp.params)
+        with pytest.raises(FormatError):
+            serial.loads(text)
+
+    @pytest.mark.parametrize("kp", [lamport_kp, wots_kp])
+    def test_value_wider_than_the_cap(self, kp):
+        text = serial.dump_secret_key(kp()).replace("n: ", "n: 6553", 1)
+        with pytest.raises(FormatError, match="invalid parameters: .*65536-bit cap"):
+            serial.loads(text)
+
     def test_chain_index_wider_than_u8(self):
         # nu=9 needs chain indices up to 511; the oracle stores them as u8.
         # L=9 gives l=2, so the file carries r, pk.1 and pk.2.
@@ -320,7 +335,7 @@ def _dump(obj) -> str:
         return serial.dump_pof1(obj)
     if isinstance(obj, PofEvidenceII):
         return serial.dump_pof2(obj)
-    if isinstance(obj, (lamport.LamportKeyPair, wots.WotsKeyPair)):
+    if isinstance(obj, KeyPair):
         return serial.dump_secret_key(obj)
     return serial.dump_public_key(obj)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pofsig import wots
-from pofsig.core import BitString, derive_wots_params
+from pofsig.core import BitString, Signature, derive_wots_params
 from pofsig.errors import DomainError
 
 P = derive_wots_params(6, 1, 4, 2)  # w=4, l1=2, l2=2, l=4
@@ -133,7 +133,7 @@ class TestScheme:
             elems = list(sig.sigma)
             x, k = elems[i], rng.randrange(elems[i].bit_len)
             elems[i] = BitString.from_int(x.to_int() ^ (1 << (x.bit_len - 1 - k)), x.bit_len)
-            if wots.verify(kp.public(), wots.WotsSignature(tuple(elems)), M) == 0:
+            if wots.verify(kp.public(), Signature(tuple(elems)), M) == 0:
                 rejected += 1
         assert rejected >= 99
 
@@ -142,6 +142,6 @@ class TestScheme:
         M = BitString.from_int(0b0011, 4)
         sig = wots.sign(kp, M)
         # wrong element count
-        assert wots.verify(kp.public(), wots.WotsSignature(sig.sigma[:-1]), M) == 0
+        assert wots.verify(kp.public(), Signature(sig.sigma[:-1]), M) == 0
         # wrong message length
         assert wots.verify(kp.public(), sig, BitString.from_int(0b001, 3)) == 0
