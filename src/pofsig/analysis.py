@@ -126,13 +126,18 @@ class ExperimentReport:
     """undetected_rate, stderr, the CI and the verdict belong to the
     estimator that ``estimator_for`` picks from the parameters:
 
-    - "monte-carlo": the share of trials whose forgery went undetected;
+    - "exact-given-H" (Lamport): |Im H| / 2^sk_bits, the undetected
+      probability of the one fixed Lamport hash H over uniform secrets,
+      read off the preimage index; exact, so stderr is 0 and the CI is
+      that point;
     - "exact-given-r" (WOTS): the mean over trials of P_r, the undetected
       probability given the trial key's seed r, exact over secret keys
-      and message pairs (``undetected_probability``).
+      and message pairs (``undetected_probability``);
+    - "monte-carlo" (WOTS where the DP is too dear): the share of trials
+      whose forgery went undetected.
 
-    The 0/1 counts and the evidence checks are kept for both schemes as
-    the Monte Carlo cross-check.
+    The 0/1 counts and the evidence checks are kept for every estimator;
+    under the exact ones they are the Monte Carlo cross-check.
     """
 
     config: ExperimentConfig
@@ -176,18 +181,22 @@ EXACT_MOVES_PER_HASH = 16
 
 
 def estimator_for(params: Params) -> str:
-    """The experiment's estimator: "exact-given-r" for WOTS where the
-    checksum DP of ``undetected_probability`` costs at most
-    EXACT_MOVES_PER_HASH moves per hash of the full chain table,
-    "monte-carlo" otherwise.  The DP grows as l1^3 w^4 and the table as
-    w 2^sk_bits, so large w (above all with delta = 0) falls back to the
-    0/1 count."""
-    if params.scheme == "wots":
-        w = params.w
-        moves = w * w * sum((i * (w - 1) + 1) ** 2 for i in range(params.l1))
-        hashes = sum(1 << params.value_bits(d) for d in range(w - 1))
-        if moves <= EXACT_MOVES_PER_HASH * hashes:
-            return "exact-given-r"
+    """The experiment's estimator.  "exact-given-H" for Lamport: every
+    trial inverts the one fixed hash H, and a uniform secret is
+    reproduced with chance 1/|preimages of its image|, whatever member
+    the forger picks, so the rate is |Im H| / 2^sk_bits.  For WOTS,
+    "exact-given-r" where the checksum DP of ``undetected_probability``
+    costs at most EXACT_MOVES_PER_HASH moves per hash of the full chain
+    table, "monte-carlo" otherwise.  The DP grows as l1^3 w^4 and the
+    table as w 2^sk_bits, so large w (above all with delta = 0) falls
+    back to the 0/1 count."""
+    if params.scheme == "lamport":
+        return "exact-given-H"
+    w = params.w
+    moves = w * w * sum((i * (w - 1) + 1) ** 2 for i in range(params.l1))
+    hashes = sum(1 << params.value_bits(d) for d in range(w - 1))
+    if moves <= EXACT_MOVES_PER_HASH * hashes:
+        return "exact-given-r"
     return "monte-carlo"
 
 
@@ -275,13 +284,15 @@ def _forgery_trial(
 def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the forgery-detection experiment.  Trial t draws a key from
     ``trial_rng(master_seed, t)``, takes P_r from the key's chain table
-    under the exact estimator, and attacks the key once (``_forgery_trial``)
+    under exact-given-r, and attacks the key once (``_forgery_trial``)
     through that table or the Lamport index all trials share.  The rate
     comes from the estimator that ``estimator_for`` picks (see
-    ``ExperimentReport``).  Contiguous runs of trials go to forked
-    workers (``forkjoin``), and the report is the serial loop's for any
-    worker count.  The parameters alone decide whether the run fits the
-    budget: every width it may sweep is checked before any trial runs.
+    ``ExperimentReport``): under exact-given-H it is the share of
+    Lamport images the index holds, len(index) / 2^sk_bits.  Contiguous
+    runs of trials go to forked workers (``forkjoin``), and the report is
+    the serial loop's for any worker count.  The parameters alone decide
+    whether the run fits the budget: every width it may sweep is checked
+    before any trial runs.
     """
     params = config.params
     budget = ForgeryBudget()
@@ -291,7 +302,8 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:  # a trial may sweep any depth of its key's table
         for d in range(params.w - 2, -1, -1):
             budget.check(params.value_bits(d))
-    exact = estimator_for(params) == "exact-given-r"
+    estimator = estimator_for(params)
+    exact = estimator == "exact-given-r"
 
     def run_trials(trials: range) -> tuple[int, int, int, list[float]]:
         table = index
@@ -321,7 +333,9 @@ def run_fda_experiment(config: ExperimentConfig) -> ExperimentReport:
     match_total = sum(part[2] for part in parts)
     p_rs = [p for part in parts for p in part[3]]
     detected = config.trials - undetected
-    if exact:
+    if estimator == "exact-given-H":  # the index holds one row per image of H
+        rate, var = len(index) / (1 << params.sk_bits), 0.0
+    elif exact:
         rate = math.fsum(p_rs) / config.trials
         # one trial has no spread to measure; p(1 - p) bounds that of any
         # [0, 1] variable with mean p

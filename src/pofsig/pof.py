@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import lamport, wots
-from .core import KeyPair, PublicKey, Signature
+from .core import BitString, KeyPair, PublicKey, Signature
 from .errors import NotAValidSignature, PofsigError
 
 # The one place a scheme name is mapped to its keygen, sign and verify;
@@ -22,9 +22,11 @@ SCHEMES = {"lamport": lamport, "wots": wots}
 
 
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
-    """Verify under pk's scheme; a malformed or cross-scheme input counts as 0
-    (the other scheme's signature fails the verifier's own shape checks)."""
-    if not isinstance(sig, Signature):
+    """Verify under pk's scheme; a malformed or cross-scheme input counts as 0:
+    anything but a Signature holding a tuple of BitStrings, or the other
+    scheme's signature, which fails the verifier's own shape checks."""
+    if not (isinstance(sig, Signature) and isinstance(sig.sigma, tuple)
+            and all(isinstance(v, BitString) for v in sig.sigma)):
         return 0
     try:
         return SCHEMES[pk.params.scheme].verify(pk, sig, M)

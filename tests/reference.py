@@ -1,12 +1,15 @@
 """Reference computations that tests compare pofsig's own values against.
 
 None of these runs in pofsig itself: they are the independent checks of
-the closed-form expectation and of the 5.22 bound constant.
+the closed-form expectation, of the 5.22 bound constant, and of the
+Lamport image count against the experiment's preimage index.
 """
 
 import math
 
+from pofsig import lamport
 from pofsig.analysis import binom_pmf
+from pofsig.core import BitString, LamportParams
 from pofsig.errors import DomainError
 
 
@@ -34,3 +37,21 @@ def minimize_bound_constant() -> tuple[float, float]:
     s = math.sqrt(513.0)
     k = (1.0 + (s + 1.0) ** (1.0 / 3.0) - (s - 1.0) ** (1.0 / 3.0)) / 3.0
     return k, bound_constant(k)
+
+
+def lamport_image_fraction(params: LamportParams) -> float:
+    """|Im H| / 2^sk_bits by hashing every secret through lamport.hash_secret,
+    without the preimage index or the sweep kernel."""
+    bits = params.sk_bits
+    images = {lamport.hash_secret(params, BitString.from_int(x, bits)) for x in range(1 << bits)}
+    return len(images) / (1 << bits)
+
+
+def occupancy_sd(n: int, delta: int) -> float:
+    """Standard deviation of |Im H| / 2^(n+delta) when H is a uniform random
+    function from D = 2^(n+delta) inputs onto R = 2^n images.  The number of
+    empty images has variance R(R-1)(1-2/R)^D + R(1-1/R)^D - R^2(1-1/R)^(2D),
+    and |Im H| is R minus that number."""
+    R, D = 2 ** n, 2 ** (n + delta)
+    var = R * (R - 1) * (1 - 2 / R) ** D + R * (1 - 1 / R) ** D - R * R * (1 - 1 / R) ** (2 * D)
+    return math.sqrt(var) / D

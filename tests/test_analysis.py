@@ -1,11 +1,17 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from pofsig import analysis, wots
-from pofsig.adversary import ForgeryBudget, chain_preimages, chain_tops
+from pofsig.adversary import (
+    ForgeryBudget,
+    build_lamport_preimage_index,
+    chain_preimages,
+    chain_tops,
+)
 from pofsig.analysis import (
     ExperimentConfig,
     exact_expectation,
@@ -21,7 +27,12 @@ from pofsig.core import BitString, LamportParams, derive_wots_params
 from pofsig.errors import BudgetExceeded, DomainError, InvalidParams
 from pofsig.oracle import chain, chain_steps
 from pofsig.pof import verify_pof2
-from reference import bound_constant, exact_expectation_by_summation, minimize_bound_constant
+from reference import (
+    bound_constant,
+    exact_expectation_by_summation,
+    lamport_image_fraction,
+    minimize_bound_constant,
+)
 
 WP = derive_wots_params(6, 2, 4, 2)
 
@@ -100,11 +111,15 @@ class TestBoundConstant:
 
 class TestExperiment:
     def test_lamport_bracket(self):
+        # the 0/1 count is the Monte Carlo cross-check of exact-given-H
         cfg = ExperimentConfig("lamport", LamportParams(8, 2), 2000, 4242)
         r = run_fda_experiment(cfg)
+        assert r.estimator == "exact-given-H"
         assert r.undetected_count + r.detected_count == r.trials
-        assert abs(r.undetected_rate - r.bounds.exact_expectation) <= 3 * r.stderr
-        assert r.bounds.lower < r.undetected_rate < r.bounds.upper
+        for rate in (r.monte_carlo_rate, r.bounds.exact_expectation):
+            assert abs(r.undetected_rate - rate) <= 3 * r.monte_carlo_stderr
+        for rate in (r.undetected_rate, r.monte_carlo_rate):
+            assert r.bounds.lower < rate < r.bounds.upper
         assert r.verdict == "pass"
 
     def test_deterministic_given_seed(self):
@@ -254,8 +269,59 @@ class TestExactEstimator:
         assert "estimator:       exact-given-r" in text
         assert "monte carlo:" in text
         lam = run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 2), 20, 1))
-        assert lam.estimator == "monte-carlo"
-        assert "monte carlo:" not in analysis.report_text(lam)
+        text = analysis.report_text(lam)
+        assert lam.estimator == "exact-given-H"
+        assert "estimator:       exact-given-H" in text
+        mc, half = lam.monte_carlo_rate, 1.96 * lam.monte_carlo_stderr
+        assert (f"monte carlo:     {mc:.6f}  (95% CI {max(0.0, mc - half):.6f}"
+                f"..{min(1.0, mc + half):.6f})") in text.splitlines()
+
+
+def match_probability(index, bits: int, choose) -> Fraction:
+    """Mean, over every secret x, of the chance that a forger who sees
+    only H(x) and picks choose(members of H(x)), a {member: probability}
+    map, lands on x itself."""
+    images = {v: y for y, members in index.items() for v in members}
+    total = sum(choose(list(index[images[x]])).get(x, 0) for x in range(1 << bits))
+    return Fraction(total, 1 << bits)
+
+
+class TestExactGivenH:
+    def test_lamport_picks_exact_given_h(self):
+        for n, delta in ((1, 0), (8, 0), (8, 10), (20, 8)):
+            assert analysis.estimator_for(LamportParams(n, delta)) == "exact-given-H"
+
+    @pytest.mark.parametrize("n,delta", [(8, 0), (8, 2), (10, 0)])
+    def test_rate_is_the_image_count(self, n, delta):
+        params = LamportParams(n, delta)
+        r = run_fda_experiment(ExperimentConfig("lamport", params, 50, n + delta))
+        assert r.undetected_rate == lamport_image_fraction(params)
+        assert r.undetected_rate == len(build_lamport_preimage_index(params)) / 2 ** params.sk_bits
+
+    def test_the_ci_is_the_point(self):
+        r = run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 2), 300, 17))
+        assert r.stderr == 0.0
+        assert r.ci_low == r.ci_high == r.undetected_rate
+        assert r.verdict == "pass"
+        assert analysis.csv_row(r).startswith(f"8,2,300,{r.undetected_rate:.6f},"
+                                              f"{r.undetected_rate:.6f},{r.undetected_rate:.6f},")
+
+    def test_rate_does_not_depend_on_the_forgers_choice_rule(self):
+        # Given H(x), a uniform secret x is uniform over the preimages of
+        # H(x), so any rule matches with mean chance |Im H| / 2^(n+delta)
+        params = LamportParams(6, 2)
+        index = build_lamport_preimage_index(params)
+        expected = Fraction(lamport_image_fraction(params))  # a dyadic float, exact
+        rules = {
+            "first": lambda members: {members[0]: 1},
+            "last": lambda members: {members[-1]: 1},
+            "uniform": lambda members: {v: Fraction(1, len(members)) for v in members},
+        }
+        for name, choose in rules.items():
+            assert match_probability(index, params.sk_bits, choose) == expected, name
+        assert any(len(members) > 1 for members in index.values())
+        r = run_fda_experiment(ExperimentConfig("lamport", params, 20, 1))
+        assert r.undetected_rate == expected
 
 
 class TestCensus:

@@ -188,3 +188,36 @@ class TestSchemeVerify:
             detect_forgery(wkp, M_w, lamport.sign(lkp, 1))
         with pytest.raises(NotAValidSignature):
             detect_forgery(lkp, 1, wots.sign(wkp, M_w))
+
+
+# Signatures whose sigma is not a tuple of BitStrings: a library caller can
+# build them, though serial.loads never does.
+MALFORMED = {
+    "lamport str": ("lamport", ("x",)),
+    "lamport None": ("lamport", None),
+    "wots ints": ("wots", (1, 2, 3, 4)),
+    "wots Nones": ("wots", (None,) * WP.l),
+}
+
+
+class TestMalformedSignature:
+    def _key(self, scheme):
+        if scheme == "lamport":
+            kp = lamport_kp(seed=3)
+            return kp, 1, 0, lamport.sign(kp, 1)
+        kp = wots.keygen(WP, random.Random(4))
+        M, M_other = BitString.from_int(0b1011, 4), BitString.from_int(0b0110, 4)
+        return kp, M, M_other, wots.sign(kp, M)
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_counts_as_invalid_everywhere(self, case):
+        scheme, sigma = MALFORMED[case]
+        assert scheme != "wots" or len(sigma) == WP.l  # the right length, the wrong values
+        kp, M, M_other, good = self._key(scheme)
+        pk, bad = kp.public(), Signature(sigma)
+        assert scheme_verify(pk, bad, M) == 0
+        with pytest.raises(NotAValidSignature):
+            detect_forgery(kp, M, bad)
+        assert verify_pof1(PofEvidenceI(pk, bad, M, M_other)) == 0
+        assert verify_pof2(PofEvidenceII(pk, good, bad, M)) == 0
+        assert verify_pof2(PofEvidenceII(pk, bad, good, M)) == 0

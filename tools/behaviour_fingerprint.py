@@ -63,6 +63,11 @@ def outputs():
         for seed in (0x2A, 7):
             cfg = analysis.ExperimentConfig(scheme, params, trials, seed)
             yield f"experiment.{scheme}.{seed}", repr(analysis.run_fda_experiment(cfg))
+    # At (8,6) every image is hit, so |Im H| / 2^D is 2^-6 = E; at (8,0)
+    # the one function's rate differs from E.
+    for seed in (0x2A, 7):
+        cfg = analysis.ExperimentConfig("lamport", LamportParams(8, 0), 3000, seed)
+        yield f"experiment.lamport.0.{seed}", repr(analysis.run_fda_experiment(cfg))
     for n, delta, instances, seed in ((8, 0, 300, 2024), (8, 2, 100, 9)):
         c = analysis.preimage_census(n, delta, instances, seed)
         yield f"census.{n}.{delta}", repr((c.counts, c.mean, c.chi2, c.p_value))
