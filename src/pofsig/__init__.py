@@ -5,6 +5,8 @@ space, exhaustive toy-scale forgery, signer-side forgery detection, and
 Monte Carlo validation of the detection-probability bounds.
 """
 
+import importlib
+
 from .core import (
     BitString, KeyPair, LamportParams, PublicKey, Signature, WotsParams, derive_wots_params,
 )
@@ -16,23 +18,6 @@ from .pof import (
     detect_forgery,
     verify_pof1,
     verify_pof2,
-)
-from .adversary import (
-    ForgeryBudget,
-    PreimageSet,
-    enumerate_preimages,
-    forge_lamport,
-    forge_wots,
-)
-from .analysis import (
-    BoundsReport,
-    ExperimentConfig,
-    ExperimentReport,
-    ScenarioLog,
-    fda_bounds,
-    preimage_census,
-    run_fda_experiment,
-    run_scenario,
 )
 from .errors import (
     BudgetExceeded,
@@ -46,3 +31,23 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
+
+# Names re-exported from the forger and the experiments, which a command
+# that signs, verifies or detects never runs: each module loads on the
+# first access to one of its names (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        ("ForgeryBudget", "PreimageSet", "enumerate_preimages", "forge_lamport", "forge_wots"),
+        "adversary"),
+    **dict.fromkeys(
+        ("BoundsReport", "ExperimentConfig", "ExperimentReport", "ScenarioLog", "fda_bounds",
+         "preimage_census", "run_fda_experiment", "run_scenario"),
+        "analysis"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+

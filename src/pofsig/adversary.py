@@ -16,25 +16,26 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Callable, Iterable, Optional
 
-from .core import MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Signature, WotsParams
+from .core import (
+    MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Record, Signature, WotsParams,
+)
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
 from .oracle import Seed, chain, chain_steps, domain_images, lamport_step
 from .wots import extend
 
 
-@dataclass(frozen=True)
-class ForgeryBudget:
+class ForgeryBudget(Record):
     """Cap on exhaustive-search width; 28 bits is minutes on a desktop."""
 
-    max_domain_bits: int = MAX_DOMAIN_BITS
+    __slots__ = ("max_domain_bits",)
 
-    def __post_init__(self):
-        if not 1 <= self.max_domain_bits <= MAX_DOMAIN_BITS:
+    def __init__(self, max_domain_bits: int = MAX_DOMAIN_BITS):
+        object.__setattr__(self, "max_domain_bits", max_domain_bits)
+        if not 1 <= max_domain_bits <= MAX_DOMAIN_BITS:
             raise InvalidParams(
                 f"max_domain_bits must be in 1..{MAX_DOMAIN_BITS}"
             )
@@ -47,11 +48,14 @@ class ForgeryBudget:
             )
 
 
-@dataclass(frozen=True)
-class PreimageSet:
+class PreimageSet(Record):
     """The complete preimage set of one oracle output, in ascending input order."""
 
-    members: tuple[BitString, ...] = field(repr=False)
+    __slots__ = ("members",)
+    _hidden = frozenset({"members"})
+
+    def __init__(self, members: tuple[BitString, ...]):
+        object.__setattr__(self, "members", members)
 
     @property
     def count(self) -> int:

@@ -13,10 +13,8 @@ import argparse
 import random
 import re
 import sys
-import traceback
 
-from . import analysis, pof, serial
-from .adversary import ForgeryBudget, forge
+from . import pof, serial
 from .core import BitString, LamportParams, derive_wots_params
 from .errors import InvalidParams, NotAValidSignature, PofsigError, one_short_line
 
@@ -117,6 +115,8 @@ def _cmd_forge(args) -> int:
     m_star = _parse_message(args.target_message, pk.params)
     if not pof.scheme_verify(pk, known_sig, known_m):
         raise UsageError(f"{args.known_sig}: does not verify for the known message")
+    from .adversary import ForgeryBudget, forge
+
     budget = ForgeryBudget(args.max_domain_bits)
     forged = forge(pk, known_m, known_sig, m_star, budget, _rng(args.seed))
     serial.dump_path(args.out, serial.dump_signature(forged, m_star, pk.params))
@@ -149,6 +149,8 @@ def _cmd_verify_pof(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import analysis
+
     params = _build_params(args)
     config = analysis.ExperimentConfig(
         scheme=args.scheme,
@@ -165,6 +167,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from . import analysis
+
     params = _build_params(args)
     log = analysis.run_scenario(
         params,
@@ -177,6 +181,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import analysis
+
     b = analysis.fda_bounds(args.n, args.delta)
     print(f"n:                 {b.n}")
     print(f"delta:             {b.delta}")
@@ -274,6 +280,8 @@ def main(argv=None) -> int:
         print(f"error: {one_short_line(str(exc))}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

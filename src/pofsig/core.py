@@ -7,9 +7,9 @@ excess widths that are not byte-aligned work everywhere.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Union
+from typing import Optional
 
 from .errors import EntropyError, InvalidParams
 
@@ -22,28 +22,78 @@ MAX_DOMAIN_BITS = 28
 MAX_VALUE_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
-class BitString:
+class Record:
+    """A frozen record whose fields are its class's ``__slots__``, in order,
+    with what a frozen dataclass gives: equality with the same class only,
+    the hash of the tuple of the fields, a ``Name(field=value, ...)`` repr
+    that leaves out the fields named in ``_hidden``, and AttributeError on
+    assigning or deleting a field.  Each subclass sets its fields in its
+    own ``__init__`` with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _hidden = frozenset()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the class's own key, closed over: no per-call lookup on the instance
+        key = operator.attrgetter(*cls.__slots__)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        if len(cls.__slots__) == 1:  # hash the 1-tuple, as the dataclass does
+            cls.__hash__ = lambda self: hash((key(self),))
+        else:
+            cls.__hash__ = lambda self: hash(key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name not in self._hidden)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        # copy and pickle set the fields without __init__, as for a dataclass
+        return _rebuild, (self.__class__, tuple(getattr(self, n) for n in self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _rebuild(cls, values):
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class BitString(Record):
     """An arbitrary-length bit sequence, packed MSB-first within each byte.
 
     Pad bits beyond ``bit_len`` in the final byte must be zero, so equal
     bit strings compare equal as (bit_len, payload) pairs.
     """
 
-    bit_len: int
-    payload: bytes
+    __slots__ = ("bit_len", "payload")
 
-    def __post_init__(self):
-        if self.bit_len < 0:
+    def __init__(self, bit_len: int, payload: bytes):
+        object.__setattr__(self, "bit_len", bit_len)
+        object.__setattr__(self, "payload", payload)
+        if bit_len < 0:
             raise InvalidParams("bit_len must be non-negative")
-        nbytes = (self.bit_len + 7) // 8
-        if len(self.payload) != nbytes:
+        nbytes = (bit_len + 7) // 8
+        if len(payload) != nbytes:
             raise InvalidParams(
-                f"payload holds {len(self.payload)} bytes, expected {nbytes} "
-                f"for {self.bit_len} bits"
+                f"payload holds {len(payload)} bytes, expected {nbytes} "
+                f"for {bit_len} bits"
             )
-        pad = 8 * nbytes - self.bit_len
-        if pad and (self.payload[-1] & ((1 << pad) - 1)):
+        pad = 8 * nbytes - bit_len
+        if pad and (payload[-1] & ((1 << pad) - 1)):
             raise InvalidParams("pad bits beyond bit_len must be zero")
 
     @classmethod
@@ -72,18 +122,18 @@ def draw_bits(rng: random.Random, bit_len: int) -> BitString:
     return BitString.from_int(value, bit_len)
 
 
-@dataclass(frozen=True)
-class LamportParams:
+class LamportParams(Record):
     """Single-bit Lamport scheme parameters: n-bit images, (n+delta)-bit preimages."""
 
-    scheme: ClassVar[str] = "lamport"
-    n: int
-    delta: int
+    __slots__ = ("n", "delta")
+    scheme = "lamport"
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, delta: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta", delta)
+        if n < 1:
             raise InvalidParams("n must be >= 1")
-        if self.delta < 0:
+        if delta < 0:
             raise InvalidParams("delta must be >= 0")
         _check_value_bits(self.sk_bits)
 
@@ -92,8 +142,7 @@ class LamportParams:
         return self.n + self.delta
 
 
-@dataclass(frozen=True)
-class WotsParams:
+class WotsParams(Record):
     """Winternitz scheme parameters: n, delta, L and nu, from which
     w = 2^nu, l1, l2 and l are derived and checked.
 
@@ -104,18 +153,10 @@ class WotsParams:
     part of the value, so that equality is structural.
     """
 
-    scheme: ClassVar[str] = "wots"
-    n: int
-    delta: int
-    L: int
-    nu: int
-    w: int = field(init=False)
-    l1: int = field(init=False)
-    l2: int = field(init=False)
-    l: int = field(init=False)
+    __slots__ = ("n", "delta", "L", "nu", "w", "l1", "l2", "l")
+    scheme = "wots"
 
-    def __post_init__(self):
-        n, delta, L, nu = self.n, self.delta, self.L, self.nu
+    def __init__(self, n: int, delta: int, L: int, nu: int):
         if n < 1 or delta < 0 or L < 1 or nu < 1:
             raise InvalidParams("need n >= 1, delta >= 0, L >= 1, nu >= 1")
         if L % nu != 0:
@@ -131,7 +172,7 @@ class WotsParams:
         if l * (w - 1) > 1 << MAX_DOMAIN_BITS:
             raise InvalidParams(
                 f"a key of {l} chains of {w - 1} steps exceeds 2^{MAX_DOMAIN_BITS} hashes")
-        for name, value in (("w", w), ("l1", l1), ("l2", l2), ("l", l)):
+        for name, value in zip(self.__slots__, (n, delta, L, nu, w, l1, l2, l)):
             object.__setattr__(self, name, value)
         _check_value_bits(self.sk_bits)
 
@@ -149,7 +190,7 @@ class WotsParams:
 # The name callers build WOTS parameters by, positionally.
 derive_wots_params = WotsParams
 
-Params = Union[LamportParams, WotsParams]
+Params = LamportParams | WotsParams
 
 
 def _check_value_bits(sk_bits: int) -> None:
@@ -159,33 +200,40 @@ def _check_value_bits(sk_bits: int) -> None:
             f"secret values of {sk_bits} bits exceed the {MAX_VALUE_BITS}-bit cap")
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(Record):
     """The images of a key's secret values, one shape for both schemes:
     Lamport's halves pk[0] and pk[1] with no seed (r is None: its map has
     no key), or the tops of WOTS's l chains under the oracle.Seed r."""
 
-    params: Params
-    r: Optional[bytes]
-    pk: tuple[BitString, ...]
+    __slots__ = ("params", "r", "pk")
+
+    def __init__(self, params: Params, r: Optional[bytes], pk: tuple[BitString, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "pk", pk)
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record):
     """A public key and its secret values sk, in the order of pk."""
 
-    params: Params
-    r: Optional[bytes]
-    sk: tuple[BitString, ...]
-    pk: tuple[BitString, ...]
+    __slots__ = ("params", "r", "sk", "pk")
+
+    def __init__(self, params: Params, r: Optional[bytes], sk: tuple[BitString, ...],
+                 pk: tuple[BitString, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "sk", sk)
+        object.__setattr__(self, "pk", pk)
 
     def public(self) -> PublicKey:
         return PublicKey(self.params, self.r, self.pk)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """The values a signature reveals: the 1-tuple of one Lamport half,
     or one value on each of the l WOTS chains."""
 
-    sigma: tuple[BitString, ...]
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: tuple[BitString, ...]):
+        object.__setattr__(self, "sigma", sigma)

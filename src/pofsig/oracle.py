@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import BitString, WotsParams
+from .core import BitString, Record, WotsParams
 from .errors import DomainError, InvalidParams
 
 LABEL_LAMPORT = b"LAM"
@@ -54,24 +53,24 @@ class Seed(bytes):
         return super().__new__(cls, data)
 
 
-@dataclass(frozen=True)
-class OracleTag:
+class OracleTag(Record):
     """Domain-separation tag: label, optional seed, optional chain index."""
 
-    label: bytes
-    r: Optional[Seed] = None
-    index: Optional[int] = None
+    __slots__ = ("label", "r", "index")
 
-    def __post_init__(self):
-        if self.label not in _LABELS:
-            raise InvalidParams(f"unknown oracle label {self.label!r}")
-        if self.label == LABEL_WOTS_CHAIN:
-            if self.index is None or self.index < 1:
+    def __init__(self, label: bytes, r: Optional[Seed] = None, index: Optional[int] = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "index", index)
+        if label not in _LABELS:
+            raise InvalidParams(f"unknown oracle label {label!r}")
+        if label == LABEL_WOTS_CHAIN:
+            if index is None or index < 1:
                 raise InvalidParams("chain oracle needs an index >= 1")
-            if self.r is None:
+            if r is None:
                 raise InvalidParams("chain oracle needs a seed")
         else:
-            if self.index is not None:
+            if index is not None:
                 raise InvalidParams("index is only valid for the chain oracle")
 
 

@@ -9,11 +9,10 @@ re-signing the forged message and exhibiting the mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import lamport, wots
-from .core import BitString, KeyPair, PublicKey, Signature
+from .core import BitString, KeyPair, Params, PublicKey, Record, Signature
 from .errors import NotAValidSignature, PofsigError
 
 # The one place a scheme name is mapped to its keygen, sign and verify;
@@ -21,12 +20,37 @@ from .errors import NotAValidSignature, PofsigError
 SCHEMES = {"lamport": lamport, "wots": wots}
 
 
+def _bit_strings(values) -> bool:
+    """values is a tuple of BitStrings; a plain loop, the fastest test of
+    the few values a key or signature holds."""
+    if not isinstance(values, tuple):
+        return False
+    for v in values:
+        if not isinstance(v, BitString):
+            return False
+    return True
+
+
+def _key_shaped(pk) -> bool:
+    """pk is a PublicKey holding its scheme's count of BitStrings, two
+    Lamport halves or l WOTS chain tops, and a WOTS key has a bytes seed."""
+    if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)):
+        return False
+    if pk.params.scheme == "lamport":
+        count = 2
+    elif isinstance(pk.r, bytes):
+        count = pk.params.l
+    else:
+        return False
+    return _bit_strings(pk.pk) and len(pk.pk) == count
+
+
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
     """Verify under pk's scheme; a malformed or cross-scheme input counts as 0:
-    anything but a Signature holding a tuple of BitStrings, or the other
-    scheme's signature, which fails the verifier's own shape checks."""
-    if not (isinstance(sig, Signature) and isinstance(sig.sigma, tuple)
-            and all(isinstance(v, BitString) for v in sig.sigma)):
+    a key not shaped as its scheme's, anything but a Signature holding a
+    tuple of BitStrings, or the other scheme's signature, which fails the
+    verifier's own shape checks."""
+    if not (_key_shaped(pk) and isinstance(sig, Signature) and _bit_strings(sig.sigma)):
         return 0
     try:
         return SCHEMES[pk.params.scheme].verify(pk, sig, M)
@@ -34,20 +58,25 @@ def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
         return 0
 
 
-@dataclass(frozen=True)
-class PofEvidenceI:
-    pk: PublicKey
-    sigma_star: Signature
-    M: object
-    M_star: object
+class PofEvidenceI(Record):
+    __slots__ = ("pk", "sigma_star", "M", "M_star")
+
+    def __init__(self, pk: PublicKey, sigma_star: Signature, M, M_star):
+        object.__setattr__(self, "pk", pk)
+        object.__setattr__(self, "sigma_star", sigma_star)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "M_star", M_star)
 
 
-@dataclass(frozen=True)
-class PofEvidenceII:
-    pk: PublicKey
-    sigma_tilde_star: Signature
-    sigma_star: Signature
-    M_star: object
+class PofEvidenceII(Record):
+    __slots__ = ("pk", "sigma_tilde_star", "sigma_star", "M_star")
+
+    def __init__(self, pk: PublicKey, sigma_tilde_star: Signature, sigma_star: Signature,
+                 M_star):
+        object.__setattr__(self, "pk", pk)
+        object.__setattr__(self, "sigma_tilde_star", sigma_tilde_star)
+        object.__setattr__(self, "sigma_star", sigma_star)
+        object.__setattr__(self, "M_star", M_star)
 
 
 def verify_pof1(E: PofEvidenceI) -> int:
@@ -70,12 +99,14 @@ def verify_pof2(E: PofEvidenceII) -> int:
             and scheme_verify(E.pk, E.sigma_star, E.M_star))
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
+class DetectionOutcome(Record):
     """Result of the signer's detection step: evidence or an explicit miss."""
 
-    detected: bool
-    evidence: Optional[PofEvidenceII] = None
+    __slots__ = ("detected", "evidence")
+
+    def __init__(self, detected: bool, evidence: Optional[PofEvidenceII] = None):
+        object.__setattr__(self, "detected", detected)
+        object.__setattr__(self, "evidence", evidence)
 
 
 def detect_forgery(kp: KeyPair, M_star, sigma_star: Signature) -> DetectionOutcome:

@@ -24,10 +24,10 @@ all refused by the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lamport, wots
-from .core import BitString, KeyPair, LamportParams, Params, PublicKey, Signature, derive_wots_params
+from .core import (
+    BitString, KeyPair, LamportParams, Params, PublicKey, Record, Signature, derive_wots_params,
+)
 from .errors import FormatError, InvalidParams
 from .oracle import SEED_BYTES, Seed, chain
 from .pof import SCHEMES, PofEvidenceI, PofEvidenceII
@@ -36,14 +36,17 @@ HEADER = "FDA-SIG v1"
 KINDS = ("secret-key", "public-key", "signature", "pof-1", "pof-2")
 
 
-@dataclass(frozen=True)
-class SignatureFile:
+class SignatureFile(Record):
     """A parsed signature file: the scheme parameters, the message it was
-    produced for, and the signature itself."""
+    produced for (an int bit for Lamport, a BitString for WOTS), and the
+    signature itself."""
 
-    params: Params
-    message: object  # int bit for lamport, BitString for wots
-    signature: Signature
+    __slots__ = ("params", "message", "signature")
+
+    def __init__(self, params: Params, message, signature: Signature):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "signature", signature)
 
 
 # ---------------------------------------------------------------------------

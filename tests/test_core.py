@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -102,9 +101,12 @@ def test_params_name_their_scheme_outside_the_fields():
     lp, wp = LamportParams(8, 4), derive_wots_params(6, 1, 4, 2)
     assert (lp.scheme, wp.scheme) == ("lamport", "wots")
     # a class attribute, not a field: repr and equality are unchanged
-    assert "scheme" not in [f.name for f in dataclasses.fields(lp)]
-    assert "scheme" not in [f.name for f in dataclasses.fields(wp)]
+    assert LamportParams.__slots__ == ("n", "delta")
+    assert "scheme" not in WotsParams.__slots__
     assert repr(lp) == "LamportParams(n=8, delta=4)"
+    assert repr(wp) == "WotsParams(n=6, delta=1, L=4, nu=2, w=4, l1=2, l2=2, l=4)"
+    assert lp == LamportParams(8, 4) and hash(lp) == hash((8, 4))
+    assert wp == WotsParams(6, 1, 4, 2) and hash(wp) == hash((6, 1, 4, 2, 4, 2, 2, 4))
 
 
 class TestDeriveWotsParams:

@@ -7,9 +7,10 @@ in ``bench/*.py`` or in ``tools/*.py``.  A reference is a name, an
 attribute, an imported name, or a string constant spelling the name
 (``bench/spans.py`` wraps functions by name).
 
-Every defaulted parameter of such a function or method, and every
-defaulted field of a public dataclass, must be passed by some call in
-those same files: an option that only tests set is test-only API too.
+Every defaulted parameter of such a function or method, of such a
+class's ``__init__``, and every defaulted field of a public dataclass,
+must be passed by some call in those same files: an option that only
+tests set is test-only API too.
 A call passes it by keyword, positionally at or past its index, or
 through ``*args`` or ``**kwargs``; calls are matched by callee name.
 """
@@ -73,7 +74,8 @@ def _field_defaults(cls):
 
 def _defaults(tree):
     """(owner, callee, parameter, call position) for every defaulted
-    parameter of a public function or method and field of a public dataclass."""
+    parameter of a public function, method or class's ``__init__``, and
+    field of a public dataclass."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
@@ -85,7 +87,12 @@ def _defaults(tree):
                 for param, i in _field_defaults(node):
                     yield node.name, node.name, param, i
             for m in node.body:
-                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                if not isinstance(m, ast.FunctionDef):
+                    continue
+                if m.name == "__init__":  # called by the class's name
+                    for param, i in _parameter_defaults(m, 1):
+                        yield f"{node.name}.__init__", node.name, param, i
+                elif not m.name.startswith("_"):
                     static = any(ast.unparse(d) == "staticmethod" for d in m.decorator_list)
                     for param, i in _parameter_defaults(m, 0 if static else 1):
                         yield f"{node.name}.{m.name}", m.name, param, i

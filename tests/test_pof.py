@@ -9,7 +9,9 @@ from pofsig.adversary import (
     forge_lamport,
     forge_wots,
 )
-from pofsig.core import BitString, LamportParams, PublicKey, Signature, derive_wots_params
+from pofsig.core import (
+    BitString, KeyPair, LamportParams, PublicKey, Signature, derive_wots_params,
+)
 from pofsig.errors import NotAValidSignature
 from pofsig.pof import (
     PofEvidenceI,
@@ -221,3 +223,42 @@ class TestMalformedSignature:
         assert verify_pof1(PofEvidenceI(pk, bad, M, M_other)) == 0
         assert verify_pof2(PofEvidenceII(pk, good, bad, M)) == 0
         assert verify_pof2(PofEvidenceII(pk, bad, good, M)) == 0
+
+
+def _malformed_keys():
+    """(name, scheme, the key's public fields) of public keys that a library
+    caller can build and serial.loads never does."""
+    lkp, wkp = lamport_kp(seed=3), wots.keygen(WP, random.Random(4))
+    return {
+        "lamport no values": ("lamport", (LP, None, None)),
+        "lamport no params": ("lamport", (None, None, lkp.pk)),
+        "lamport one half": ("lamport", (LP, None, lkp.pk[:1])),
+        "lamport int halves": ("lamport", (LP, None, (0, 1))),
+        "wots no values": ("wots", (WP, wkp.r, None)),
+        "wots no params": ("wots", (None, wkp.r, wkp.pk)),
+        "wots one chain short": ("wots", (WP, wkp.r, wkp.pk[:-1])),
+        "wots str seed": ("wots", (WP, "seed", wkp.pk)),
+    }
+
+
+class TestMalformedPublicKey:
+    @pytest.mark.parametrize("case", list(_malformed_keys()))
+    def test_counts_as_invalid_everywhere(self, case):
+        scheme, (params, r, pk_values) = _malformed_keys()[case]
+        kp, M, M_other, good = TestMalformedSignature()._key(scheme)
+        pk = PublicKey(params, r, pk_values)
+        assert scheme_verify(pk, good, M) == 0
+        forged = KeyPair(params, r, kp.sk, pk_values)
+        with pytest.raises(NotAValidSignature):
+            detect_forgery(forged, M, good)
+        other = Signature(tuple(BitString(v.bit_len, bytes(len(v.payload))) for v in good.sigma))
+        assert verify_pof1(PofEvidenceI(pk, good, M, M_other)) == 0
+        assert verify_pof2(PofEvidenceII(pk, good, other, M)) == 0
+        assert verify_pof2(PofEvidenceII(pk, other, good, M)) == 0
+
+    def test_the_wellformed_key_passes_the_same_checks(self):
+        # the cases above fail on the key alone: the same signature verifies
+        # under the key it was made with
+        for scheme in ("lamport", "wots"):
+            kp, M, _, good = TestMalformedSignature()._key(scheme)
+            assert scheme_verify(kp.public(), good, M) == 1

@@ -1,0 +1,102 @@
+"""Every record built on ``core.Record`` behaves as the frozen dataclass
+of the same fields would: the same repr, hash and equality, and no
+assignment or deletion of a field."""
+
+import copy
+import dataclasses
+import pickle
+import random
+
+import pytest
+
+from pofsig import lamport, wots
+from pofsig.adversary import ForgeryBudget, PreimageSet
+from pofsig.core import BitString, LamportParams, Record, Signature, WotsParams
+from pofsig.oracle import LABEL_LAMPORT, LABEL_WOTS_CHAIN, OracleTag
+from pofsig.pof import DetectionOutcome, PofEvidenceI, PofEvidenceII, detect_forgery
+from pofsig.serial import SignatureFile
+
+
+def _records():
+    lp, wp = LamportParams(8, 2), WotsParams(6, 1, 4, 2)
+    lkp, wkp = lamport.keygen(lp, random.Random(1)), wots.keygen(wp, random.Random(2))
+    M = BitString.from_int(0b1011, 4)
+    sig = wots.sign(wkp, M)
+    forged = Signature((BitString.from_int(0, lp.sk_bits),))
+    evidence = PofEvidenceII(lkp.public(), lamport.sign(lkp, 1), forged, 1)
+    return [
+        lp, wp, M, lkp, wkp, lkp.public(), wkp.public(), sig, lamport.sign(lkp, 1),
+        OracleTag(LABEL_LAMPORT), OracleTag(LABEL_WOTS_CHAIN, wkp.r, 3),
+        PofEvidenceI(wkp.public(), sig, M, BitString.from_int(1, 4)),
+        detect_forgery(lkp, 1, lamport.sign(lkp, 1)),
+        evidence, DetectionOutcome(True, evidence),
+        SignatureFile(wp, M, sig), ForgeryBudget(), ForgeryBudget(12),
+        PreimageSet((M, BitString.from_int(3, 4))), PreimageSet(()),
+    ]
+
+
+def _fields(record):
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+def _as_dataclass(record):
+    """The frozen dataclass of the record's fields, named as its class."""
+    cls = type(record)
+    fields = [(name, object, dataclasses.field(repr=name not in cls._hidden))
+              for name in cls.__slots__]
+    ref = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
+    return ref(*_fields(record))
+
+
+def test_every_record_class_is_covered():
+    assert {type(r) for r in _records()} == set(Record.__subclasses__())
+    assert len(Record.__subclasses__()) == 13
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_repr_and_hash_are_the_frozen_dataclass_ones(record):
+    ref = _as_dataclass(record)
+    assert repr(record) == repr(ref)
+    assert hash(record) == hash(ref) == hash(_fields(record))
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_equality_is_by_fields_within_one_class(record):
+    cls = type(record)
+    copy = object.__new__(cls)
+    for name, value in zip(cls.__slots__, _fields(record)):
+        object.__setattr__(copy, name, value)
+    assert copy == record and not copy != record
+    assert record.__eq__(_as_dataclass(record)) is NotImplemented
+    assert record != _as_dataclass(record)
+    assert record != _fields(record)
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned_or_deleted(record):
+    name = record.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, name) is _fields(record)[0]
+
+
+def test_records_of_unequal_fields_differ():
+    assert BitString.from_int(1, 4) != BitString.from_int(2, 4)
+    assert BitString.from_int(1, 4) != BitString.from_int(1, 5)
+    assert LamportParams(8, 2) != LamportParams(8, 3)
+    assert ForgeryBudget(12) != ForgeryBudget()
+    assert len({PreimageSet(()), PreimageSet(()), PreimageSet((BitString(0, b""),))}) == 2
+
+
+def test_preimage_set_repr_hides_its_members():
+    assert repr(PreimageSet((BitString.from_int(3, 4),))) == "PreimageSet()"
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_copies_and_pickles_are_equal_records(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
