@@ -32,10 +32,10 @@ class ForgeryBudget(Record):
     """Cap on exhaustive-search width; 28 bits is minutes on a desktop."""
 
     __slots__ = ("max_domain_bits",)
+    _defaults = {"max_domain_bits": MAX_DOMAIN_BITS}
 
-    def __init__(self, max_domain_bits: int = MAX_DOMAIN_BITS):
-        object.__setattr__(self, "max_domain_bits", max_domain_bits)
-        if not 1 <= max_domain_bits <= MAX_DOMAIN_BITS:
+    def _check(self):
+        if not 1 <= self.max_domain_bits <= MAX_DOMAIN_BITS:
             raise InvalidParams(
                 f"max_domain_bits must be in 1..{MAX_DOMAIN_BITS}"
             )
@@ -53,9 +53,6 @@ class PreimageSet(Record):
 
     __slots__ = ("members",)
     _hidden = frozenset({"members"})
-
-    def __init__(self, members: tuple[BitString, ...]):
-        object.__setattr__(self, "members", members)
 
     @property
     def count(self) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 import random
-from typing import Optional
 
 from .errors import EntropyError, InvalidParams
 
@@ -27,11 +26,14 @@ class Record:
     with what a frozen dataclass gives: equality with the same class only,
     the hash of the tuple of the fields, a ``Name(field=value, ...)`` repr
     that leaves out the fields named in ``_hidden``, and AttributeError on
-    assigning or deleting a field.  Each subclass sets its fields in its
-    own ``__init__`` with ``object.__setattr__``."""
+    assigning or deleting a field.  Unless the class writes its own, its
+    ``__init__`` is built once, with the class: it takes the fields in
+    order, the trailing ones named in ``_defaults`` optional, sets each,
+    and then calls the class's ``_check``, if it has one."""
 
     __slots__ = ()
     _hidden = frozenset()
+    _defaults = {}
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -48,6 +50,18 @@ class Record:
             cls.__hash__ = lambda self: hash((key(self),))
         else:
             cls.__hash__ = lambda self: hash(key(self))
+        if "__init__" not in cls.__dict__:
+            # straight-line code, one set per field: a loop over the fields
+            # at each call would cost more than the sets themselves
+            names = cls.__slots__
+            params = ", ".join(f"{n}=_d[{n!r}]" if n in cls._defaults else n for n in names)
+            body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+            if hasattr(cls, "_check"):
+                body += "\n    self._check()"
+            scope = {"_set": object.__setattr__, "_d": cls._defaults}
+            exec(f"def __init__(self, {params}):{body}", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -81,9 +95,8 @@ class BitString(Record):
 
     __slots__ = ("bit_len", "payload")
 
-    def __init__(self, bit_len: int, payload: bytes):
-        object.__setattr__(self, "bit_len", bit_len)
-        object.__setattr__(self, "payload", payload)
+    def _check(self):
+        bit_len, payload = self.bit_len, self.payload
         if bit_len < 0:
             raise InvalidParams("bit_len must be non-negative")
         nbytes = (bit_len + 7) // 8
@@ -128,12 +141,10 @@ class LamportParams(Record):
     __slots__ = ("n", "delta")
     scheme = "lamport"
 
-    def __init__(self, n: int, delta: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "delta", delta)
-        if n < 1:
+    def _check(self):
+        if self.n < 1:
             raise InvalidParams("n must be >= 1")
-        if delta < 0:
+        if self.delta < 0:
             raise InvalidParams("delta must be >= 0")
         _check_value_bits(self.sk_bits)
 
@@ -207,23 +218,11 @@ class PublicKey(Record):
 
     __slots__ = ("params", "r", "pk")
 
-    def __init__(self, params: Params, r: Optional[bytes], pk: tuple[BitString, ...]):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "pk", pk)
-
 
 class KeyPair(Record):
     """A public key and its secret values sk, in the order of pk."""
 
     __slots__ = ("params", "r", "sk", "pk")
-
-    def __init__(self, params: Params, r: Optional[bytes], sk: tuple[BitString, ...],
-                 pk: tuple[BitString, ...]):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "sk", sk)
-        object.__setattr__(self, "pk", pk)
 
     def public(self) -> PublicKey:
         return PublicKey(self.params, self.r, self.pk)
@@ -234,6 +233,3 @@ class Signature(Record):
     or one value on each of the l WOTS chains."""
 
     __slots__ = ("sigma",)
-
-    def __init__(self, sigma: tuple[BitString, ...]):
-        object.__setattr__(self, "sigma", sigma)

@@ -57,11 +57,10 @@ class OracleTag(Record):
     """Domain-separation tag: label, optional seed, optional chain index."""
 
     __slots__ = ("label", "r", "index")
+    _defaults = {"r": None, "index": None}
 
-    def __init__(self, label: bytes, r: Optional[Seed] = None, index: Optional[int] = None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "index", index)
+    def _check(self):
+        label, r, index = self.label, self.r, self.index
         if label not in _LABELS:
             raise InvalidParams(f"unknown oracle label {label!r}")
         if label == LABEL_WOTS_CHAIN:

@@ -9,11 +9,10 @@ re-signing the forged message and exhibiting the mismatch.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import lamport, wots
 from .core import BitString, KeyPair, Params, PublicKey, Record, Signature
 from .errors import NotAValidSignature, PofsigError
+from .oracle import SEED_BYTES
 
 # The one place a scheme name is mapped to its keygen, sign and verify;
 # every caller looks the scheme up by params.scheme.
@@ -33,16 +32,15 @@ def _bit_strings(values) -> bool:
 
 def _key_shaped(pk) -> bool:
     """pk is a PublicKey holding its scheme's count of BitStrings, two
-    Lamport halves or l WOTS chain tops, and a WOTS key has a bytes seed."""
+    Lamport halves or l WOTS chain tops, and its scheme's seed: none for
+    Lamport, SEED_BYTES bytes for WOTS."""
     if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)):
         return False
     if pk.params.scheme == "lamport":
-        count = 2
-    elif isinstance(pk.r, bytes):
-        count = pk.params.l
+        seeded, count = pk.r is None, 2
     else:
-        return False
-    return _bit_strings(pk.pk) and len(pk.pk) == count
+        seeded, count = isinstance(pk.r, bytes) and len(pk.r) == SEED_BYTES, pk.params.l
+    return seeded and _bit_strings(pk.pk) and len(pk.pk) == count
 
 
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
@@ -61,22 +59,9 @@ def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
 class PofEvidenceI(Record):
     __slots__ = ("pk", "sigma_star", "M", "M_star")
 
-    def __init__(self, pk: PublicKey, sigma_star: Signature, M, M_star):
-        object.__setattr__(self, "pk", pk)
-        object.__setattr__(self, "sigma_star", sigma_star)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "M_star", M_star)
-
 
 class PofEvidenceII(Record):
     __slots__ = ("pk", "sigma_tilde_star", "sigma_star", "M_star")
-
-    def __init__(self, pk: PublicKey, sigma_tilde_star: Signature, sigma_star: Signature,
-                 M_star):
-        object.__setattr__(self, "pk", pk)
-        object.__setattr__(self, "sigma_tilde_star", sigma_tilde_star)
-        object.__setattr__(self, "sigma_star", sigma_star)
-        object.__setattr__(self, "M_star", M_star)
 
 
 def verify_pof1(E: PofEvidenceI) -> int:
@@ -103,10 +88,7 @@ class DetectionOutcome(Record):
     """Result of the signer's detection step: evidence or an explicit miss."""
 
     __slots__ = ("detected", "evidence")
-
-    def __init__(self, detected: bool, evidence: Optional[PofEvidenceII] = None):
-        object.__setattr__(self, "detected", detected)
-        object.__setattr__(self, "evidence", evidence)
+    _defaults = {"evidence": None}
 
 
 def detect_forgery(kp: KeyPair, M_star, sigma_star: Signature) -> DetectionOutcome:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from . import lamport, wots
 from .core import (
-    BitString, KeyPair, LamportParams, Params, PublicKey, Record, Signature, derive_wots_params,
+    BitString, KeyPair, LamportParams, PublicKey, Record, Signature, derive_wots_params,
 )
 from .errors import FormatError, InvalidParams
 from .oracle import SEED_BYTES, Seed, chain
@@ -42,11 +42,6 @@ class SignatureFile(Record):
     signature itself."""
 
     __slots__ = ("params", "message", "signature")
-
-    def __init__(self, params: Params, message, signature: Signature):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "signature", signature)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ attribute, an imported name, or a string constant spelling the name
 (``bench/spans.py`` wraps functions by name).
 
 Every defaulted parameter of such a function or method, of such a
-class's ``__init__``, and every defaulted field of a public dataclass,
-must be passed by some call in those same files: an option that only
-tests set is test-only API too.
+class's ``__init__``, every defaulted field of a public dataclass, and
+every field a public ``Record`` class names in ``_defaults``, must be
+passed by some call in those same files: an option that only tests set
+is test-only API too.
 A call passes it by keyword, positionally at or past its index, or
 through ``*args`` or ``**kwargs``; calls are matched by callee name.
 """
@@ -72,10 +73,24 @@ def _field_defaults(cls):
             yield s.target.id, i
 
 
+def _record_defaults(cls):
+    """(field, call position) for a Record's ``_defaults`` entries: the
+    position is the field's index in ``__slots__``."""
+    assigned = {
+        s.targets[0].id: s.value for s in cls.body
+        if isinstance(s, ast.Assign) and isinstance(s.targets[0], ast.Name)
+    }
+    if "_defaults" not in assigned:
+        return
+    slots = ast.literal_eval(assigned["__slots__"])
+    for key in assigned["_defaults"].keys:
+        yield key.value, slots.index(key.value)
+
+
 def _defaults(tree):
     """(owner, callee, parameter, call position) for every defaulted
     parameter of a public function, method or class's ``__init__``, and
-    field of a public dataclass."""
+    field of a public dataclass or Record."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
@@ -85,6 +100,9 @@ def _defaults(tree):
         elif isinstance(node, ast.ClassDef):
             if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
                 for param, i in _field_defaults(node):
+                    yield node.name, node.name, param, i
+            if any(ast.unparse(b) == "Record" for b in node.bases):
+                for param, i in _record_defaults(node):
                     yield node.name, node.name, param, i
             for m in node.body:
                 if not isinstance(m, ast.FunctionDef):
@@ -148,3 +166,15 @@ def test_every_defaulted_parameter_in_src_is_passed_outside_the_tests():
         if not any(_passes(call, param, position) for call in calls.get(callee, ()))
     ]
     assert not unset, "only tests set:\n" + "\n".join(unset)
+
+
+def test_record_defaults_are_read_at_their_slot_positions():
+    tree = ast.parse("class Tag(Record):\n"
+                     "    __slots__ = ('label', 'r', 'index')\n"
+                     "    _defaults = {'r': None, 'index': None}\n")
+    assert list(_defaults(tree)) == [("Tag", "Tag", "r", 1), ("Tag", "Tag", "index", 2)]
+    found = {(path.name, owner, param, i) for path, tree in _sources()[0].items()
+             for owner, _, param, i in _defaults(tree)}
+    assert {("oracle.py", "OracleTag", "r", 1), ("oracle.py", "OracleTag", "index", 2),
+            ("pof.py", "DetectionOutcome", "evidence", 1),
+            ("adversary.py", "ForgeryBudget", "max_domain_bits", 0)} <= found

@@ -13,7 +13,9 @@ from pofsig.core import (
     BitString, KeyPair, LamportParams, PublicKey, Signature, derive_wots_params,
 )
 from pofsig.errors import NotAValidSignature
+from pofsig.oracle import chain
 from pofsig.pof import (
+    SCHEMES,
     PofEvidenceI,
     PofEvidenceII,
     detect_forgery,
@@ -238,6 +240,10 @@ def _malformed_keys():
         "wots no params": ("wots", (None, wkp.r, wkp.pk)),
         "wots one chain short": ("wots", (WP, wkp.r, wkp.pk[:-1])),
         "wots str seed": ("wots", (WP, "seed", wkp.pk)),
+        # seeds of the wrong shape, with the key's values made under them
+        "lamport with a seed": ("lamport", (LP, b"0123456789abcdef", lkp.pk)),
+        "wots 3-byte seed": (
+            "wots", (WP, b"abc", tuple(chain(WP, b"abc", 0, WP.w - 1, s) for s in wkp.sk))),
     }
 
 
@@ -246,6 +252,8 @@ class TestMalformedPublicKey:
     def test_counts_as_invalid_everywhere(self, case):
         scheme, (params, r, pk_values) = _malformed_keys()[case]
         kp, M, M_other, good = TestMalformedSignature()._key(scheme)
+        if isinstance(r, bytes):  # signed under the case's own seed
+            good = SCHEMES[scheme].sign(KeyPair(kp.params, r, kp.sk, kp.pk), M)
         pk = PublicKey(params, r, pk_values)
         assert scheme_verify(pk, good, M) == 0
         forged = KeyPair(params, r, kp.sk, pk_values)

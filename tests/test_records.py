@@ -1,9 +1,11 @@
 """Every record built on ``core.Record`` behaves as the frozen dataclass
 of the same fields would: the same repr, hash and equality, and no
-assignment or deletion of a field."""
+assignment or deletion of a field; and every class but ``WotsParams``
+takes its fields through the ``__init__`` that ``Record`` builds."""
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 
@@ -12,6 +14,7 @@ import pytest
 from pofsig import lamport, wots
 from pofsig.adversary import ForgeryBudget, PreimageSet
 from pofsig.core import BitString, LamportParams, Record, Signature, WotsParams
+from pofsig.errors import InvalidParams
 from pofsig.oracle import LABEL_LAMPORT, LABEL_WOTS_CHAIN, OracleTag
 from pofsig.pof import DetectionOutcome, PofEvidenceI, PofEvidenceII, detect_forgery
 from pofsig.serial import SignatureFile
@@ -100,3 +103,49 @@ def test_preimage_set_repr_hides_its_members():
 def test_copies_and_pickles_are_equal_records(record):
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+
+
+BUILT = [r for r in _records() if type(r) is not WotsParams]
+
+
+@pytest.mark.parametrize("record", BUILT, ids=lambda r: type(r).__name__)
+def test_built_initialiser_takes_the_fields_in_order(record):
+    cls, fields = type(record), _fields(record)
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls.__slots__
+    assert {n: p.default for n, p in params.items() if p.default is not p.empty} == cls._defaults
+    kwargs = dict(zip(cls.__slots__, fields))
+    assert cls(*fields) == cls(**kwargs) == record
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    with pytest.raises(TypeError):
+        cls(**kwargs, extra=None)
+    for name in cls.__slots__:
+        if name not in cls._defaults:
+            with pytest.raises(TypeError):
+                cls(**{n: v for n, v in kwargs.items() if n != name})
+
+
+def test_wots_params_keeps_its_own_initialiser():
+    assert tuple(inspect.signature(WotsParams).parameters) == ("n", "delta", "L", "nu")
+    assert WotsParams(6, 1, 4, 2) == WotsParams(n=6, delta=1, L=4, nu=2)
+
+
+# arguments with one bad value, per class whose built __init__ ends in its _check
+REFUSED = {
+    BitString: (3, b""),
+    LamportParams: (0, 2),
+    OracleTag: (b"no such label",),
+    ForgeryBudget: (0,),
+}
+
+
+def test_every_checked_class_is_covered():
+    checked = {cls for cls in Record.__subclasses__() if hasattr(cls, "_check")}
+    assert checked == set(REFUSED)
+
+
+@pytest.mark.parametrize("cls", list(REFUSED), ids=lambda c: c.__name__)
+def test_built_initialiser_runs_the_check(cls):
+    with pytest.raises(InvalidParams):
+        cls(*REFUSED[cls])
