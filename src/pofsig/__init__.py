@@ -11,14 +11,7 @@ from .core import (
     BitString, KeyPair, LamportParams, PublicKey, Signature, WotsParams, derive_wots_params,
 )
 from .oracle import OracleTag, Seed, chain, oracle_eval
-from .pof import (
-    DetectionOutcome,
-    PofEvidenceI,
-    PofEvidenceII,
-    detect_forgery,
-    verify_pof1,
-    verify_pof2,
-)
+from .pof import DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
 from .errors import (
     BudgetExceeded,
     DomainError,

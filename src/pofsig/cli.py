@@ -141,9 +141,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_verify_pof(args) -> int:
-    evidence = serial.load_path(args.pof, ("pof-1", "pof-2"))
-    verify = pof.verify_pof1 if isinstance(evidence, pof.PofEvidenceI) else pof.verify_pof2
-    ok = verify(evidence)
+    ok = pof.verify_pof2(serial.load_path(args.pof, ("pof-2",)))
     print("valid evidence" if ok else "invalid evidence")
     return EXIT_OK if ok else EXIT_INVALID
 

@@ -117,8 +117,6 @@ class BitString(Record):
         return cls(bit_len, (value << (8 * nbytes - bit_len)).to_bytes(nbytes, "big"))
 
     def to_int(self) -> int:
-        if self.bit_len == 0:
-            return 0
         nbytes = len(self.payload)
         return int.from_bytes(self.payload, "big") >> (8 * nbytes - self.bit_len)
 

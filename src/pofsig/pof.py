@@ -1,10 +1,12 @@
-"""Proof-of-forgery evidence sets and the signer-side detection step.
+"""Proof-of-forgery evidence and the signer-side detection step.
 
-Type I evidence: one signature valid for two distinct messages (arises
-in digest-wrapped schemes; here only verified, never produced).
-Type II evidence: two distinct signatures valid for one message, which
-is what a signer constructs after receiving a forgery, by deterministically
-re-signing the forged message and exhibiting the mismatch.
+Evidence is two distinct signatures valid for one message (the paper's
+type II): the signer re-signs the forged message deterministically and
+exhibits the mismatch, which always shows a collision of the oracle.
+One signature valid for two messages (type I) shows none for these
+undigested schemes: a Lamport key with equal public halves passes it
+with its own signature, and no WOTS signature passes it at delta > 0,
+where each depth fixes its value's width.  So type II is the one kind.
 """
 
 from __future__ import annotations
@@ -56,20 +58,8 @@ def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
         return 0
 
 
-class PofEvidenceI(Record):
-    __slots__ = ("pk", "sigma_star", "M", "M_star")
-
-
 class PofEvidenceII(Record):
     __slots__ = ("pk", "sigma_tilde_star", "sigma_star", "M_star")
-
-
-def verify_pof1(E: PofEvidenceI) -> int:
-    """1 iff the single signature verifies for both messages and they differ."""
-    if E.M == E.M_star:
-        return 0
-    return (scheme_verify(E.pk, E.sigma_star, E.M)
-            and scheme_verify(E.pk, E.sigma_star, E.M_star))
 
 
 def verify_pof2(E: PofEvidenceII) -> int:

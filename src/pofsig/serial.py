@@ -3,7 +3,7 @@
 Layout (UTF-8, LF line endings)::
 
     FDA-SIG v1
-    kind: <secret-key|public-key|signature|pof-1|pof-2>
+    kind: <secret-key|public-key|signature|pof-2>
     scheme: <lamport|wots>
     n: <int>
     delta: <int>
@@ -19,7 +19,8 @@ is the only text accepted for it.  ``loads`` reads the fields by name,
 builds the object, writes it back, and refuses the file with a
 FormatError naming the first line that differs, so padding, reordering,
 duplicates, case changes, CR characters or a missing final newline are
-all refused by the same rule.
+all refused by the same rule.  A ``dump_*`` refuses, with FormatError,
+an object not shaped as its parameters say: ``loads`` builds no other.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .core import (
 )
 from .errors import FormatError, InvalidParams
 from .oracle import SEED_BYTES, Seed, chain
-from .pof import SCHEMES, PofEvidenceI, PofEvidenceII
+from .pof import SCHEMES, PofEvidenceII, _key_shaped
 
 HEADER = "FDA-SIG v1"
-KINDS = ("secret-key", "public-key", "signature", "pof-1", "pof-2")
+KINDS = ("secret-key", "public-key", "signature", "pof-2")
 
 
 class SignatureFile(Record):
@@ -76,7 +77,6 @@ def _names(prefix: str, params, count: int) -> list[str]:
 
 
 def _numbered(prefix: str, values, params) -> list[tuple[str, BitString]]:
-    """Every value under its name, so a value too many is written and refused."""
     return list(zip(_names(prefix, params, len(values)), values))
 
 
@@ -91,11 +91,38 @@ def _pk_fields(pk: PublicKey) -> list[tuple[str, BitString]]:
 
 def _sig_fields(prefix: str, sig: Signature, params) -> list[tuple[str, BitString]]:
     if params.scheme == "lamport":
-        return [(prefix, s) for s in sig.sigma]
+        return [(prefix, sig.sigma[0])]
     return _numbered(prefix, sig.sigma, params)
 
 
+def _shaped(values, widths) -> bool:
+    """values is a tuple of BitStrings, one of each bit length in widths."""
+    return (isinstance(values, tuple) and len(values) == len(widths)
+            and all(isinstance(v, BitString) and v.bit_len == w for v, w in zip(values, widths)))
+
+
+def _refuse_unless(shaped: bool, what: str) -> None:
+    """FormatError for an object not shaped as loads builds it: it has no text."""
+    if not shaped:
+        raise FormatError(f"{what} is not shaped as its parameters say")
+
+
+def _refuse_unless_key(pk) -> None:
+    """FormatError unless pof._key_shaped accepts pk and its values are n bits."""
+    _refuse_unless(_key_shaped(pk) and _shaped(pk.pk, (pk.params.n,) * len(pk.pk)), "key")
+
+
+def _refuse_unless_signature(sig, message, params) -> None:
+    """FormatError unless sig holds one sk_bits-bit Lamport half, or l WOTS
+    values, each as wide as its chain's depth for message."""
+    widths = ((params.sk_bits,) if params.scheme == "lamport"
+              else [params.value_bits(d) for d in wots.extend(message, params)])
+    _refuse_unless(isinstance(sig, Signature) and _shaped(sig.sigma, widths), "signature")
+
+
 def dump_secret_key(kp: KeyPair) -> str:
+    _refuse_unless_key(kp.public())
+    _refuse_unless(_shaped(kp.sk, (kp.params.sk_bits,) * len(kp.pk)), "secret key")
     fields = _seed_fields(kp) + _numbered("sk", kp.sk, kp.params)
     if kp.params.scheme == "lamport":
         fields += _pk_fields(kp.public())
@@ -103,25 +130,21 @@ def dump_secret_key(kp: KeyPair) -> str:
 
 
 def dump_public_key(pk) -> str:
+    _refuse_unless_key(pk)
     return _render("public-key", pk.params, _pk_fields(pk))
 
 
 def dump_signature(sig, message, params) -> str:
+    _refuse_unless_signature(sig, message, params)
     fields = [_message_field("message", message, params)] + _sig_fields("sigma", sig, params)
     return _render("signature", params, fields)
 
 
-def dump_pof1(E: PofEvidenceI) -> str:
-    params = E.pk.params
-    fields = _pk_fields(E.pk)
-    fields.append(_message_field("m", E.M, params))
-    fields.append(_message_field("m_star", E.M_star, params))
-    fields += _sig_fields("sigma_star", E.sigma_star, params)
-    return _render("pof-1", params, fields)
-
-
 def dump_pof2(E: PofEvidenceII) -> str:
     params = E.pk.params
+    _refuse_unless_key(E.pk)
+    _refuse_unless_signature(E.sigma_star, E.M_star, params)
+    _refuse_unless_signature(E.sigma_tilde_star, E.M_star, params)
     fields = _pk_fields(E.pk)
     fields.append(_message_field("m_star", E.M_star, params))
     fields += _sig_fields("sigma_star", E.sigma_star, params)
@@ -220,7 +243,7 @@ def loads(text: str, kinds=KINDS):
     """Parse an FDA-SIG file of one of the given kinds into its typed object.
 
     Returns a KeyPair for secret keys, a PublicKey for public keys,
-    SignatureFile for signatures, and the evidence types for pof-1/pof-2.
+    SignatureFile for signatures, and PofEvidenceII for pof-2 evidence.
     A file of another kind, or any text other than the one the object
     writes back, raises FormatError.
     """
@@ -255,15 +278,10 @@ def loads(text: str, kinds=KINDS):
         pk = _public_key(fields, params)
         m_star = _message(fields, "m_star", params)
         sig_star = _signature(fields, "sigma_star", params, m_star)
-        if kind == "pof-1":
-            obj = PofEvidenceI(pk=pk, sigma_star=sig_star,
-                               M=_message(fields, "m", params), M_star=m_star)
-            written = dump_pof1(obj)
-        else:
-            sig_tilde = _signature(fields, "sigma_tilde_star", params, m_star)
-            obj = PofEvidenceII(pk=pk, sigma_tilde_star=sig_tilde,
-                                sigma_star=sig_star, M_star=m_star)
-            written = dump_pof2(obj)
+        sig_tilde = _signature(fields, "sigma_tilde_star", params, m_star)
+        obj = PofEvidenceII(pk=pk, sigma_tilde_star=sig_tilde,
+                            sigma_star=sig_star, M_star=m_star)
+        written = dump_pof2(obj)
     _refuse_unless_written(text, written)
     return obj
 

@@ -1,16 +1,18 @@
 """Reference computations that tests compare pofsig's own values against.
 
 None of these runs in pofsig itself: they are the independent checks of
-the closed-form expectation, of the 5.22 bound constant, and of the
-Lamport image count against the experiment's preimage index.
+the closed-form expectation, of the 5.22 bound constant, of the Lamport
+image count against the experiment's preimage index, and of the
+collision that a piece of evidence exhibits.
 """
 
 import math
 
-from pofsig import lamport
+from pofsig import lamport, wots
 from pofsig.analysis import binom_pmf
 from pofsig.core import BitString, LamportParams
 from pofsig.errors import DomainError
+from pofsig.oracle import apply_step, chain_steps, lamport_step
 
 
 def exact_expectation_by_summation(n: int, delta: int) -> float:
@@ -55,3 +57,27 @@ def occupancy_sd(n: int, delta: int) -> float:
     R, D = 2 ** n, 2 ** (n + delta)
     var = R * (R - 1) * (1 - 2 / R) ** D + R * (1 - 1 / R) ** D - R * R * (1 - 1 / R) ** (2 * D)
     return math.sqrt(var) / D
+
+
+def collision(E):
+    """(step, x, y): the oracle step and the two inputs that evidence E
+    shows colliding, which a test checks are distinct with one image.
+
+    Lamport: the two revealed halves under the key's lamport_step.  WOTS:
+    at the first chain where the two signatures differ, both values are
+    walked up from the forged message's depth b*_i, one chain step at a
+    time, until they merge; the step where they do, and its two inputs.
+    None if they never merge.
+    """
+    params = E.pk.params
+    x, y = E.sigma_star.sigma, E.sigma_tilde_star.sigma
+    if params.scheme == "lamport":
+        return lamport_step(params.n, params.sk_bits), x[0], y[0]
+    i = next(i for i, (a, b) in enumerate(zip(x, y)) if a != b)
+    x, y = x[i], y[i]
+    for step in chain_steps(params, E.pk.r)[wots.extend(E.M_star, params)[i]:]:
+        x_up, y_up = apply_step(step, x), apply_step(step, y)
+        if x_up == y_up:
+            return step, x, y
+        x, y = x_up, y_up
+    return None

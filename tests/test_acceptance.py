@@ -20,7 +20,7 @@ from pofsig.analysis import (
 )
 from pofsig.core import BitString, LamportParams, Signature, derive_wots_params
 from pofsig.errors import FormatError
-from pofsig.pof import PofEvidenceI, PofEvidenceII
+from pofsig.pof import PofEvidenceII
 from reference import (
     bound_constant,
     exact_expectation_by_summation,
@@ -198,12 +198,10 @@ def _random_structures(count):
             serial.dump_secret_key(kp),
             serial.dump_public_key(kp.public()),
             serial.dump_signature(sig_l, 0, lp),
-            serial.dump_pof1(PofEvidenceI(kp.public(), sig_l, 0, 1)),
             serial.dump_pof2(PofEvidenceII(kp.public(), sig_l, other_l, 1)),
             serial.dump_secret_key(kw),
             serial.dump_public_key(kw.public()),
             serial.dump_signature(sig_w, M, wp),
-            serial.dump_pof1(PofEvidenceI(kw.public(), sig_w, M, M)),
             serial.dump_pof2(PofEvidenceII(kw.public(), sig_w, other_w, M)),
         ]
     return texts[:count]
@@ -217,7 +215,6 @@ def test_criterion_9_serialization():
         redone = {
             "secret-key": serial.dump_secret_key,
             "public-key": serial.dump_public_key,
-            "pof-1": serial.dump_pof1,
             "pof-2": serial.dump_pof2,
         }
         kind = text.split("\n")[1].split(": ")[1]

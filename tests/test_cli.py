@@ -6,9 +6,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pofsig import cli
+from pofsig import cli, serial
 from pofsig.adversary import build_lamport_preimage_index
 from pofsig.core import LamportParams
+from pofsig.oracle import apply_step
+from reference import collision
 
 PY = [sys.executable, "-m", "pofsig"]
 
@@ -88,6 +90,47 @@ def test_forge_detect_verify_pof_pipeline(tmp_path, lam_keys):
     # fixture seed gives a detected forgery (checked here once and frozen)
     assert res.returncode == 0, res.stdout + res.stderr
     assert run("verify-pof", "--pof", str(pof_file)).returncode == 0
+    # the evidence file shows two distinct secret halves with one image
+    step, x, y = collision(serial.load_path(pof_file))
+    assert x != y and apply_step(step, x) == apply_step(step, y)
+
+
+def test_type_one_file_is_not_evidence(tmp_path):
+    # this key's halves have one image, so its honest signature of bit 0
+    # is "valid for both bits": a type-I file that shows no forgery
+    sk, pk, sig = (str(tmp_path / f) for f in ("sk", "pk", "sig"))
+    assert cli.main(["keygen", "--scheme", "lamport", "--n", "8", "--delta", "2",
+                     "--seed", "1a0", "--sk-out", sk, "--pk-out", pk]) == 0
+    assert cli.main(["sign", "--sk", sk, "--message", "0", "--out", sig]) == 0
+    key = serial.load_path(pk)
+    assert key.pk[0] == key.pk[1]
+    sigma = serial.load_path(sig).signature.sigma[0]
+    pof1 = tmp_path / "pof1"
+    pof1.write_text(serial.dump_public_key(key).replace("kind: public-key", "kind: pof-1")
+                    + f"m: 00\nm_star: 80\nsigma_star: {sigma.hex()}\n")
+    res = run("verify-pof", "--pof", str(pof1))
+    assert res.returncode == 2
+    assert res.stderr == f"error: {pof1}: unknown kind 'pof-1'\n"
+
+
+def test_every_kind_loads_accepts_is_written_by_a_command(tmp_path):
+    # keygen, sign, forge and detect for both schemes write every kind
+    for name, params, message, target in (
+        ("lam", ["lamport", "--n", "8", "--delta", "4"], "0", "1"),
+        ("wots", ["wots", "--n", "6", "--delta", "2", "--L", "4", "--nu", "2"], "d0", "20"),
+    ):
+        sk, pk, sig, forged, pof = (str(tmp_path / f"{name}.{k}")
+                                    for k in ("sk", "pk", "sig", "forged", "pof"))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["keygen", "--scheme", *params, "--seed", "c0ffee",
+                             "--sk-out", sk, "--pk-out", pk]) == 0
+            assert cli.main(["sign", "--sk", sk, "--message", message, "--out", sig]) == 0
+            assert cli.main(_forge_argv(pk, sig, message, target, forged)) == 0
+            assert cli.main(["detect", "--sk", sk, "--message", target, "--sig", forged,
+                             "--pof-out", pof]) == 0
+    written = {path.read_text().split("\n")[1].removeprefix("kind: ")
+               for path in tmp_path.iterdir()}
+    assert written == set(serial.KINDS)
 
 
 def test_detect_legitimate_signature_exits_4(tmp_path, lam_keys):

@@ -18,8 +18,7 @@ EXPORTS = {
     "core": ("BitString", "KeyPair", "LamportParams", "PublicKey", "Signature", "WotsParams",
              "derive_wots_params"),
     "oracle": ("OracleTag", "Seed", "chain", "oracle_eval"),
-    "pof": ("DetectionOutcome", "PofEvidenceI", "PofEvidenceII", "detect_forgery",
-            "verify_pof1", "verify_pof2"),
+    "pof": ("DetectionOutcome", "PofEvidenceII", "detect_forgery", "verify_pof2"),
     "adversary": ("ForgeryBudget", "PreimageSet", "enumerate_preimages", "forge_lamport",
                   "forge_wots"),
     "analysis": ("BoundsReport", "ExperimentConfig", "ExperimentReport", "ScenarioLog",

@@ -3,26 +3,15 @@ import random
 import pytest
 
 from pofsig import lamport, wots
-from pofsig.adversary import (
-    ForgeryBudget,
-    build_lamport_preimage_index,
-    forge_lamport,
-    forge_wots,
-)
+from pofsig.adversary import ForgeryBudget, forge_lamport, forge_wots
+from pofsig.analysis import run_scenario
 from pofsig.core import (
     BitString, KeyPair, LamportParams, PublicKey, Signature, derive_wots_params,
 )
 from pofsig.errors import NotAValidSignature
-from pofsig.oracle import chain
-from pofsig.pof import (
-    SCHEMES,
-    PofEvidenceI,
-    PofEvidenceII,
-    detect_forgery,
-    scheme_verify,
-    verify_pof1,
-    verify_pof2,
-)
+from pofsig.oracle import apply_step, chain
+from pofsig.pof import SCHEMES, PofEvidenceII, detect_forgery, scheme_verify, verify_pof2
+from reference import collision
 
 LP = LamportParams(8, 4)
 WP = derive_wots_params(6, 1, 4, 2)
@@ -31,35 +20,6 @@ BUDGET = ForgeryBudget()
 
 def lamport_kp(seed=0, params=LP):
     return lamport.keygen(params, random.Random(seed))
-
-
-def colliding_lamport_instance():
-    # two preimages of one image, found exhaustively; with pk[0] = pk[1] a
-    # single signature is valid for both message bits
-    params = LamportParams(8, 2)
-    index = build_lamport_preimage_index(params)
-    members = [BitString.from_int(v, 10)
-               for v in next(ms for ms in index.values() if len(ms) >= 2)]
-    y = lamport.hash_secret(params, members[0])
-    pk = PublicKey(params, None, (y, y))
-    return pk, members
-
-
-class TestPof1:
-    def test_equal_messages_rejected(self):
-        pk, members = colliding_lamport_instance()
-        E = PofEvidenceI(pk, Signature((members[0],)), M=1, M_star=1)
-        assert verify_pof1(E) == 0
-
-    def test_failing_verification_rejected(self):
-        kp = lamport_kp()
-        E = PofEvidenceI(kp.public(), lamport.sign(kp, 0), M=0, M_star=1)
-        assert verify_pof1(E) == 0  # sk[0] does not verify for bit 1
-
-    def test_hand_built_collision_accepted(self):
-        pk, members = colliding_lamport_instance()
-        E = PofEvidenceI(pk, Signature((members[0],)), M=0, M_star=1)
-        assert verify_pof1(E) == 1
 
 
 class TestPof2:
@@ -142,6 +102,26 @@ class TestDetectForgery:
                 assert verify_pof2(outcome.evidence) == 1
 
 
+def assert_collision(E):
+    """E shows a collision of the oracle: two distinct inputs of one step
+    with one image."""
+    step, x, y = collision(E)
+    assert x != y and apply_step(step, x) == apply_step(step, y)
+
+
+@pytest.mark.parametrize("params", [LamportParams(8, 6), LamportParams(8, 0),
+                                    derive_wots_params(6, 2, 4, 2)], ids=repr)
+def test_every_delivered_evidence_shows_a_collision(params):
+    # the points and seeds of the scenario logs the behaviour fingerprint digests
+    delivered = 0
+    for seed in range(6):
+        log = run_scenario(params, seed, "fresh")
+        if log.outcome == "evidence-delivered":
+            assert_collision(log.evidence)
+            delivered += 1
+    assert delivered
+
+
 class TestSchemeVerify:
     def _signed(self):
         lkp = lamport_kp(seed=3)
@@ -208,21 +188,20 @@ class TestMalformedSignature:
     def _key(self, scheme):
         if scheme == "lamport":
             kp = lamport_kp(seed=3)
-            return kp, 1, 0, lamport.sign(kp, 1)
+            return kp, 1, lamport.sign(kp, 1)
         kp = wots.keygen(WP, random.Random(4))
-        M, M_other = BitString.from_int(0b1011, 4), BitString.from_int(0b0110, 4)
-        return kp, M, M_other, wots.sign(kp, M)
+        M = BitString.from_int(0b1011, 4)
+        return kp, M, wots.sign(kp, M)
 
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_counts_as_invalid_everywhere(self, case):
         scheme, sigma = MALFORMED[case]
         assert scheme != "wots" or len(sigma) == WP.l  # the right length, the wrong values
-        kp, M, M_other, good = self._key(scheme)
+        kp, M, good = self._key(scheme)
         pk, bad = kp.public(), Signature(sigma)
         assert scheme_verify(pk, bad, M) == 0
         with pytest.raises(NotAValidSignature):
             detect_forgery(kp, M, bad)
-        assert verify_pof1(PofEvidenceI(pk, bad, M, M_other)) == 0
         assert verify_pof2(PofEvidenceII(pk, good, bad, M)) == 0
         assert verify_pof2(PofEvidenceII(pk, bad, good, M)) == 0
 
@@ -251,7 +230,7 @@ class TestMalformedPublicKey:
     @pytest.mark.parametrize("case", list(_malformed_keys()))
     def test_counts_as_invalid_everywhere(self, case):
         scheme, (params, r, pk_values) = _malformed_keys()[case]
-        kp, M, M_other, good = TestMalformedSignature()._key(scheme)
+        kp, M, good = TestMalformedSignature()._key(scheme)
         if isinstance(r, bytes):  # signed under the case's own seed
             good = SCHEMES[scheme].sign(KeyPair(kp.params, r, kp.sk, kp.pk), M)
         pk = PublicKey(params, r, pk_values)
@@ -260,7 +239,6 @@ class TestMalformedPublicKey:
         with pytest.raises(NotAValidSignature):
             detect_forgery(forged, M, good)
         other = Signature(tuple(BitString(v.bit_len, bytes(len(v.payload))) for v in good.sigma))
-        assert verify_pof1(PofEvidenceI(pk, good, M, M_other)) == 0
         assert verify_pof2(PofEvidenceII(pk, good, other, M)) == 0
         assert verify_pof2(PofEvidenceII(pk, other, good, M)) == 0
 
@@ -268,5 +246,5 @@ class TestMalformedPublicKey:
         # the cases above fail on the key alone: the same signature verifies
         # under the key it was made with
         for scheme in ("lamport", "wots"):
-            kp, M, _, good = TestMalformedSignature()._key(scheme)
+            kp, M, good = TestMalformedSignature()._key(scheme)
             assert scheme_verify(kp.public(), good, M) == 1

@@ -16,7 +16,7 @@ from pofsig.adversary import ForgeryBudget, PreimageSet
 from pofsig.core import BitString, LamportParams, Record, Signature, WotsParams
 from pofsig.errors import InvalidParams
 from pofsig.oracle import LABEL_LAMPORT, LABEL_WOTS_CHAIN, OracleTag
-from pofsig.pof import DetectionOutcome, PofEvidenceI, PofEvidenceII, detect_forgery
+from pofsig.pof import DetectionOutcome, PofEvidenceII, detect_forgery
 from pofsig.serial import SignatureFile
 
 
@@ -30,7 +30,6 @@ def _records():
     return [
         lp, wp, M, lkp, wkp, lkp.public(), wkp.public(), sig, lamport.sign(lkp, 1),
         OracleTag(LABEL_LAMPORT), OracleTag(LABEL_WOTS_CHAIN, wkp.r, 3),
-        PofEvidenceI(wkp.public(), sig, M, BitString.from_int(1, 4)),
         detect_forgery(lkp, 1, lamport.sign(lkp, 1)),
         evidence, DetectionOutcome(True, evidence),
         SignatureFile(wp, M, sig), ForgeryBudget(), ForgeryBudget(12),
@@ -53,7 +52,7 @@ def _as_dataclass(record):
 
 def test_every_record_class_is_covered():
     assert {type(r) for r in _records()} == set(Record.__subclasses__())
-    assert len(Record.__subclasses__()) == 13
+    assert len(Record.__subclasses__()) == 12
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from pofsig import lamport, serial, wots
 from pofsig.adversary import ForgeryBudget, forge, forge_lamport
-from pofsig.core import BitString, KeyPair, LamportParams, Signature, derive_wots_params
+from pofsig.core import (
+    BitString, KeyPair, LamportParams, PublicKey, Signature, derive_wots_params,
+)
 from pofsig.errors import FormatError
-from pofsig.pof import SCHEMES, PofEvidenceI, PofEvidenceII, detect_forgery
+from pofsig.pof import SCHEMES, PofEvidenceII, detect_forgery, scheme_verify
 
 LP = LamportParams(8, 4)
 WP = derive_wots_params(6, 1, 4, 2)
@@ -63,11 +65,6 @@ class TestRoundTrips:
         assert outcome.detected
         E = outcome.evidence
         assert serial.loads(serial.dump_pof2(E)) == E
-
-    def test_pof1(self):
-        kp = lamport_kp()
-        E = PofEvidenceI(kp.public(), lamport.sign(kp, 0), M=0, M_star=1)
-        assert serial.loads(serial.dump_pof1(E)) == E
 
     def test_wots_pof2(self):
         rng = random.Random(41)
@@ -203,10 +200,14 @@ class TestMalformed:
 
     @pytest.mark.parametrize("scheme", ["lamport", "wots"])
     def test_signature_with_a_value_too_many_is_written_and_refused(self, scheme):
-        # the writer drops no value, so the reader refuses what verify refuses
+        # the writer refuses it, and the reader refuses its text written by
+        # hand: the value too many is not dropped into a valid signature
         kp, M = (lamport_kp(), 0) if scheme == "lamport" else (wots_kp(), BitString.from_int(5, 4))
         sig = SCHEMES[scheme].sign(kp, M)
-        text = serial.dump_signature(Signature(sig.sigma * 2), M, kp.params)
+        with pytest.raises(FormatError):
+            serial.dump_signature(Signature(sig.sigma * 2), M, kp.params)
+        extra = "sigma" if scheme == "lamport" else f"sigma.{len(sig.sigma) + 1}"
+        text = serial.dump_signature(sig, M, kp.params) + f"{extra}: {sig.sigma[0].hex()}\n"
         with pytest.raises(FormatError):
             serial.loads(text)
 
@@ -242,9 +243,9 @@ class TestMalformed:
         path = tmp_path / "pk.txt"
         path.write_text(serial.dump_public_key(lamport_kp().public()))
         assert serial.load_path(path) == lamport_kp().public()
-        message = f"{path}: is a public-key file, expected pof-1 or pof-2"
+        message = f"{path}: is a public-key file, expected signature or pof-2"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
-            serial.load_path(path, ("pof-1", "pof-2"))
+            serial.load_path(path, ("signature", "pof-2"))
 
 
 def test_error_text_is_cut_to_200_characters():
@@ -300,6 +301,53 @@ def test_text_the_writer_would_not_write_is_refused(case):
         serial.loads(NOT_WRITTEN[case])
 
 
+def _objects_with_no_text():
+    """(case, write): objects of a shape loads never builds, so no file
+    holds one, each with the call that would write it."""
+    lp, wp = LamportParams(8, 2), derive_wots_params(6, 2, 4, 2)
+    lkp, wkp = lamport.keygen(lp, random.Random(1)), wots.keygen(wp, random.Random(2))
+    seeded = KeyPair(lp, b"0123456789abcdef", lkp.sk, lkp.pk)
+    M, M_other = BitString.from_int(0b1011, 4), BitString.from_int(0b0110, 4)
+    sig = wots.sign(wkp, M)
+    yield "lamport key with a seed", lambda: serial.dump_public_key(seeded.public())
+    yield "lamport secret key with a seed", lambda: serial.dump_secret_key(seeded)
+    yield "lamport signature of two values", (
+        lambda: serial.dump_signature(Signature(lkp.sk), 0, lp))
+    yield "lamport half 8 bits wide", (
+        lambda: serial.dump_signature(Signature((BitString.from_int(0, 8),)), 0, lp))
+    yield "lamport public half 12 bits wide", (
+        lambda: serial.dump_public_key(PublicKey(lp, None, (BitString(12, b"\0\0"), lkp.pk[1]))))
+    yield "lamport evidence with a signature of two values", (
+        lambda: serial.dump_pof2(PofEvidenceII(lkp.public(), Signature(lkp.sk),
+                                               lamport.sign(lkp, 1), 1)))
+    yield "wots signature one value short", (
+        lambda: serial.dump_signature(Signature(sig.sigma[:-1]), M, wp))
+    yield "wots signature of another message", lambda: serial.dump_signature(sig, M_other, wp)
+    yield "wots key one chain short", (
+        lambda: serial.dump_public_key(PublicKey(wp, wkp.r, wkp.pk[:-1])))
+
+
+NO_TEXT = dict(_objects_with_no_text())
+
+
+@pytest.mark.parametrize("case", list(NO_TEXT))
+def test_writer_refuses_an_object_loads_would_refuse(case):
+    with pytest.raises(FormatError, match="is not shaped as its parameters say"):
+        NO_TEXT[case]()
+
+
+@pytest.mark.parametrize("params", [LP, WP], ids=lambda p: p.scheme)
+def test_writer_writes_an_invalid_signature_of_the_right_shape(params):
+    # the shape check is not a validity check: verify refuses it from the file
+    kp = SCHEMES[params.scheme].keygen(params, random.Random(5))
+    M = 0 if params.scheme == "lamport" else BitString.from_int(5, 4)
+    sigma = SCHEMES[params.scheme].sign(kp, M).sigma
+    bad = Signature(tuple(BitString(v.bit_len, bytes(len(v.payload))) for v in sigma))
+    loaded = serial.loads(serial.dump_signature(bad, M, params))
+    assert loaded.signature == bad != Signature(sigma)
+    assert scheme_verify(kp.public(), loaded.signature, M) == 0
+
+
 def test_refusal_names_line_and_field_but_no_value():
     text = serial.dump_secret_key(lamport_kp())
     value = text.split("\n")[5][len("sk.0: "):]
@@ -331,8 +379,6 @@ def _files_of_every_kind():
 def _dump(obj) -> str:
     if isinstance(obj, serial.SignatureFile):
         return serial.dump_signature(obj.signature, obj.message, obj.params)
-    if isinstance(obj, PofEvidenceI):
-        return serial.dump_pof1(obj)
     if isinstance(obj, PofEvidenceII):
         return serial.dump_pof2(obj)
     if isinstance(obj, KeyPair):
