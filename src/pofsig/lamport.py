@@ -29,10 +29,15 @@ LamportKeyPair = KeyPair
 LamportPublicKey = PublicKey
 
 
+def public_values(params: LamportParams, r, sk) -> tuple[BitString, ...]:
+    """The public halves of secret halves sk; r is None: the map has no key."""
+    return tuple(hash_secret(params, s) for s in sk)
+
+
 def keygen(params: LamportParams, rng: random.Random) -> KeyPair:
     """Two secret halves, sk[0] and sk[1], and their images; no seed."""
-    sk0, sk1 = draw_bits(rng, params.sk_bits), draw_bits(rng, params.sk_bits)
-    return KeyPair(params, None, (sk0, sk1), (hash_secret(params, sk0), hash_secret(params, sk1)))
+    sk = (draw_bits(rng, params.sk_bits), draw_bits(rng, params.sk_bits))
+    return KeyPair(params, None, sk, public_values(params, None, sk))
 
 
 def sign(kp: KeyPair, m: int) -> Signature:

@@ -21,28 +21,29 @@ from .oracle import SEED_BYTES
 SCHEMES = {"lamport": lamport, "wots": wots}
 
 
-def _bit_strings(values) -> bool:
-    """values is a tuple of BitStrings; a plain loop, the fastest test of
-    the few values a key or signature holds."""
+def _bit_strings(values, bit_len=None) -> bool:
+    """values is a tuple of BitStrings, each bit_len bits wide unless
+    bit_len is None; a plain loop, the fastest test of the few values a
+    key or signature holds."""
     if not isinstance(values, tuple):
         return False
     for v in values:
-        if not isinstance(v, BitString):
+        if not isinstance(v, BitString) or (bit_len is not None and v.bit_len != bit_len):
             return False
     return True
 
 
 def _key_shaped(pk) -> bool:
-    """pk is a PublicKey holding its scheme's count of BitStrings, two
-    Lamport halves or l WOTS chain tops, and its scheme's seed: none for
-    Lamport, SEED_BYTES bytes for WOTS."""
+    """pk is a PublicKey holding its scheme's count of n-bit BitStrings,
+    two Lamport halves or l WOTS chain tops, and its scheme's seed: none
+    for Lamport, SEED_BYTES bytes for WOTS."""
     if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)):
         return False
     if pk.params.scheme == "lamport":
         seeded, count = pk.r is None, 2
     else:
         seeded, count = isinstance(pk.r, bytes) and len(pk.r) == SEED_BYTES, pk.params.l
-    return seeded and _bit_strings(pk.pk) and len(pk.pk) == count
+    return seeded and _bit_strings(pk.pk, pk.params.n) and len(pk.pk) == count
 
 
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:

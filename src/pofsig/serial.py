@@ -11,30 +11,39 @@ Layout (UTF-8, LF line endings)::
     [nu: <int>]       (wots only)
     <field>: <lowercase hex>     one line per bit-string field
 
-Hex encodes the MSB-first packed payload; bit lengths are implied by
-the parameters (and, for signatures, by the embedded message).
+``layout`` is the one definition of each kind's field lines: names,
+order and bit widths, set by the parameters and, for signatures and
+evidence, the message.  Hex encodes the MSB-first packed payload.
 
 The writer defines the format: the text ``dump_*`` writes for an object
-is the only text accepted for it.  ``loads`` reads the fields by name,
-builds the object, writes it back, and refuses the file with a
-FormatError naming the first line that differs, so padding, reordering,
-duplicates, case changes, CR characters or a missing final newline are
-all refused by the same rule.  A ``dump_*`` refuses, with FormatError,
-an object not shaped as its parameters say: ``loads`` builds no other.
+is the only text accepted for it.  ``loads`` reads the message, then the
+layout's fields by name, builds the object, writes it back, and refuses
+the file with a FormatError naming the first line that differs, so
+padding, reordering, duplicates, case changes, CR characters or a
+missing final newline are all refused by the same rule.  A ``dump_*``
+refuses, with FormatError, what ``loads`` never builds: an object of
+another class or without parameters; values other than one BitString
+of each layout line's width (a Lamport key with a seed, a value short
+or too many or of the wrong width, a message that is not a bit or an
+L-bit string, values not in a tuple); a secret key whose pk is not the
+public values of its sk.
 """
 
 from __future__ import annotations
 
-from . import lamport, wots
-from .core import (
-    BitString, KeyPair, LamportParams, PublicKey, Record, Signature, derive_wots_params,
-)
+from . import wots
+from .core import BitString, KeyPair, LamportParams, Params, PublicKey, Record, Signature, WotsParams
 from .errors import FormatError, InvalidParams
-from .oracle import SEED_BYTES, Seed, chain
-from .pof import SCHEMES, PofEvidenceII, _key_shaped
+from .oracle import SEED_BYTES, Seed
+from .pof import SCHEMES, PofEvidenceII
 
 HEADER = "FDA-SIG v1"
 KINDS = ("secret-key", "public-key", "signature", "pof-2")
+
+# Each scheme's parameter class and the parameter lines it writes, in order.
+_PARAMS = {"lamport": (LamportParams, ("n", "delta")),
+           "wots": (WotsParams, ("n", "delta", "L", "nu"))}
+_MESSAGE = {"signature": "message", "pof-2": "m_star"}  # the message line of each kind
 
 
 class SignatureFile(Record):
@@ -45,115 +54,118 @@ class SignatureFile(Record):
     __slots__ = ("params", "message", "signature")
 
 
-# ---------------------------------------------------------------------------
-# Writing
+def _fits(value, bit_len: int) -> bool:
+    return isinstance(value, BitString) and value.bit_len == bit_len
 
 
-def _param_lines(params) -> list[str]:
-    lines = [f"n: {params.n}", f"delta: {params.delta}"]
-    if params.scheme == "wots":
-        lines += [f"L: {params.L}", f"nu: {params.nu}"]
-    return lines
+def layout(kind: str, params, message=None) -> list[tuple[str, int]]:
+    """The field lines of a kind's file under params, in order, as
+    (name, bit width): what the writer renders and the reader reads.
+
+    A Lamport key has no seed and numbers its two halves from 0; its
+    secret key holds sk and pk, its signature the one line ``sigma``.  A
+    WOTS key has a seed ``r`` and numbers its l chains from 1; its secret
+    key holds sk alone, and each signature value is as wide as its
+    chain's depth for message.  A message that is not an L-bit BitString
+    selects no depths: its own line refuses it.
+    """
+    lamport = params.scheme == "lamport"
+    count = 2 if lamport else params.l
+
+    def numbered(prefix, widths):
+        return [(f"{prefix}.{i}", w) for i, w in enumerate(widths, 0 if lamport else 1)]
+
+    seed = [] if lamport else [("r", 8 * SEED_BYTES)]
+    pk = seed + numbered("pk", [params.n] * count)
+    if kind == "public-key":
+        return pk
+    if kind == "secret-key":
+        return seed + numbered("sk", [params.sk_bits] * count) + (pk if lamport else [])
+    depths = () if lamport or not _fits(message, params.L) else wots.extend(message, params)
+
+    def sigma(prefix):
+        if lamport:
+            return [(prefix, params.sk_bits)]
+        return numbered(prefix, [params.value_bits(d) for d in depths])
+
+    signed = [(_MESSAGE[kind], 1 if lamport else params.L)]
+    if kind == "signature":
+        return signed + sigma("sigma")
+    return pk + signed + sigma("sigma_star") + sigma("sigma_tilde_star")
 
 
-def _render(kind: str, params, fields: list[tuple[str, BitString]]) -> str:
-    lines = [HEADER, f"kind: {kind}", f"scheme: {params.scheme}"]
-    lines += _param_lines(params)
-    lines += [f"{name}: {value.hex()}" for name, value in fields]
-    return "\n".join(lines) + "\n"
+# Writing: each dump_* flattens its object, and _render checks the values
 
 
-def _message_field(name: str, message, params) -> tuple[str, BitString]:
-    if params.scheme == "lamport":
-        return name, BitString.from_int(message, 1)
-    return name, message
-
-
-def _names(prefix: str, params, count: int) -> list[str]:
-    """Field names of count values: Lamport numbers its two halves from 0,
-    WOTS its l chains from 1."""
-    first = 0 if params.scheme == "lamport" else 1
-    return [f"{prefix}.{i}" for i in range(first, first + count)]
-
-
-def _numbered(prefix: str, values, params) -> list[tuple[str, BitString]]:
-    return list(zip(_names(prefix, params, len(values)), values))
-
-
-def _seed_fields(key) -> list[tuple[str, BitString]]:
-    """The WOTS seed r; a Lamport key has none."""
-    return [] if key.r is None else [("r", BitString(8 * SEED_BYTES, bytes(key.r)))]
-
-
-def _pk_fields(pk: PublicKey) -> list[tuple[str, BitString]]:
-    return _seed_fields(pk) + _numbered("pk", pk.pk, pk.params)
-
-
-def _sig_fields(prefix: str, sig: Signature, params) -> list[tuple[str, BitString]]:
-    if params.scheme == "lamport":
-        return [(prefix, sig.sigma[0])]
-    return _numbered(prefix, sig.sigma, params)
-
-
-def _shaped(values, widths) -> bool:
-    """values is a tuple of BitStrings, one of each bit length in widths."""
-    return (isinstance(values, tuple) and len(values) == len(widths)
-            and all(isinstance(v, BitString) and v.bit_len == w for v, w in zip(values, widths)))
-
-
-def _refuse_unless(shaped: bool, what: str) -> None:
+def _refuse_unless(shaped: bool, kind: str) -> None:
     """FormatError for an object not shaped as loads builds it: it has no text."""
     if not shaped:
-        raise FormatError(f"{what} is not shaped as its parameters say")
+        raise FormatError(f"{kind} is not shaped as its parameters say")
 
 
-def _refuse_unless_key(pk) -> None:
-    """FormatError unless pof._key_shaped accepts pk and its values are n bits."""
-    _refuse_unless(_key_shaped(pk) and _shaped(pk.pk, (pk.params.n,) * len(pk.pk)), "key")
+def _tuple(values) -> list:
+    """values as a list; [None], which fits no line, unless values is a
+    tuple, as loads builds it."""
+    return list(values) if isinstance(values, tuple) else [None]
 
 
-def _refuse_unless_signature(sig, message, params) -> None:
-    """FormatError unless sig holds one sk_bits-bit Lamport half, or l WOTS
-    values, each as wide as its chain's depth for message."""
-    widths = ((params.sk_bits,) if params.scheme == "lamport"
-              else [params.value_bits(d) for d in wots.extend(message, params)])
-    _refuse_unless(isinstance(sig, Signature) and _shaped(sig.sigma, widths), "signature")
+def _seed(r) -> list:
+    """The value of a key's r line: none for a key without a seed, and
+    None, which fits no line, for a seed that is not bytes."""
+    return [] if r is None else [BitString(8 * len(r), bytes(r)) if isinstance(r, bytes) else None]
+
+
+def _sigma(sig) -> list:
+    return _tuple(sig.sigma) if isinstance(sig, Signature) else [None]
+
+
+def _message_value(message, params):
+    """The message line's value: a Lamport bit as a 1-bit BitString."""
+    if not (isinstance(params, Params) and params.scheme == "lamport"):
+        return message
+    return BitString.from_int(message, 1) if isinstance(message, int) and message in (0, 1) else None
+
+
+def _render(kind: str, params, values: list, message=None) -> str:
+    """The text of a kind's file holding values, after the writer's shape
+    check: scheme parameters, and one BitString of each width the layout
+    gives, in order."""
+    lines = layout(kind, params, message) if isinstance(params, Params) else None
+    _refuse_unless(lines is not None and len(values) == len(lines)
+                   and all(_fits(v, w) for v, (_, w) in zip(values, lines)), kind)
+    text = [HEADER, f"kind: {kind}", f"scheme: {params.scheme}"]
+    text += [f"{name}: {getattr(params, name)}" for name in _PARAMS[params.scheme][1]]
+    text += [f"{name}: {value.hex()}" for (name, _), value in zip(lines, values)]
+    return "\n".join(text) + "\n"
 
 
 def dump_secret_key(kp: KeyPair) -> str:
-    _refuse_unless_key(kp.public())
-    _refuse_unless(_shaped(kp.sk, (kp.params.sk_bits,) * len(kp.pk)), "secret key")
-    fields = _seed_fields(kp) + _numbered("sk", kp.sk, kp.params)
-    if kp.params.scheme == "lamport":
-        fields += _pk_fields(kp.public())
-    return _render("secret-key", kp.params, fields)
+    _refuse_unless(isinstance(kp, KeyPair), "secret-key")
+    lamport = isinstance(kp.params, Params) and kp.params.scheme == "lamport"
+    values = _seed(kp.r) + _tuple(kp.sk) + _tuple(kp.pk if lamport else ())  # WOTS: no pk lines
+    text = _render("secret-key", kp.params, values)
+    if kp.pk != SCHEMES[kp.params.scheme].public_values(kp.params, kp.r, kp.sk):
+        raise FormatError("the pk values do not match the sk values")
+    return text
 
 
-def dump_public_key(pk) -> str:
-    _refuse_unless_key(pk)
-    return _render("public-key", pk.params, _pk_fields(pk))
+def dump_public_key(pk: PublicKey) -> str:
+    _refuse_unless(isinstance(pk, PublicKey), "public-key")
+    return _render("public-key", pk.params, _seed(pk.r) + _tuple(pk.pk))
 
 
-def dump_signature(sig, message, params) -> str:
-    _refuse_unless_signature(sig, message, params)
-    fields = [_message_field("message", message, params)] + _sig_fields("sigma", sig, params)
-    return _render("signature", params, fields)
+def dump_signature(sig: Signature, message, params) -> str:
+    return _render("signature", params, [_message_value(message, params)] + _sigma(sig), message)
 
 
 def dump_pof2(E: PofEvidenceII) -> str:
-    params = E.pk.params
-    _refuse_unless_key(E.pk)
-    _refuse_unless_signature(E.sigma_star, E.M_star, params)
-    _refuse_unless_signature(E.sigma_tilde_star, E.M_star, params)
-    fields = _pk_fields(E.pk)
-    fields.append(_message_field("m_star", E.M_star, params))
-    fields += _sig_fields("sigma_star", E.sigma_star, params)
-    fields += _sig_fields("sigma_tilde_star", E.sigma_tilde_star, params)
-    return _render("pof-2", params, fields)
+    _refuse_unless(isinstance(E, PofEvidenceII) and isinstance(E.pk, PublicKey), "pof-2")
+    values = _seed(E.pk.r) + _tuple(E.pk.pk) + [_message_value(E.M_star, E.pk.params)]
+    values += _sigma(E.sigma_star) + _sigma(E.sigma_tilde_star)
+    return _render("pof-2", E.pk.params, values, E.M_star)
 
 
-# ---------------------------------------------------------------------------
-# Reading: fields by name, then the object is checked against its own text
+# Reading: the layout's fields by name, then the object against its own text
 
 
 def _parse(fields: dict[str, str], name: str, parse=str):
@@ -171,55 +183,19 @@ def _bits(fields: dict[str, str], name: str, bit_len: int) -> BitString:
     return _parse(fields, name, lambda value: BitString(bit_len, bytes.fromhex(value)))
 
 
-def _params(fields: dict[str, str], scheme: str):
-    n = _parse(fields, "n", int)
-    delta = _parse(fields, "delta", int)
-    try:
-        if scheme == "lamport":
-            return LamportParams(n, delta)
-        return derive_wots_params(n, delta, _parse(fields, "L", int), _parse(fields, "nu", int))
-    except InvalidParams as exc:
-        raise FormatError(f"invalid parameters: {exc}") from exc
-
-
-def _message(fields: dict[str, str], name: str, params):
-    if params.scheme == "lamport":
-        return _bits(fields, name, 1).to_int()
-    return _bits(fields, name, params.L)
-
-
-def _seed(fields: dict[str, str]) -> Seed:
-    return Seed(_bits(fields, "r", 8 * SEED_BYTES).payload)
-
-
-def _values(fields: dict[str, str], prefix: str, params, bit_len: int) -> tuple[BitString, ...]:
-    count = 2 if params.scheme == "lamport" else params.l
-    return tuple(_bits(fields, name, bit_len) for name in _names(prefix, params, count))
-
-
-def _signature(fields: dict[str, str], prefix: str, params, message) -> Signature:
-    if params.scheme == "lamport":
-        return Signature((_bits(fields, prefix, params.sk_bits),))
-    b = wots.extend(message, params)
-    names = _names(prefix, params, len(b))
-    return Signature(tuple(_bits(fields, name, params.value_bits(d)) for name, d in zip(names, b)))
-
-
-def _public_key(fields: dict[str, str], params) -> PublicKey:
-    r = None if params.scheme == "lamport" else _seed(fields)
-    return PublicKey(params, r, _values(fields, "pk", params, params.n))
-
-
-def _secret_key(fields: dict[str, str], params) -> KeyPair:
-    if params.scheme == "lamport":
-        sk = _values(fields, "sk", params, params.sk_bits)
-        pk = _values(fields, "pk", params, params.n)
-        if pk != tuple(lamport.hash_secret(params, s) for s in sk):
-            raise FormatError("pk.0/pk.1 do not match the hashes of sk.0/sk.1")
-        return KeyPair(params, None, sk, pk)
-    r = _seed(fields)
-    sk = _values(fields, "sk", params, params.sk_bits)
-    return KeyPair(params, r, sk, tuple(chain(params, r, 0, params.w - 1, s) for s in sk))
+def _build(kind: str, params, message, values: dict):
+    """The object of a kind's file from its values, by field name prefix."""
+    r = Seed(values["r"][0].payload) if "r" in values else None
+    if kind == "secret-key":  # a WOTS file holds no pk lines
+        pk = values.get("pk") or SCHEMES[params.scheme].public_values(params, r, values["sk"])
+        return KeyPair(params, r, values["sk"], pk)
+    if kind == "signature":
+        return SignatureFile(params, message, Signature(values["sigma"]))
+    pk = PublicKey(params, r, values["pk"])
+    if kind == "public-key":
+        return pk
+    return PofEvidenceII(pk, Signature(values["sigma_tilde_star"]),
+                         Signature(values["sigma_star"]), message)
 
 
 def _refuse_unless_written(text: str, written: str) -> None:
@@ -261,27 +237,23 @@ def loads(text: str, kinds=KINDS):
     scheme = _parse(fields, "scheme")
     if scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {scheme!r}")
-    params = _params(fields, scheme)
-
-    if kind == "secret-key":
-        obj = _secret_key(fields, params)
-        written = dump_secret_key(obj)
-    elif kind == "public-key":
-        obj = _public_key(fields, params)
-        written = dump_public_key(obj)
-    elif kind == "signature":
-        message = _message(fields, "message", params)
-        sig = _signature(fields, "sigma", params, message)
-        obj = SignatureFile(params=params, message=message, signature=sig)
-        written = dump_signature(sig, message, params)
-    else:
-        pk = _public_key(fields, params)
-        m_star = _message(fields, "m_star", params)
-        sig_star = _signature(fields, "sigma_star", params, m_star)
-        sig_tilde = _signature(fields, "sigma_tilde_star", params, m_star)
-        obj = PofEvidenceII(pk=pk, sigma_tilde_star=sig_tilde,
-                            sigma_star=sig_star, M_star=m_star)
-        written = dump_pof2(obj)
+    cls, names = _PARAMS[scheme]
+    try:
+        params = cls(*(_parse(fields, name, int) for name in names))
+    except InvalidParams as exc:
+        raise FormatError(f"invalid parameters: {exc}") from exc
+    message = None
+    if kind in _MESSAGE:
+        name = _MESSAGE[kind]
+        message = _bits(fields, name, dict(layout(kind, params))[name])
+        if scheme == "lamport":
+            message = message.to_int()
+    values = {}
+    for name, width in layout(kind, params, message):
+        values.setdefault(name.partition(".")[0], []).append(_bits(fields, name, width))
+    obj = _build(kind, params, message, {prefix: tuple(v) for prefix, v in values.items()})
+    written = {"secret-key": dump_secret_key, "public-key": dump_public_key, "pof-2": dump_pof2,
+               "signature": lambda f: dump_signature(f.signature, f.message, f.params)}[kind](obj)
     _refuse_unless_written(text, written)
     return obj
 

@@ -48,11 +48,15 @@ def extend(M: BitString, params: WotsParams) -> tuple[int, ...]:
     return m + c
 
 
+def public_values(params: WotsParams, r: Seed, sk) -> tuple[BitString, ...]:
+    """The tops of the chains that start at the secret values sk under seed r."""
+    return tuple(chain(params, r, 0, params.w - 1, s) for s in sk)
+
+
 def keygen(params: WotsParams, rng: random.Random) -> KeyPair:
     r = Seed(draw_bits(rng, 8 * SEED_BYTES).payload)
     sk = tuple(draw_bits(rng, params.sk_bits) for _ in range(params.l))
-    pk = tuple(chain(params, r, 0, params.w - 1, s) for s in sk)
-    return KeyPair(params, r, sk, pk)
+    return KeyPair(params, r, sk, public_values(params, r, sk))
 
 
 def sign(kp: KeyPair, M: BitString) -> Signature:

@@ -7,6 +7,10 @@ in ``bench/*.py`` or in ``tools/*.py``.  A reference is a name, an
 attribute, an imported name, or a string constant spelling the name
 (``bench/spans.py`` wraps functions by name).
 
+Every private module-level function and class (a leading underscore,
+not a dunder) must be referred to somewhere in ``src/pofsig``: a helper
+that nothing calls is left behind.
+
 Every defaulted parameter of such a function or method, of such a
 class's ``__init__``, every defaulted field of a public dataclass, and
 every field a public ``Record`` class names in ``_defaults``, must be
@@ -150,6 +154,20 @@ def test_every_public_name_in_src_is_used_outside_the_tests():
         if node.name not in used
     ]
     assert not unused, "only tests reach:\n" + "\n".join(unused)
+
+
+def test_every_private_helper_in_src_is_used_in_src():
+    modules, _ = _sources()
+    used = {name for tree in modules.values() for name in _references(tree)}
+    unused = [
+        f"src/pofsig/{path.name}:{node.lineno} {node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in used
+    ]
+    assert not unused, "nothing in src/pofsig refers to:\n" + "\n".join(unused)
 
 
 def test_every_defaulted_parameter_in_src_is_passed_outside_the_tests():

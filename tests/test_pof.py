@@ -215,6 +215,8 @@ def _malformed_keys():
         "lamport no params": ("lamport", (None, None, lkp.pk)),
         "lamport one half": ("lamport", (LP, None, lkp.pk[:1])),
         "lamport int halves": ("lamport", (LP, None, (0, 1))),
+        "lamport 7-bit unused half": (
+            "lamport", (LP, None, (BitString.from_int(0, 7), lkp.pk[1]))),
         "wots no values": ("wots", (WP, wkp.r, None)),
         "wots no params": ("wots", (None, wkp.r, wkp.pk)),
         "wots one chain short": ("wots", (WP, wkp.r, wkp.pk[:-1])),

@@ -325,6 +325,28 @@ def _objects_with_no_text():
     yield "wots signature of another message", lambda: serial.dump_signature(sig, M_other, wp)
     yield "wots key one chain short", (
         lambda: serial.dump_public_key(PublicKey(wp, wkp.r, wkp.pk[:-1])))
+    yield "key pair as a public key", lambda: serial.dump_public_key(lkp)
+    yield "secret key whose sk is a list", (
+        lambda: serial.dump_secret_key(KeyPair(lp, None, list(lkp.sk), lkp.pk)))
+    yield "secret key whose sk is None", (
+        lambda: serial.dump_secret_key(KeyPair(lp, None, None, lkp.pk)))
+    yield "key with no parameters", lambda: serial.dump_public_key(PublicKey(None, None, lkp.pk))
+    yield "public key as a secret key", lambda: serial.dump_secret_key(lkp.public())
+    yield "wots message as an int", lambda: serial.dump_signature(sig, 0b1011, wp)
+    yield "signature with no parameters", lambda: serial.dump_signature(sig, 0, None)
+    yield "evidence with no key", lambda: serial.dump_pof2(PofEvidenceII(None, sig, sig, M))
+    yield "lamport message 2", lambda: serial.dump_signature(lamport.sign(lkp, 1), 2, lp)
+    yield "wots message of 5 bits", (
+        lambda: serial.dump_signature(sig, BitString.from_int(0b10110, 5), wp))
+    yield "wots key with a 3-byte seed", (
+        lambda: serial.dump_public_key(PublicKey(wp, b"abc", wkp.pk)))
+    yield "wots key whose seed is a BitString", (
+        lambda: serial.dump_public_key(PublicKey(wp, BitString(128, bytes(wkp.r)), wkp.pk)))
+    yield "public key whose pk is a list", (
+        lambda: serial.dump_public_key(PublicKey(lp, None, list(lkp.pk))))
+    yield "lamport secret half 8 bits wide", (
+        lambda: serial.dump_secret_key(KeyPair(lp, None, (BitString(8, b"\0"), lkp.sk[1]), lkp.pk)))
+    yield "signature as a bare tuple", lambda: serial.dump_signature(sig.sigma, M, wp)
 
 
 NO_TEXT = dict(_objects_with_no_text())
@@ -334,6 +356,15 @@ NO_TEXT = dict(_objects_with_no_text())
 def test_writer_refuses_an_object_loads_would_refuse(case):
     with pytest.raises(FormatError, match="is not shaped as its parameters say"):
         NO_TEXT[case]()
+
+
+@pytest.mark.parametrize("params", [LP, WP], ids=lambda p: p.scheme)
+def test_writer_refuses_a_secret_key_whose_pk_is_not_its_own(params):
+    # loads would refuse the Lamport text and repair the WOTS key
+    kp = SCHEMES[params.scheme].keygen(params, random.Random(6))
+    assert kp.pk[::-1] != kp.pk
+    with pytest.raises(FormatError, match="do not match"):
+        serial.dump_secret_key(KeyPair(params, kp.r, kp.sk, kp.pk[::-1]))
 
 
 @pytest.mark.parametrize("params", [LP, WP], ids=lambda p: p.scheme)
