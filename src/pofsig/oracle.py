@@ -21,14 +21,17 @@ one step (tag_prefix, out_bits): ``lamport_step`` is the Lamport map, and
 ``chain_steps(params, r)`` is the tuple of the w-1 chain maps
 f_{r,1} .. f_{r,w-1} of one key, built once per key.  ``apply_step``
 evaluates one value through a step, and ``domain_images`` is the one
-kernel that sweeps a whole input domain through a step for exhaustive
-search and the census, yielding each image as an integer.
+kernel that sweeps a whole input domain, or a contiguous sub-range of
+it, through a step for exhaustive search and the census, yielding each
+image as an integer, lazily and with no Python frame per input.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+from collections import deque
+from itertools import chain as _chain_iterables, repeat
 from typing import Iterator, Optional
 
 from .core import BitString, Record, WotsParams
@@ -112,12 +115,23 @@ def domain_images(
     """Iterate, in ascending input order, over the image of every
     domain_bits-bit input under the oracle step (tag_prefix, out_bits),
     each as the integer ``apply_step(step, x).to_int()``; inputs, when
-    given, is the sub-range of the domain to sweep.
+    given, is the sub-range of the domain to sweep: a step-1 ``range``
+    with 0 <= start <= stop <= 2^domain_bits, else ``InvalidParams``.
 
     Outputs are capped at 256 bits, the first block of the counter
-    stream: one hash of ``payload || be32(0)`` on a copy of the prefix's
-    hash state per evaluation, read as a big-endian integer and shifted
-    down to out_bits.  Chains are swept one step at a time (see
+    stream: one hash of ``payload || be32(0)`` per input, read as a
+    big-endian integer and shifted down to out_bits.  An input splits
+    into a high part and its ``low`` low bits, where ``low`` is at most
+    12 and congruent to domain_bits mod 8: a domain of up to 12 bits is
+    all low bits, and a wider one's high part fills whole leading bytes
+    of the payload.  The low bits are then laid out as a low-bit
+    payload, and the 2^low inputs that share a high part form a block
+    (2^5 to 2^12 inputs in a domain over 12 bits).  Each block hashes
+    its high bytes once onto a copy of the prefix's hash state, then
+    copies that state once per input, appends the input's tail from a
+    cached table, and digests, in C-level ``map``s.  The sweep is lazy:
+    one block's hash states are alive at a time, so a 28-bit sweep is
+    never held whole.  Chains are swept one step at a time (see
     ``adversary.chain_tops``).
     """
     prefix, out_bits = step
@@ -125,20 +139,43 @@ def domain_images(
         raise InvalidParams(
             f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
         )
-    nbytes = (domain_bits + 7) // 8
-    pad = 8 * nbytes - domain_bits
+    size = 1 << domain_bits
     if inputs is None:
-        inputs = range(1 << domain_bits)
-    return _sweep(hashlib.sha256(prefix), 256 - out_bits, nbytes, pad, inputs)
+        inputs = range(size)
+    elif not (isinstance(inputs, range) and inputs.step == 1
+              and 0 <= inputs.start <= inputs.stop <= size):
+        raise InvalidParams(
+            f"inputs must be a step-1 sub-range of the {domain_bits}-bit domain"
+        )
+    low = min(domain_bits, 5 + (domain_bits - 5) % 8)
+    return _sweep(hashlib.sha256(prefix), 256 - out_bits, (domain_bits - low) // 8, low, inputs)
 
 
-def _sweep(h0, shift: int, nbytes: int, pad: int, inputs: range) -> Iterator[int]:
-    copy = h0.copy
-    from_bytes = int.from_bytes
-    for v in inputs:
-        h = copy()
-        h.update((v << pad).to_bytes(nbytes, "big") + _CTR0)
-        yield from_bytes(h.digest(), "big") >> shift
+def _sweep(h0, shift: int, head_bytes: int, low: int, inputs: range) -> Iterator[int]:
+    """The images of inputs, block by block; int.from_bytes is given its
+    byte order, which Python 3.10 requires."""
+    H = type(h0)
+    tails = _payloads(low)
+    start, stop = inputs.start, inputs.stop
+
+    def block(hi: int) -> Iterator[int]:
+        base = hi << low
+        h = h0.copy()
+        h.update(hi.to_bytes(head_bytes, "big"))
+        part = tails[max(start - base, 0):stop - base]
+        hs = list(map(H.copy, repeat(h, len(part))))
+        deque(map(H.update, hs, part), 0)
+        return map(shift.__rrshift__, map(int.from_bytes, map(H.digest, hs), repeat("big")))
+
+    return _chain_iterables.from_iterable(map(block, range(start >> low, -(-stop >> low))))
+
+
+@functools.lru_cache(maxsize=None)  # one per width 0..12
+def _payloads(bits: int) -> tuple[bytes, ...]:
+    """``payload || be32(0)`` of every bits-bit input, in input order."""
+    nbytes = (bits + 7) // 8
+    pad = 8 * nbytes - bits
+    return tuple((v << pad).to_bytes(nbytes, "big") + _CTR0 for v in range(1 << bits))
 
 
 @functools.lru_cache(maxsize=256)

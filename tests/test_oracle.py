@@ -1,12 +1,16 @@
 import ast
+import hashlib
 import random
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import pofsig
+from pofsig import oracle
 from pofsig.core import BitString, derive_wots_params
 from pofsig.errors import DomainError, InvalidParams
 from pofsig.oracle import (
@@ -169,22 +173,73 @@ class TestDomainImages:
 
     @pytest.mark.parametrize(
         "domain_bits,out_bits",
-        [(8, 8), (16, 16), (10, 8), (12, 10), (4, 256), (8, 1), (12, 6), (4, 255)],
+        [(8, 8), (16, 16), (10, 8), (12, 10), (4, 256), (8, 1), (12, 6), (4, 255),
+         (12, 64), (13, 9), (14, 65), (18, 1), (20, 256)],
     )
     def test_one_step_matches_oracle_eval(self, domain_bits, out_bits):
-        # widths that are not whole bytes check the shift to out_bits
-        prefix = tag_prefix(LAM, out_bits, domain_bits)
-        assert lamport_step(out_bits, domain_bits) == (prefix, out_bits)
-        images = list(domain_images((prefix, out_bits), domain_bits))
-        assert len(images) == 1 << domain_bits
+        # widths that are not whole bytes check the shift to out_bits; a
+        # domain over 12 bits is swept in blocks of 2^5..2^12 inputs (13,
+        # 14, 18 and 20 bits: pads 3, 2, 6 and 4), and the sub-ranges
+        # start and stop inside blocks
+        step = (tag_prefix(LAM, out_bits, domain_bits), out_bits)
+        assert lamport_step(out_bits, domain_bits) == step
+        size = 1 << domain_bits
+        half = size // 2
+
+        def one_at_a_time(part):
+            return [apply_step(step, BitString.from_int(v, domain_bits)).to_int() for v in part]
+
+        for part in (range(3, 5), range(size - 1, size),
+                     range(half - min(half, 4999), half + min(half, 37))):
+            assert list(domain_images(step, domain_bits, part)) == one_at_a_time(part)
+        if domain_bits > 16:  # the whole domain one input at a time takes too long
+            return
+        images = list(domain_images(step, domain_bits))
+        assert images == one_at_a_time(range(size))
         for v, y in enumerate(images):
-            x = BitString.from_int(v, domain_bits)
-            assert y == oracle_eval(LAM, x, out_bits).to_int()
-            assert y == apply_step((prefix, out_bits), x).to_int()
-        half = 1 << (domain_bits - 1)
-        for part in (range(half), range(half, 2 * half), range(3, 5)):
-            assert list(domain_images((prefix, out_bits), domain_bits, part)) == images[
-                part.start:part.stop]
+            assert y == oracle_eval(LAM, BitString.from_int(v, domain_bits), out_bits).to_int()
+        for part in (range(half), range(half, size)):
+            assert list(domain_images(step, domain_bits, part)) == images[part.start:part.stop]
+
+    @pytest.mark.parametrize(
+        "inputs", [range(0, 6, 2), range(254, 258), range(-1, 3), range(5, 3), [0, 1]])
+    def test_inputs_must_be_a_step_1_sub_range_of_the_domain(self, inputs):
+        with pytest.raises(InvalidParams):
+            domain_images(lamport_step(8, 8), 8, inputs)
+
+    def test_sweep_stays_lazy_at_the_budget_width(self, monkeypatch):
+        # a 28-bit sweep (the ForgeryBudget cap) yields its first image
+        # after one block of 2^12 hashes, holding well under 2 MB
+        step = lamport_step(8, 28)
+        first = apply_step(step, BitString.from_int(0, 28)).to_int()
+        tracemalloc.start()
+        try:
+            assert next(domain_images(step, 28)) == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+        digests = []
+
+        class Counted:
+            def __init__(self, h):
+                self.h = h
+
+            def copy(self):
+                return Counted(self.h.copy())
+
+            def update(self, data):
+                self.h.update(data)
+
+            def digest(self):
+                digests.append(1)
+                return self.h.digest()
+
+        monkeypatch.setattr(oracle, "hashlib", SimpleNamespace(
+            sha256=lambda data: Counted(hashlib.sha256(data))))
+        assert next(domain_images(step, 28)) == first
+        assert len(digests) <= 1 << 12
 
     @pytest.mark.parametrize(
         "params,start",
