@@ -3,10 +3,11 @@
 Everything here is exhaustive search: full preimage-set enumeration for
 the Lamport oracle and full inversion of Winternitz chains through a
 per-key table of every depth's chain tops (``chain_tops``).  Every
-domain sweep runs ``oracle.domain_images`` over one oracle step, the
-Lamport map ``oracle.lamport_step`` or one of a key's chain maps
-``oracle.chain_steps(params, r)``, on integers: only a drawn preimage
-becomes a ``BitString``.
+domain sweep runs the kernel ``oracle.image_blocks``, as integers
+through ``oracle.domain_images``, over one oracle step, the Lamport map
+``oracle.lamport_step`` or one of a key's chain maps
+``oracle.chain_steps(params, r)``: only a drawn preimage becomes a
+``BitString``.
 ``enumerate_preimages`` is the generic per-candidate reference that
 tests compare the sweeps against.  A hard cap on domain width keeps
 runs at desk scale; production sizes are refused outright.
@@ -24,7 +25,9 @@ from .core import (
 )
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
-from .oracle import Seed, chain, chain_steps, domain_images, lamport_step
+from .oracle import (
+    Seed, chain, chain_steps, domain_images, image_blocks, image_typecode, lamport_step,
+)
 from .wots import extend
 
 
@@ -96,19 +99,19 @@ def build_lamport_preimage_index(params: LamportParams) -> dict[int, array]:
     a scan finds them: 4-6 B per domain entry at n = 8.  Domains wider
     than ``MAX_DOMAIN_BITS`` raise ``BudgetExceeded`` before enumerating.
     Contiguous input ranges are swept by forked workers (``forkjoin``),
-    each sending back its images as one array; they are filed in
+    each sending back the bytes of its image blocks (``image_blocks``),
+    read as one array in the kernel's typecode; they are filed in
     ascending input order, so the index is the serial sweep's.
     """
     domain_bits = params.sk_bits
     ForgeryBudget().check(domain_bits)
     step = lamport_step(params.n, domain_bits)
-    width = "BHI"[(params.n > 8) + (params.n > 16)]  # the narrowest array for n-bit images
     jobs = split(1 << domain_bits, MIN_JOB_HASHES)
-    sweeps = fork_map(
-        lambda inputs: array(width, domain_images(step, domain_bits, inputs)).tobytes(), jobs)
+    sweeps = fork_map(lambda inputs: b"".join(image_blocks(step, domain_bits, inputs)), jobs)
     index: dict[int, array] = {}
     for inputs in jobs:
-        for v, y in zip(inputs, array(width, sweeps.pop(0))):  # each freed once filed
+        images = array(image_typecode(params.n), sweeps.pop(0))  # each freed once filed
+        for v, y in zip(inputs, images):
             members = index.get(y)
             if members is None:
                 members = index[y] = array("I")

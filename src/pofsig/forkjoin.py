@@ -29,8 +29,8 @@ from typing import BinaryIO, Callable, Sequence, TypeVar
 J = TypeVar("J")
 R = TypeVar("R")
 
-# Forking and joining one child costs ~2.3-2.9 ms on a 2-core Xeon VM
-# (Python 3.11), the time of ~3800-4300 oracle hashes at ~0.6-0.7 us
+# Forking and joining one child costs ~2.0-2.4 ms on a 2-core Xeon VM
+# (Python 3.11), the time of ~2500-3700 oracle hashes at ~0.6-0.9 us
 # each: a sweep is split only into jobs of at least MIN_JOB_HASHES
 # hashes, which pay for their fork.
 # A trial, tens of microseconds to seconds, is always worth a job.

@@ -20,16 +20,19 @@ This module is the only one that knows the layout.  Every oracle map is
 one step (tag_prefix, out_bits): ``lamport_step`` is the Lamport map, and
 ``chain_steps(params, r)`` is the tuple of the w-1 chain maps
 f_{r,1} .. f_{r,w-1} of one key, built once per key.  ``apply_step``
-evaluates one value through a step, and ``domain_images`` is the one
+evaluates one value through a step, and ``image_blocks`` is the one
 kernel that sweeps a whole input domain, or a contiguous sub-range of
-it, through a step for exhaustive search and the census, yielding each
-image as an integer, lazily and with no Python frame per input.
+it, through a step for exhaustive search and the census, yielding the
+images block by block as arrays, lazily and with no Python frame per
+input; ``domain_images`` yields the same images as integers.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import sys
+from array import array
 from collections import deque
 from itertools import chain as _chain_iterables, repeat
 from typing import Iterator, Optional
@@ -109,35 +112,45 @@ def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
     return bytes(buf)
 
 
-def domain_images(
-    step: tuple[bytes, int], domain_bits: int, inputs: Optional[range] = None
-) -> Iterator[int]:
+def domain_images(step: tuple[bytes, int], domain_bits: int) -> Iterator[int]:
     """Iterate, in ascending input order, over the image of every
     domain_bits-bit input under the oracle step (tag_prefix, out_bits),
-    each as the integer ``apply_step(step, x).to_int()``; inputs, when
+    each as the integer ``apply_step(step, x).to_int()``: the items of
+    ``image_blocks(step, domain_bits)``, one block at a time."""
+    return _chain_iterables.from_iterable(image_blocks(step, domain_bits))
+
+
+def image_blocks(
+    step: tuple[bytes, int], domain_bits: int, inputs: Optional[range] = None
+) -> Iterator[array]:
+    """The images of ``domain_images``, lazily, as one array per block of
+    inputs, in the typecode ``image_typecode(out_bits)``; inputs, when
     given, is the sub-range of the domain to sweep: a step-1 ``range``
     with 0 <= start <= stop <= 2^domain_bits, else ``InvalidParams``.
 
-    Outputs are capped at 256 bits, the first block of the counter
-    stream: one hash of ``payload || be32(0)`` per input, read as a
-    big-endian integer and shifted down to out_bits.  An input splits
-    into a high part and its ``low`` low bits, where ``low`` is at most
-    12 and congruent to domain_bits mod 8: a domain of up to 12 bits is
-    all low bits, and a wider one's high part fills whole leading bytes
-    of the payload.  The low bits are then laid out as a low-bit
-    payload, and the 2^low inputs that share a high part form a block
-    (2^5 to 2^12 inputs in a domain over 12 bits).  Each block hashes
-    its high bytes once onto a copy of the prefix's hash state, then
-    copies that state once per input, appends the input's tail from a
-    cached table, and digests, in C-level ``map``s.  The sweep is lazy:
-    one block's hash states are alive at a time, so a 28-bit sweep is
-    never held whole.  Chains are swept one step at a time (see
+    Outputs are capped at 64 bits, the widest array item, and read from
+    the first block of the counter stream: one hash of
+    ``payload || be32(0)`` per input, whose leading out_bits bits are
+    its image.  An input splits into a high part and its ``low`` low
+    bits, where ``low`` is at most 12 and congruent to domain_bits mod 8:
+    a domain of up to 12 bits is all low bits, and a wider one's high
+    part fills whole leading bytes of the payload.  The low bits are
+    then laid out as a low-bit payload, and the 2^low inputs that share
+    a high part form a block (2^5 to 2^12 inputs in a domain over 12
+    bits).  Each block hashes its high bytes once onto a copy of the
+    prefix's hash state, then copies that state once per input, appends
+    the input's tail from a cached table, and digests, in C-level
+    ``map``s.  The block's digests are joined and their leading item
+    bytes read strided, as one big-endian integer, which one shift and
+    one mask cut down to out_bits per item.  The sweep is lazy: one
+    block's hash states are alive at a time, so a 28-bit sweep is never
+    held whole.  Chains are swept one step at a time (see
     ``adversary.chain_tops``).
     """
     prefix, out_bits = step
-    if not 1 <= out_bits <= 256:
+    if not 1 <= out_bits <= 64:
         raise InvalidParams(
-            f"domain_images needs 1 <= out_bits <= 256, got {out_bits}"
+            f"a domain sweep needs 1 <= out_bits <= 64, got {out_bits}"
         )
     size = 1 << domain_bits
     if inputs is None:
@@ -148,26 +161,45 @@ def domain_images(
             f"inputs must be a step-1 sub-range of the {domain_bits}-bit domain"
         )
     low = min(domain_bits, 5 + (domain_bits - 5) % 8)
-    return _sweep(hashlib.sha256(prefix), 256 - out_bits, (domain_bits - low) // 8, low, inputs)
+    return _sweep(hashlib.sha256(prefix), out_bits, (domain_bits - low) // 8, low, inputs)
 
 
-def _sweep(h0, shift: int, head_bytes: int, low: int, inputs: range) -> Iterator[int]:
-    """The images of inputs, block by block; int.from_bytes is given its
-    byte order, which Python 3.10 requires."""
+def image_typecode(out_bits: int) -> str:
+    """The narrowest array typecode whose item holds out_bits bits."""
+    return next(code for code in "BHILQ" if 8 * array(code).itemsize >= out_bits)
+
+
+def _sweep(h0, out_bits: int, head_bytes: int, low: int, inputs: range) -> Iterator[array]:
+    """The images of inputs, block by block.  A block's words, the
+    leading item bytes of each digest, are read as one big-endian
+    integer.  One right shift cuts every word to its out_bits leading
+    bits, but moves the bits a word drops into the top of the next; the
+    mask, the out_bits-bit word mask once per input of a full block,
+    clears them (a short block's integer is narrower, so the extra words
+    of the mask meet zeros)."""
     H = type(h0)
     tails = _payloads(low)
     start, stop = inputs.start, inputs.stop
+    code = image_typecode(out_bits)
+    item = array(code).itemsize
+    shift = 8 * item - out_bits
+    mask = int.from_bytes(((1 << out_bits) - 1).to_bytes(item, "big") * (1 << low), "big")
 
-    def block(hi: int) -> Iterator[int]:
+    def block(hi: int) -> array:
         base = hi << low
         h = h0.copy()
         h.update(hi.to_bytes(head_bytes, "big"))
         part = tails[max(start - base, 0):stop - base]
         hs = list(map(H.copy, repeat(h, len(part))))
         deque(map(H.update, hs, part), 0)
-        return map(shift.__rrshift__, map(int.from_bytes, map(H.digest, hs), repeat("big")))
+        words = memoryview(b"".join(map(H.digest, hs))).cast(code)[::32 // item]
+        images = array(code, ((int.from_bytes(words, "big") >> shift) & mask)
+                       .to_bytes(item * len(part), "big"))
+        if sys.byteorder == "little":  # array items are native words
+            images.byteswap()
+        return images
 
-    return _chain_iterables.from_iterable(map(block, range(start >> low, -(-stop >> low))))
+    return map(block, range(start >> low, -(-stop >> low)))
 
 
 @functools.lru_cache(maxsize=None)  # one per width 0..12

@@ -94,6 +94,7 @@ class TestLamportIndex:
         params = LamportParams(20, 9)
         assert params.sk_bits == MAX_DOMAIN_BITS + 1
         monkeypatch.setattr(adversary, "domain_images", lambda *a: pytest.fail("enumerated"))
+        monkeypatch.setattr(adversary, "image_blocks", lambda *a: pytest.fail("enumerated"))
         with pytest.raises(BudgetExceeded):
             build_lamport_preimage_index(params)
 

@@ -1,7 +1,9 @@
 import ast
 import hashlib
+import operator
 import random
 import tracemalloc
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +24,8 @@ from pofsig.oracle import (
     chain,
     chain_steps,
     domain_images,
+    image_blocks,
+    image_typecode,
     lamport_step,
     oracle_eval,
     tag_prefix,
@@ -173,14 +177,16 @@ class TestDomainImages:
 
     @pytest.mark.parametrize(
         "domain_bits,out_bits",
-        [(8, 8), (16, 16), (10, 8), (12, 10), (4, 256), (8, 1), (12, 6), (4, 255),
-         (12, 64), (13, 9), (14, 65), (18, 1), (20, 256)],
+        [(8, 8), (16, 16), (10, 8), (12, 10), (4, 64), (8, 1), (12, 6), (12, 64),
+         (13, 9), (14, 17), (12, 32), (18, 1), (18, 33), (20, 64)],
     )
     def test_one_step_matches_oracle_eval(self, domain_bits, out_bits):
-        # widths that are not whole bytes check the shift to out_bits; a
-        # domain over 12 bits is swept in blocks of 2^5..2^12 inputs (13,
-        # 14, 18 and 20 bits: pads 3, 2, 6 and 4), and the sub-ranges
-        # start and stop inside blocks
+        # widths that are not whole bytes check the shift to out_bits, and
+        # 8/9, 16/17, 32/33 and 64 bits sit on both sides of each array
+        # item size; a domain over 12 bits is swept in blocks of 2^5..2^12
+        # inputs (13, 14, 18 and 20 bits: pads 3, 2, 6 and 4), and the
+        # sub-ranges start and stop inside blocks, so their first and last
+        # blocks are short
         step = (tag_prefix(LAM, out_bits, domain_bits), out_bits)
         assert lamport_step(out_bits, domain_bits) == step
         size = 1 << domain_bits
@@ -189,9 +195,12 @@ class TestDomainImages:
         def one_at_a_time(part):
             return [apply_step(step, BitString.from_int(v, domain_bits)).to_int() for v in part]
 
+        def swept(part):
+            return [y for block in image_blocks(step, domain_bits, part) for y in block]
+
         for part in (range(3, 5), range(size - 1, size),
                      range(half - min(half, 4999), half + min(half, 37))):
-            assert list(domain_images(step, domain_bits, part)) == one_at_a_time(part)
+            assert swept(part) == one_at_a_time(part)
         if domain_bits > 16:  # the whole domain one input at a time takes too long
             return
         images = list(domain_images(step, domain_bits))
@@ -199,13 +208,23 @@ class TestDomainImages:
         for v, y in enumerate(images):
             assert y == oracle_eval(LAM, BitString.from_int(v, domain_bits), out_bits).to_int()
         for part in (range(half), range(half, size)):
-            assert list(domain_images(step, domain_bits, part)) == images[part.start:part.stop]
+            assert swept(part) == images[part.start:part.stop]
+
+    @pytest.mark.parametrize(
+        "out_bits,itemsize", [(1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8)])
+    def test_blocks_are_arrays_in_the_narrowest_typecode(self, out_bits, itemsize):
+        # a 14-bit domain is swept in blocks of 2^6 inputs: range(100, 9000)
+        # starts 36 inputs into block 1 and stops 40 inputs into block 140
+        assert array(image_typecode(out_bits)).itemsize == itemsize
+        blocks = list(image_blocks(lamport_step(out_bits, 14), 14, range(100, 9000)))
+        assert {block.typecode for block in blocks} == {image_typecode(out_bits)}
+        assert [len(block) for block in blocks] == [28] + [64] * 138 + [40]
 
     @pytest.mark.parametrize(
         "inputs", [range(0, 6, 2), range(254, 258), range(-1, 3), range(5, 3), [0, 1]])
     def test_inputs_must_be_a_step_1_sub_range_of_the_domain(self, inputs):
         with pytest.raises(InvalidParams):
-            domain_images(lamport_step(8, 8), 8, inputs)
+            image_blocks(lamport_step(8, 8), 8, inputs)
 
     def test_sweep_stays_lazy_at_the_budget_width(self, monkeypatch):
         # a 28-bit sweep (the ForgeryBudget cap) yields its first image
@@ -241,6 +260,20 @@ class TestDomainImages:
         assert next(domain_images(step, 28)) == first
         assert len(digests) <= 1 << 12
 
+    def test_whole_sweep_memory_stays_flat_across_blocks(self):
+        # counting a 20-bit sweep (2^8 blocks of 2^12 inputs) holds one
+        # block at a time: nothing piles up from block to block
+        step = lamport_step(8, 20)
+        target = apply_step(step, BitString.from_int(0, 20)).to_int()
+        tracemalloc.start()
+        try:
+            hits = operator.countOf(domain_images(step, 20), target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits >= 1
+        assert peak < 2 << 20
+
     @pytest.mark.parametrize(
         "params,start",
         [
@@ -269,7 +302,7 @@ class TestDomainImages:
                     x = BitString.from_int(v, params.value_bits(a))
                     assert y == chain(params, self.r, a, b, x).to_int()
 
-    @pytest.mark.parametrize("out_bits", [0, 257, 300])
+    @pytest.mark.parametrize("out_bits", [0, 65, 255, 256, 257, 300])
     def test_out_of_range_width_rejected_at_call(self, out_bits):
         prefix = tag_prefix(LAM, out_bits, 4)
         with pytest.raises(InvalidParams):
