@@ -175,7 +175,7 @@ def trial_rng(master: int, t: int) -> random.Random:
 
 
 # A move of the checksum DP takes ~0.07-0.11 us and a chain-table hash
-# ~0.6-1.3 us (2-core Xeon VM, Python 3.11), so at most 16 moves per hash
+# ~0.45-1.3 us (2-core Xeon VM, Python 3.11), so at most 16 moves per hash
 # keep the DP within a few times the trial's own table sweep.
 EXACT_MOVES_PER_HASH = 16
 

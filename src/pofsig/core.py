@@ -111,7 +111,7 @@ class BitString(Record):
 
     @classmethod
     def from_int(cls, value: int, bit_len: int) -> "BitString":
-        if value < 0 or value >> bit_len:
+        if value < 0 or bit_len < 0 or value >> bit_len:
             raise InvalidParams(f"{value} does not fit in {bit_len} bits")
         nbytes = (bit_len + 7) // 8
         return cls(bit_len, (value << (8 * nbytes - bit_len)).to_bytes(nbytes, "big"))

@@ -29,10 +29,10 @@ from typing import BinaryIO, Callable, Sequence, TypeVar
 J = TypeVar("J")
 R = TypeVar("R")
 
-# Forking and joining one child costs ~2.0-2.4 ms on a 2-core Xeon VM
-# (Python 3.11), the time of ~2500-3700 oracle hashes at ~0.6-0.9 us
-# each: a sweep is split only into jobs of at least MIN_JOB_HASHES
-# hashes, which pay for their fork.
+# Forking and joining one child costs ~2.1-2.9 ms on a 2-core Xeon VM
+# (Python 3.11), the time of ~2800-6500 oracle hashes at ~0.45-0.85 us
+# each, as the host's speed wanders: a sweep is split only into jobs of
+# at least MIN_JOB_HASHES hashes, near that break-even.
 # A trial, tens of microseconds to seconds, is always worth a job.
 MIN_JOB_HASHES = 1 << 12
 

@@ -63,8 +63,10 @@ class TestBitString:
         assert BitString.from_int(v, 40).to_int() == v
 
     def test_from_int_overflow(self):
-        with pytest.raises(InvalidParams):
-            BitString.from_int(16, 4)
+        # a negative width holds no value, not even 0
+        for value, bit_len in ((16, 4), (0, -1), (1, -1)):
+            with pytest.raises(InvalidParams):
+                BitString.from_int(value, bit_len)
 
     def test_hex(self):
         assert BitString.from_int(0b1011, 4).hex() == "b0"

@@ -1,8 +1,9 @@
 """A command loads only what it runs.  Each subcommand of the sign,
 forge, detect and verify-pof chain runs in a fresh interpreter, which
 then reports the modules that got loaded: none loads ``pofsig.analysis``,
-only ``forge`` loads ``pofsig.adversary``, and none loads ``dataclasses``
-or ``traceback`` unless a bare interpreter already has it."""
+only ``forge`` loads ``pofsig.adversary``, and none loads ``dataclasses``,
+``traceback`` or OpenSSL's ``hashlib`` unless a bare interpreter already
+has it."""
 
 import ast
 import os
@@ -27,7 +28,8 @@ EXPORTS = {
                "FormatError", "InvalidParams", "NotAValidSignature", "PofsigError"),
 }
 
-WATCHED = ("pofsig.analysis", "pofsig.adversary", "dataclasses", "traceback")
+WATCHED = ("pofsig.analysis", "pofsig.adversary", "dataclasses", "traceback", "hashlib",
+           "_hashlib")
 
 # Runs one command as `python -m pofsig` would, then prints its exit code
 # and which of the watched modules are loaded.
@@ -99,6 +101,12 @@ def test_only_forge_loads_the_forger(loaded):
 def test_no_command_loads_dataclasses_or_traceback(loaded, bare):
     for name, (_, mods) in loaded.items():
         assert mods & {"dataclasses", "traceback"} <= bare, name
+
+
+def test_no_command_loads_openssl_hashlib(loaded, bare):
+    # the oracle hashes with the interpreter's built-in SHA-256
+    for name, (_, mods) in loaded.items():
+        assert mods & {"hashlib", "_hashlib"} <= bare, name
 
 
 def test_importing_the_package_loads_neither_forger_nor_experiments():

@@ -1,11 +1,13 @@
 import ast
 import hashlib
 import operator
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -255,8 +257,7 @@ class TestDomainImages:
                 digests.append(1)
                 return self.h.digest()
 
-        monkeypatch.setattr(oracle, "hashlib", SimpleNamespace(
-            sha256=lambda data: Counted(hashlib.sha256(data))))
+        monkeypatch.setattr(oracle, "_sha256", lambda data: Counted(hashlib.sha256(data)))
         assert next(domain_images(step, 28)) == first
         assert len(digests) <= 1 << 12
 
@@ -308,6 +309,75 @@ class TestDomainImages:
         with pytest.raises(InvalidParams):
             domain_images((prefix, out_bits), 4)
 
+    def test_negative_domain_width_rejected_at_call(self):
+        with pytest.raises(InvalidParams):
+            domain_images(lamport_step(8, 4), -1)
+        with pytest.raises(InvalidParams):
+            image_blocks(lamport_step(8, 4), -1)
+
+
+def _layout_image(label, r, index, out_bits, x):
+    """The module docstring's layout, hashed with hashlib: T's fields,
+    then the counter-mode stream cut to out_bits bits, pad bits zero."""
+    t = (label + b"\x00" + r + bytes([index]) + out_bits.to_bytes(8, "big")
+         + x.bit_len.to_bytes(8, "big") + x.payload)
+    blocks = -(-out_bits // 256)
+    stream = b"".join(hashlib.sha256(t + c.to_bytes(4, "big")).digest() for c in range(blocks))
+    return BitString.from_int(int.from_bytes(stream, "big") >> (256 * blocks - out_bits), out_bits)
+
+
+class TestKnownAnswers:
+    """The normative layout, recomputed here with hashlib, against every
+    path that hashes: apply_step, oracle_eval and the sweep kernel."""
+
+    r = Seed(bytes(range(16, 32)))
+
+    @pytest.mark.parametrize("out_bits", [1, 8, 9, 256, 257, 600])
+    def test_one_value_matches_the_layout(self, out_bits):
+        for v, in_bits in ((0, 8), (0xAB, 8), (0x1ABC, 13), (1, 1)):
+            x = BitString.from_int(v, in_bits)
+            want = _layout_image(LABEL_LAMPORT, b"", 0, out_bits, x)
+            assert apply_step(lamport_step(out_bits, in_bits), x) == want
+            assert oracle_eval(LAM, x, out_bits) == want
+            tag = OracleTag(LABEL_WOTS_CHAIN, self.r, 3)
+            assert oracle_eval(tag, x, out_bits) == _layout_image(
+                LABEL_WOTS_CHAIN, bytes(self.r), 3, out_bits, x)
+
+    @pytest.mark.parametrize("domain_bits,out_bits", [(14, 10), (9, 1), (13, 64)])
+    def test_sweep_of_a_sub_range_matches_the_layout(self, domain_bits, out_bits):
+        part = range(1000, 1300) if domain_bits > 10 else range(100, 300)
+        swept = [y for block in image_blocks(lamport_step(out_bits, domain_bits),
+                                             domain_bits, part) for y in block]
+        assert swept == [_layout_image(LABEL_LAMPORT, b"", 0, out_bits,
+                                       BitString.from_int(v, domain_bits)).to_int()
+                         for v in part]
+
+    def test_hashlib_fallback_gives_the_same_images(self):
+        # with no built-in module the oracle hashes through hashlib, and
+        # every image stays the same
+        code = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from pofsig import oracle\n"
+            "from pofsig.core import BitString\n"
+            "assert oracle._sha256 is hashlib.sha256\n"
+            "step = oracle.lamport_step(10, 14)\n"
+            "print([list(b) for b in oracle.image_blocks(step, 14, range(1000, 1300))])\n"
+            "x = BitString.from_int(0x1ABC, 13)\n"
+            "print(oracle.apply_step(oracle.lamport_step(600, 13), x).hex())\n"
+        )
+        src = str(Path(pofsig.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        blocks, wide = res.stdout.splitlines()
+        step = lamport_step(10, 14)
+        assert ast.literal_eval(blocks) == [list(b) for b in image_blocks(step, 14, range(1000, 1300))]
+        assert wide == apply_step(lamport_step(600, 13), BitString.from_int(0x1ABC, 13)).hex()
+
 
 def test_tags_are_built_only_in_oracle():
     # OracleTag and tag_prefix are called only where the layout is defined
@@ -323,7 +393,8 @@ def test_tags_are_built_only_in_oracle():
 
 
 def test_hash_layout_has_one_owner():
-    # only oracle.py may hash, so the tag layout lives in one module
+    # only oracle.py may import a SHA-256 constructor, so the tag layout
+    # lives in one module
     importers = set()
     for path in Path(pofsig.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -333,7 +404,7 @@ def test_hash_layout_has_one_owner():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "hashlib" for name in names):
+            if any(name.split(".")[0] in ("hashlib", "_sha2", "_sha256") for name in names):
                 importers.add(path.name)
     assert importers == {"oracle.py"}
 
