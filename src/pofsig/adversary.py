@@ -1,22 +1,22 @@
 """Brute-force forgery at toy hash sizes.
 
-Everything here is exhaustive search: full preimage-set enumeration for
-the Lamport oracle and full inversion of Winternitz chains through a
-per-key table of every depth's chain tops (``chain_tops``).  Every
-domain sweep runs the kernel ``oracle.image_blocks``, as integers
-through ``oracle.domain_images``, over one oracle step, the Lamport map
-``oracle.lamport_step`` or one of a key's chain maps
-``oracle.chain_steps(params, r)``: only a drawn preimage becomes a
-``BitString``.
-``enumerate_preimages`` is the generic per-candidate reference that
-tests compare the sweeps against.  A hard cap on domain width keeps
-runs at desk scale; production sizes are refused outright.
+Everything here is exhaustive search, and every sweep runs the kernel
+``oracle.image_blocks``: only a drawn preimage becomes a ``BitString``.
+The Lamport hash is inverted one way: ``build_lamport_preimage_index``
+sweeps its domain in forked jobs and files each image, or each target
+image asked for, with its preimages.  An experiment indexes every image
+once; a single forgery indexes its one target.  Winternitz chains are
+inverted through a per-key table of every depth's chain tops
+(``chain_tops``).  ``enumerate_preimages`` is the generic per-candidate
+reference that tests compare the sweeps against.  A hard cap on domain
+width keeps runs at desk scale; production sizes are refused outright.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from collections import defaultdict, deque
 from itertools import compress, count
 from typing import Callable, Iterable, Optional
 
@@ -25,9 +25,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .forkjoin import MIN_JOB_HASHES, fork_map, split
-from .oracle import (
-    Seed, chain, chain_steps, domain_images, image_blocks, image_typecode, lamport_step,
-)
+from .oracle import Seed, chain, chain_steps, domain_images, image_blocks, lamport_step
 from .wots import extend
 
 
@@ -90,32 +88,38 @@ def _members(images: Iterable[int], target: BitString) -> list[int]:
     return list(compress(count(), map(target.to_int().__eq__, images)))
 
 
-def build_lamport_preimage_index(params: LamportParams) -> dict[int, array]:
-    """Full image table of the Lamport oracle at these parameters.
-
-    The Lamport hash is one fixed function per (n, delta), so batch runs
-    enumerate it once and answer every inversion by lookup.  Each image
-    (an int) maps to an ``array('I')`` of its preimages, ascending as
-    a scan finds them: 4-6 B per domain entry at n = 8.  Domains wider
-    than ``MAX_DOMAIN_BITS`` raise ``BudgetExceeded`` before enumerating.
-    Contiguous input ranges are swept by forked workers (``forkjoin``),
-    each sending back the bytes of its image blocks (``image_blocks``),
-    read as one array in the kernel's typecode; they are filed in
-    ascending input order, so the index is the serial sweep's.
+def build_lamport_preimage_index(
+    params: LamportParams, targets: Optional[set[int]] = None
+) -> dict[int, array]:
+    """Image table of the Lamport oracle at these parameters: each image,
+    or each one in targets when given, maps to an ``array('I')`` of its
+    preimages, ascending as a scan finds them (4-6 B per domain entry at
+    n = 8).  Domains wider than ``MAX_DOMAIN_BITS`` raise
+    ``BudgetExceeded`` before enumerating.  Forked workers (``forkjoin``)
+    each file a contiguous input range by image and send back the kept
+    images' members as bytes, joined image by image in job order: the
+    index is the serial sweep's, and the parent never holds the rest.
     """
     domain_bits = params.sk_bits
     ForgeryBudget().check(domain_bits)
     step = lamport_step(params.n, domain_bits)
-    jobs = split(1 << domain_bits, MIN_JOB_HASHES)
-    sweeps = fork_map(lambda inputs: b"".join(image_blocks(step, domain_bits, inputs)), jobs)
+
+    def file_range(inputs: range) -> dict[int, bytes]:
+        part, v = defaultdict(lambda: array("I")), inputs.start
+        for images in image_blocks(step, domain_bits, inputs):
+            members = range(v, v + len(images))
+            v = members.stop
+            if targets is not None:
+                kept = list(map(targets.__contains__, images))
+                images, members = compress(images, kept), compress(members, kept)
+            deque(map(array.append, map(part.__getitem__, images), members), 0)
+        return {y: members.tobytes() for y, members in part.items()}
+
     index: dict[int, array] = {}
-    for inputs in jobs:
-        images = array(image_typecode(params.n), sweeps.pop(0))  # each freed once filed
-        for v, y in zip(inputs, images):
-            members = index.get(y)
-            if members is None:
-                members = index[y] = array("I")
-            members.append(v)
+    for part in fork_map(file_range, split(1 << domain_bits, MIN_JOB_HASHES)):
+        for y, members in part.items():
+            index.setdefault(y, array("I")).frombytes(members)
+        part.clear()  # each freed once joined
     return index
 
 
@@ -128,7 +132,8 @@ def forge_lamport(
     rng: random.Random,
     index: Optional[dict[int, array]] = None,
 ) -> Signature:
-    """Invert the public half for the target bit and emit a random preimage.
+    """Invert the public half for the target bit and emit a random preimage,
+    drawn from index or, when none is given, from an index of that half.
 
     The output verifies unconditionally; whether it coincides with the
     signer's own secret half is exactly the detection-failure event.
@@ -139,9 +144,8 @@ def forge_lamport(
     budget.check(bits)
     y0 = pk.pk[m_star]
     if index is None:
-        members = _members(domain_images(lamport_step(pk.params.n, bits), bits), y0)
-    else:
-        members = index.get(y0.to_int(), ())
+        index = build_lamport_preimage_index(pk.params, {y0.to_int()})
+    members = index.get(y0.to_int(), ())
     return Signature((BitString.from_int(_draw(members, y0, rng), bits),))
 
 
@@ -212,7 +216,7 @@ def forge_wots(
     b = extend(known_M, params)
     b_star = extend(M_star, params)
     inverted = [d for d, known in zip(b_star, b) if d < known]
-    if tops is None and inverted:
+    if tops is None:
         tops = chain_tops(params, pk.r, min(inverted), budget)
     sigma_star = []
     for i in range(params.l):

@@ -137,7 +137,7 @@ def image_blocks(
     step: tuple[bytes, int], domain_bits: int, inputs: Optional[range] = None
 ) -> Iterator[array]:
     """The images of ``domain_images``, lazily, as one array per block of
-    inputs, in the typecode ``image_typecode(out_bits)``; inputs, when
+    inputs, in the narrowest typecode that holds out_bits bits; inputs, when
     given, is the sub-range of the domain to sweep: a step-1 ``range``
     with 0 <= start <= stop <= 2^domain_bits, else ``InvalidParams``.
 
@@ -179,11 +179,6 @@ def image_blocks(
     return _sweep(_sha256(prefix), out_bits, (domain_bits - low) // 8, low, inputs)
 
 
-def image_typecode(out_bits: int) -> str:
-    """The narrowest array typecode whose item holds out_bits bits."""
-    return next(code for code in "BHILQ" if 8 * array(code).itemsize >= out_bits)
-
-
 def _sweep(h0, out_bits: int, head_bytes: int, low: int, inputs: range) -> Iterator[array]:
     """The images of inputs, block by block.  A block's words, the
     leading item bytes of each digest, are read as one big-endian
@@ -195,7 +190,7 @@ def _sweep(h0, out_bits: int, head_bytes: int, low: int, inputs: range) -> Itera
     H = type(h0)
     tails = _payloads(low)
     start, stop = inputs.start, inputs.stop
-    code = image_typecode(out_bits)
+    code = next(c for c in "BHILQ" if 8 * array(c).itemsize >= out_bits)
     item = array(code).itemsize
     shift = 8 * item - out_bits
     mask = int.from_bytes(((1 << out_bits) - 1).to_bytes(item, "big") * (1 << low), "big")

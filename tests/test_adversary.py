@@ -4,7 +4,7 @@ from array import array
 
 import pytest
 
-from pofsig import adversary, lamport, wots
+from pofsig import adversary, forkjoin, lamport, wots
 from pofsig.adversary import (
     MAX_DOMAIN_BITS,
     ForgeryBudget,
@@ -109,8 +109,11 @@ class TestLamportIndex:
         assert len(index) <= 256
         assert held / (1 << params.sk_bits) <= 12.0
 
-    @pytest.mark.parametrize("delta", [0, 2, 6])
+    @pytest.mark.parametrize("delta", [0, 2, 6, 8])
     def test_forge_via_index_equals_forge_via_scan(self, delta):
+        # the reference draws from the generic scan's preimage set with the
+        # same rng; at delta = 8 the 16-bit domain of the index-less
+        # forgery's own single-target index is swept in forked jobs
         params = LamportParams(8, delta)
         index = build_lamport_preimage_index(params)
         keys = random.Random(delta)
@@ -119,11 +122,12 @@ class TestLamportIndex:
             m = keys.getrandbits(1)
             sigma = lamport.sign(kp, m)
             seed = keys.getrandbits(64)
-            via_index, via_scan = random.Random(seed), random.Random(seed)
+            via_index, via_own, via_scan = (random.Random(seed) for _ in range(3))
             a = forge_lamport(kp.public(), m, sigma, 1 - m, BUDGET, via_index, index=index)
-            b = forge_lamport(kp.public(), m, sigma, 1 - m, BUDGET, via_scan)
-            assert a == b
-            assert via_index.getstate() == via_scan.getstate()
+            b = forge_lamport(kp.public(), m, sigma, 1 - m, BUDGET, via_own)
+            ps = enumerate_preimages(lam_oracle(params), kp.pk[1 - m], params.sk_bits, BUDGET)
+            assert a == b == Signature((ps.members[via_scan.randrange(ps.count)],))
+            assert via_index.getstate() == via_own.getstate() == via_scan.getstate()
 
     def test_orphan_half_raises_through_the_index(self):
         params = LamportParams(8, 0)
@@ -142,6 +146,25 @@ class TestLamportIndex:
         with pytest.raises(BudgetExceeded):
             forge_lamport(kp.public(), 0, lamport.sign(kp, 0), 1, ForgeryBudget(8),
                           random.Random(0), index=index)
+
+    def test_a_single_forgery_never_brings_the_domains_images_to_the_parent(
+            self, monkeypatch):
+        # (16,4) has 2^20 inputs of 2-byte images: 2 MB, which the parent
+        # would hold if the workers sent back images rather than the one
+        # target's members; a one-block sweep stays well under it, as in
+        # test_whole_sweep_memory_stays_flat_across_blocks
+        monkeypatch.setattr(forkjoin, "usable_cpus", lambda: 2)
+        params = LamportParams(16, 4)
+        kp = lamport.keygen(params, random.Random(5))
+        tracemalloc.start()
+        try:
+            forged = forge_lamport(kp.public(), 0, lamport.sign(kp, 0), 1, BUDGET,
+                                   random.Random(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lamport.verify(kp.public(), forged, 1) == 1
+        assert peak < 2 << 20
 
 
 class TestSample:

@@ -1,10 +1,11 @@
 """Seeded outputs pinned to frozen digests.
 
 ``tools/behaviour_fingerprint.py`` digests CLI key, signature, forgery
-and evidence files, experiment reports, census results and scenario
-logs.  Every digest below was frozen from a tree known to be correct, so
-any change to a seeded output fails here by name.  A deliberate change
-re-freezes the affected lines and says so in CHANGES.md.
+and evidence files (one forgery swept in forked jobs), experiment
+reports, census results and scenario logs.  Every digest below was
+frozen from a tree known to be correct, so any change to a seeded output
+fails here by name.  A deliberate change re-freezes the affected lines
+and says so in CHANGES.md.
 """
 
 import hashlib
@@ -29,6 +30,8 @@ FROZEN = {
         "90edf305e18a1e71384a9bd9a01e668ea36d37b270520c48d89d28758995688e",
     "cli.wots.2a":
         "5bdbf9116a679a69f30cfa4a95d056a3e0643515adee83555bd2e895caa5d9a0",
+    "cli.lamport.8.c0ffee":
+        "f1f8c7c3457d8bab599d22b1ff05747742960f405806f85f1c486463420f10ff",
     "experiment.lamport.42":
         "da249437d930ca3c59892d4a92e7a7979f41b4af3fd40b6b01dc3ae62a96c530",
     "experiment.lamport.7":
@@ -118,7 +121,7 @@ FROZEN = {
     "scenario.wots.2.exact-sk.5":
         "c5b3dd9c8996307f896c5d43e9fc0ba794280e30d3fc7f16642f0f750e6290b8",
 }
-FROZEN_ALL = "835b878ef4afa9f2aaee2cfb511a9171743b9d47e66623c750d89cc9f7201e0d"
+FROZEN_ALL = "7cd9280013643938edfdc58096631fbe42e839a19a2cff4b086c3df46c1d4adc"
 
 
 def _load_tool():

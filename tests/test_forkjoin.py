@@ -1,5 +1,6 @@
-"""Fork-join over independent units: the experiment, the Lamport index
-and the census give the serial loop's results under any worker count.
+"""Fork-join over independent units: the experiment, the Lamport index,
+a single Lamport forgery and the census give the serial loop's results
+under any worker count.
 The caller runs the first job and every job whose child did not deliver
 (it raised, was killed, could not be forked or returned what marshal
 cannot carry), so the first failing unit raises the serial loop's own
@@ -9,6 +10,7 @@ a call, and the module adds no import at start."""
 import ast
 import errno
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -18,11 +20,11 @@ import traceback
 import pytest
 
 import pofsig
-from pofsig import analysis, forkjoin
-from pofsig.adversary import build_lamport_preimage_index
+from pofsig import analysis, forkjoin, lamport
+from pofsig.adversary import ForgeryBudget, build_lamport_preimage_index, forge_lamport
 from pofsig.analysis import ExperimentConfig, preimage_census, run_fda_experiment
-from pofsig.core import BitString, LamportParams, derive_wots_params
-from pofsig.errors import BudgetExceeded, DomainError
+from pofsig.core import BitString, LamportParams, PublicKey, derive_wots_params
+from pofsig.errors import BudgetExceeded, DomainError, EmptyPreimageSet
 
 WP = derive_wots_params(6, 2, 4, 2)
 SRC = os.path.dirname(os.path.dirname(pofsig.__file__))
@@ -56,20 +58,55 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 4), 500, 3)),
-    lambda: run_fda_experiment(ExperimentConfig("wots", WP, 7, 3)),
-    lambda: list(build_lamport_preimage_index(LamportParams(8, 10)).items()),
-    lambda: preimage_census(8, 0, 50, 5),
-], ids=["lamport-experiment", "wots-experiment", "lamport-index", "census"])
-def test_results_do_not_depend_on_the_worker_count(cpus, run):
+LP16 = LamportParams(8, 8)  # a 16-bit domain, swept in forked jobs
+
+
+def forge_once():
+    kp = lamport.keygen(LP16, random.Random(5))
+    return forge_lamport(kp.public(), 0, lamport.sign(kp, 0), 1, ForgeryBudget(),
+                         random.Random(6))
+
+
+@pytest.mark.parametrize("run, sweeps", [
+    (lambda: run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 4), 500, 3)), 1),
+    (lambda: run_fda_experiment(ExperimentConfig("wots", WP, 7, 3)), 1),
+    (lambda: list(build_lamport_preimage_index(LamportParams(8, 10)).items()), 1),
+    (lambda: preimage_census(8, 0, 50, 5), 1),
+    # the index's forks and the trials', none from a trial: each trial
+    # looks its target up in the index the experiment built
+    (lambda: run_fda_experiment(ExperimentConfig("lamport", LP16, 500, 3)), 2),
+    (forge_once, 1),
+], ids=["lamport-experiment", "wots-experiment", "lamport-index", "census",
+        "lamport-experiment-forked-index", "lamport-forgery"])
+def test_results_do_not_depend_on_the_worker_count(cpus, run, sweeps):
     results = []
     for k in (1, 2, 3):
         forks = cpus(k)
         results.append(run())
-        assert len(forks) == k - 1
+        assert len(forks) == sweeps * (k - 1)
         assert_no_child_left()
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("params, forked", [(LamportParams(8, 2), False),
+                                            (LamportParams(16, 0), True)],
+                         ids=["inline", "forked"])
+def test_targets_restrict_the_full_index(cpus, params, forked):
+    # some images have no preimage (~2% at (8,2), ~37% at (16,0)); the
+    # 16-bit domain is swept in two jobs, the 10-bit one inline
+    full = build_lamport_preimage_index(params)
+    orphans = [y for y in range(1 << params.n) if y not in full][:3]
+    targets = set(list(full)[::7]) | set(orphans)
+    kp = lamport.keygen(params, random.Random(3))
+    pk = PublicKey(params, None, (kp.pk[0], BitString.from_int(orphans[-1], params.n)))
+    for k in (1, 2):
+        forks = cpus(k)
+        restricted = build_lamport_preimage_index(params, targets)
+        assert list(restricted.items()) == [(y, vs) for y, vs in full.items() if y in targets]
+        with pytest.raises(EmptyPreimageSet):
+            forge_lamport(pk, 0, lamport.sign(kp, 0), 1, ForgeryBudget(), random.Random(0))
+        assert len(forks) == 2 * (k - 1) * forked  # the index's and the forgery's
+        assert_no_child_left()
 
 
 def test_sweeps_too_small_to_pay_for_a_fork_run_inline(cpus):

@@ -7,7 +7,8 @@ Usage::
 Each line is ``<name> <sha256 of the output>``; the last line digests
 all of them.  Two trees behave bit-identically on these seeds when the
 outputs match line for line.  Covered: CLI key, signature and evidence
-files for both schemes, ``run_fda_experiment`` reports, ``preimage_census``
+files for both schemes (one Lamport forgery at a 16-bit domain, swept
+in forked jobs), ``run_fda_experiment`` reports, ``preimage_census``
 counts and chi-square, and ``run_scenario`` logs in both adversary modes.
 """
 
@@ -58,6 +59,9 @@ def outputs():
     for seed in ("c0ffee", "1", "2a"):
         yield f"cli.lamport.{seed}", _cli_files(lam, "0", "1", seed)
         yield f"cli.wots.{seed}", _cli_files(wots, "d0", "20", seed)
+    # a 16-bit domain: the forgery's sweep runs in forked jobs
+    lam16 = ["--scheme", "lamport", "--n", "8", "--delta", "8"]
+    yield "cli.lamport.8.c0ffee", _cli_files(lam16, "1", "0", "c0ffee")
     lp, wp = LamportParams(8, 6), derive_wots_params(6, 2, 4, 2)
     for scheme, params, trials in (("lamport", lp, 3000), ("wots", wp, 60)):
         for seed in (0x2A, 7):
