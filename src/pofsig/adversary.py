@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from array import array
 from collections import defaultdict, deque
-from itertools import compress, count
-from typing import Callable, Iterable, Optional
+from itertools import compress
+from typing import Callable, Optional
 
 from .core import (
     MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Record, Signature, WotsParams,
@@ -83,9 +83,16 @@ def _draw(members, target: BitString, rng: random.Random):
     return members[rng.randrange(len(members))]
 
 
-def _members(images: Iterable[int], target: BitString) -> list[int]:
-    """The inputs whose image is target, from images in ascending input order."""
-    return list(compress(count(), map(target.to_int().__eq__, images)))
+def _members(row: list[int], target: BitString) -> list[int]:
+    """The positions of target's value in row, ascending, found by C-level
+    ``row.index`` scans, one per member and one to tell there are no more."""
+    y, members, i = target.to_int(), [], -1
+    try:
+        while True:
+            i = row.index(y, i + 1)
+            members.append(i)
+    except ValueError:
+        return members
 
 
 def build_lamport_preimage_index(
@@ -95,16 +102,17 @@ def build_lamport_preimage_index(
     or each one in targets when given, maps to an ``array('I')`` of its
     preimages, ascending as a scan finds them (4-6 B per domain entry at
     n = 8).  Domains wider than ``MAX_DOMAIN_BITS`` raise
-    ``BudgetExceeded`` before enumerating.  Forked workers (``forkjoin``)
-    each file a contiguous input range by image and send back the kept
-    images' members as bytes, joined image by image in job order: the
+    ``BudgetExceeded`` before enumerating.  Jobs (``forkjoin``) each file
+    a contiguous input range by image.  The caller's own job, the first,
+    is the start of the index; each forked worker sends back its kept
+    images' members as bytes, appended image by image in job order: the
     index is the serial sweep's, and the parent never holds the rest.
     """
     domain_bits = params.sk_bits
     ForgeryBudget().check(domain_bits)
     step = lamport_step(params.n, domain_bits)
 
-    def file_range(inputs: range) -> dict[int, bytes]:
+    def file_range(inputs: range) -> dict[int, array]:
         part, v = defaultdict(lambda: array("I")), inputs.start
         for images in image_blocks(step, domain_bits, inputs):
             members = range(v, v + len(images))
@@ -113,12 +121,14 @@ def build_lamport_preimage_index(
                 kept = list(map(targets.__contains__, images))
                 images, members = compress(images, kept), compress(members, kept)
             deque(map(array.append, map(part.__getitem__, images), members), 0)
-        return {y: members.tobytes() for y, members in part.items()}
+        return dict(part)
 
-    index: dict[int, array] = {}
-    for part in fork_map(file_range, split(1 << domain_bits, MIN_JOB_HASHES)):
+    # a worker's arrays come back as bytes (marshal); a job that its worker
+    # did not deliver is rerun here and gives arrays, which bytes() copies
+    index, *rest = fork_map(file_range, split(1 << domain_bits, MIN_JOB_HASHES))
+    for part in rest:
         for y, members in part.items():
-            index.setdefault(y, array("I")).frombytes(members)
+            index.setdefault(y, array("I")).frombytes(bytes(members))
         part.clear()  # each freed once joined
     return index
 
@@ -185,11 +195,11 @@ def chain_preimages(
     bits = params.value_bits(b_star)
     budget.check(bits)
     if b_star == params.w - 1:  # the top itself: no step to invert
-        row = range(1 << bits)
+        y = pk_value.to_int()
+        found = [y] if y < 1 << bits else []
     else:
-        row = chain_tops(params, r, b_star, budget)[b_star]
-    members = tuple(BitString.from_int(v, bits) for v in _members(row, pk_value))
-    return PreimageSet(members)
+        found = _members(chain_tops(params, r, b_star, budget)[b_star], pk_value)
+    return PreimageSet(tuple(BitString.from_int(v, bits) for v in found))
 
 
 def forge_wots(

@@ -174,9 +174,9 @@ def trial_rng(master: int, t: int) -> random.Random:
     return random.Random(f"{master}:{t}")
 
 
-# A move of the checksum DP takes ~0.07-0.11 us and a chain-table hash
-# ~0.45-1.3 us (2-core Xeon VM, Python 3.11), so at most 16 moves per hash
-# keep the DP within a few times the trial's own table sweep.
+# A move of the checksum DP takes ~0.09-0.12 us and a chain-table hash
+# ~0.5-1.0 us (one CPU of a 2-core Xeon VM, Python 3.11), so at most 16
+# moves per hash keep the DP within a few times the trial's own table sweep.
 EXACT_MOVES_PER_HASH = 16
 
 

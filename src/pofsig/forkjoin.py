@@ -29,8 +29,8 @@ from typing import BinaryIO, Callable, Sequence, TypeVar
 J = TypeVar("J")
 R = TypeVar("R")
 
-# Forking and joining one child costs ~2.1-2.9 ms on a 2-core Xeon VM
-# (Python 3.11), the time of ~2800-6500 oracle hashes at ~0.45-0.85 us
+# Forking and joining one child costs ~1.5-2.2 ms on a 2-core Xeon VM
+# (Python 3.11), the time of ~1800-4500 oracle hashes at ~0.49-0.86 us
 # each, as the host's speed wanders: a sweep is split only into jobs of
 # at least MIN_JOB_HASHES hashes, near that break-even.
 # A trial, tens of microseconds to seconds, is always worth a job.

@@ -63,6 +63,8 @@ SEED_BYTES = 16
 
 _CTR0 = b"\x00\x00\x00\x00"  # be32(0), the first counter block
 
+_LIVE_STATES = 256  # the most hash states a sweep keeps alive (see image_blocks)
+
 
 class Seed(bytes):
     """16-byte randomizer for the Winternitz chain family."""
@@ -153,12 +155,16 @@ def image_blocks(
     bits).  Each block hashes its high bytes once onto a copy of the
     prefix's hash state, then copies that state once per input, appends
     the input's tail from a cached table, and digests, in C-level
-    ``map``s.  The block's digests are joined and their leading item
-    bytes read strided, as one big-endian integer, which one shift and
-    one mask cut down to out_bits per item.  The sweep is lazy: one
-    block's hash states are alive at a time, so a 28-bit sweep is never
-    held whole.  Chains are swept one step at a time (see
-    ``adversary.chain_tops``).
+    ``map``s over slices of at most 256 inputs.  The block's digests are
+    joined and their leading item bytes read strided, as one big-endian
+    integer, which one shift and one mask cut down to out_bits per item.
+    The sweep is lazy, so a 28-bit sweep is never held whole, and at
+    most 256 hash states are alive at a time, besides the prefix's and
+    the block's.  The built-in states are tracked by the cyclic GC, which
+    collects its youngest generation after 700 net allocations: a
+    block's 4096 live states would set off collections that promote
+    them, and so older and full collections, block after block.  Chains
+    are swept one step at a time (see ``adversary.chain_tops``).
     """
     prefix, out_bits = step
     if not 1 <= out_bits <= 64:
@@ -195,14 +201,19 @@ def _sweep(h0, out_bits: int, head_bytes: int, low: int, inputs: range) -> Itera
     shift = 8 * item - out_bits
     mask = int.from_bytes(((1 << out_bits) - 1).to_bytes(item, "big") * (1 << low), "big")
 
+    def hashed(h, tails: tuple[bytes, ...]) -> bytes:
+        hs = list(map(H.copy, repeat(h, len(tails))))
+        deque(map(H.update, hs, tails), 0)
+        return b"".join(map(H.digest, hs))
+
     def block(hi: int) -> array:
         base = hi << low
         h = h0.copy()
         h.update(hi.to_bytes(head_bytes, "big"))
         part = tails[max(start - base, 0):stop - base]
-        hs = list(map(H.copy, repeat(h, len(part))))
-        deque(map(H.update, hs, part), 0)
-        words = memoryview(b"".join(map(H.digest, hs))).cast(code)[::32 // item]
+        digests = b"".join([hashed(h, part[i:i + _LIVE_STATES])
+                            for i in range(0, len(part), _LIVE_STATES)])
+        words = memoryview(digests).cast(code)[::32 // item]
         images = array(code, ((int.from_bytes(words, "big") >> shift) & mask)
                        .to_bytes(item * len(part), "big"))
         if sys.byteorder == "little":  # array items are native words

@@ -26,7 +26,10 @@ another class or without parameters; values other than one BitString
 of each layout line's width (a Lamport key with a seed, a value short
 or too many or of the wrong width, a message that is not a bit or an
 L-bit string, values not in a tuple); a secret key whose pk is not the
-public values of its sk.
+public values of its sk.  ``loads`` hashes a secret key's sk once: into
+the pk of a WOTS file, which holds no pk lines, or to check a Lamport
+file's pk lines; its write-back renders the key as ``dump_secret_key``
+does, without checking the pk again.
 """
 
 from __future__ import annotations
@@ -139,13 +142,24 @@ def _render(kind: str, params, values: list, message=None) -> str:
     return "\n".join(text) + "\n"
 
 
-def dump_secret_key(kp: KeyPair) -> str:
+def _secret_key_text(kp: KeyPair) -> str:
+    """The secret-key file of kp, whose pk is taken as its own."""
     _refuse_unless(isinstance(kp, KeyPair), "secret-key")
     lamport = isinstance(kp.params, Params) and kp.params.scheme == "lamport"
     values = _seed(kp.r) + _tuple(kp.sk) + _tuple(kp.pk if lamport else ())  # WOTS: no pk lines
-    text = _render("secret-key", kp.params, values)
+    return _render("secret-key", kp.params, values)
+
+
+def _own_pk(kp: KeyPair) -> KeyPair:
+    """kp, once its pk is checked to be the public values of its sk."""
     if kp.pk != SCHEMES[kp.params.scheme].public_values(kp.params, kp.r, kp.sk):
         raise FormatError("the pk values do not match the sk values")
+    return kp
+
+
+def dump_secret_key(kp: KeyPair) -> str:
+    text = _secret_key_text(kp)
+    _own_pk(kp)
     return text
 
 
@@ -186,9 +200,10 @@ def _bits(fields: dict[str, str], name: str, bit_len: int) -> BitString:
 def _build(kind: str, params, message, values: dict):
     """The object of a kind's file from its values, by field name prefix."""
     r = Seed(values["r"][0].payload) if "r" in values else None
-    if kind == "secret-key":  # a WOTS file holds no pk lines
-        pk = values.get("pk") or SCHEMES[params.scheme].public_values(params, r, values["sk"])
-        return KeyPair(params, r, values["sk"], pk)
+    if kind == "secret-key":  # a WOTS file holds no pk lines: they are computed
+        if "pk" in values:
+            return _own_pk(KeyPair(params, r, values["sk"], values["pk"]))
+        return KeyPair(params, r, values["sk"], wots.public_values(params, r, values["sk"]))
     if kind == "signature":
         return SignatureFile(params, message, Signature(values["sigma"]))
     pk = PublicKey(params, r, values["pk"])
@@ -252,7 +267,7 @@ def loads(text: str, kinds=KINDS):
     for name, width in layout(kind, params, message):
         values.setdefault(name.partition(".")[0], []).append(_bits(fields, name, width))
     obj = _build(kind, params, message, {prefix: tuple(v) for prefix, v in values.items()})
-    written = {"secret-key": dump_secret_key, "public-key": dump_public_key, "pof-2": dump_pof2,
+    written = {"secret-key": _secret_key_text, "public-key": dump_public_key, "pof-2": dump_pof2,
                "signature": lambda f: dump_signature(f.signature, f.message, f.params)}[kind](obj)
     _refuse_unless_written(text, written)
     return obj

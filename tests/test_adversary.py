@@ -109,6 +109,22 @@ class TestLamportIndex:
         assert len(index) <= 256
         assert held / (1 << params.sk_bits) <= 12.0
 
+    def test_an_inline_build_is_filed_straight_into_the_index(self, monkeypatch):
+        # on one CPU the caller's own job is the whole (8,10) index, 2^18
+        # members of 4 B: about 1.1 MB, held once; a round trip through
+        # bytes and back into fresh arrays peaked at 1.7-2.1 MB
+        monkeypatch.setattr(forkjoin, "usable_cpus", lambda: 1)
+        params = LamportParams(8, 10)
+        build_lamport_preimage_index(LamportParams(8, 2))  # warm the kernel's caches
+        tracemalloc.start()
+        try:
+            index = build_lamport_preimage_index(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, index.values())) == 1 << params.sk_bits
+        assert peak < 1400 << 10
+
     @pytest.mark.parametrize("delta", [0, 2, 6, 8])
     def test_forge_via_index_equals_forge_via_scan(self, delta):
         # the reference draws from the generic scan's preimage set with the
@@ -286,6 +302,27 @@ class TestChainInversion:
                 BUDGET,
             )
             assert fast.members == slow.members
+
+    @pytest.mark.parametrize("row,y", [
+        ([3, 1, 4, 1, 5], 9),  # no match
+        ([3, 1, 4, 1, 5], 3),  # the first index only
+        ([3, 1, 4, 1, 5], 5),  # the last index only
+        ([7, 2, 7, 7, 0, 7], 7),  # many matches, at both ends
+        ([0] * 64, 0),  # every index
+        ([], 0),
+    ])
+    def test_members_are_the_reference_positions(self, row, y):
+        assert adversary._members(row, BitString.from_int(y, 4)) == [
+            i for i, v in enumerate(row) if v == y]
+
+    def test_top_depth_is_its_own_one_member(self):
+        kp = wots.keygen(WP, random.Random(15))
+        top, bits = WP.w - 1, WP.value_bits(WP.w - 1)
+        for y in (kp.pk[0], BitString.from_int(0, bits), BitString.from_int((1 << bits) - 1, bits)):
+            ps = chain_preimages(WP, kp.r, top, y, BUDGET)
+            assert ps.members == tuple(
+                BitString.from_int(v, bits) for v in range(1 << bits) if v == y.to_int())
+            assert ps.members == (y,)
 
 
 class TestChainTable:

@@ -213,6 +213,23 @@ def test_a_job_that_cannot_be_forked_is_run_by_the_caller(cpus, monkeypatch, cal
     assert_no_child_left()
 
 
+def test_an_index_job_rerun_by_the_caller_joins_as_a_delivered_one(cpus, monkeypatch):
+    # a delivered job's members arrive as bytes, a rerun one's as arrays
+    cpus(1)
+    serial = list(build_lamport_preimage_index(LamportParams(8, 10)).items())
+    fork, forks = forkjoin.os.fork, cpus(3)
+
+    def second_fails():
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(forkjoin.os, "fork", second_fails)
+    assert list(build_lamport_preimage_index(LamportParams(8, 10)).items()) == serial
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
 class KeywordError(Exception):
     """An error whose constructor does not take its own args."""
 

@@ -273,6 +273,40 @@ class TestDomainImages:
         assert hits >= 1
         assert peak < 2 << 20
 
+    @pytest.mark.parametrize("domain_bits,inputs", [
+        (12, None),  # one block of 2^12 inputs
+        (20, range(4000, 3 * 4096 + 100)),  # blocks of 2^12, cut at both ends
+    ])
+    def test_sweep_keeps_at_most_256_hash_states_alive(self, monkeypatch, domain_bits, inputs):
+        # the cyclic GC tracks the built-in hash states and collects after
+        # 700 net allocations; the prefix and block states are the +2
+        step = lamport_step(8, domain_bits)
+        expected = list(image_blocks(step, domain_bits, inputs))
+        live = [0, 0]  # now, most
+
+        class Counted:
+            def __init__(self, h):
+                self.h = h
+                live[0] += 1
+                live[1] = max(live)
+
+            def __del__(self):
+                live[0] -= 1
+
+            def copy(self):
+                return Counted(self.h.copy())
+
+            def update(self, data):
+                self.h.update(data)
+
+            def digest(self):
+                return self.h.digest()
+
+        monkeypatch.setattr(oracle, "_sha256", lambda data: Counted(hashlib.sha256(data)))
+        assert list(image_blocks(step, domain_bits, inputs)) == expected
+        assert 256 < live[1] <= 256 + 2
+        assert live[0] == 0
+
     @pytest.mark.parametrize(
         "params,start",
         [

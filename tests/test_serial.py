@@ -1,10 +1,11 @@
+import hashlib
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pofsig import lamport, serial, wots
+from pofsig import lamport, oracle, serial, wots
 from pofsig.adversary import ForgeryBudget, forge, forge_lamport
 from pofsig.core import (
     BitString, KeyPair, LamportParams, PublicKey, Signature, derive_wots_params,
@@ -37,6 +38,26 @@ class TestRoundTrips:
         kp = wots_kp()
         loaded = serial.loads(serial.dump_secret_key(kp))
         assert loaded == kp  # pk recomputed from chains must agree
+
+    @pytest.mark.parametrize("kp", [wots_kp(), lamport_kp()], ids=["wots", "lamport"])
+    def test_a_secret_key_is_hashed_once_while_loading(self, monkeypatch, kp):
+        # l chains of w-1 steps for WOTS, two halves for Lamport: one
+        # digest each, as every value here is at most 256 bits wide
+        text = serial.dump_secret_key(kp)
+        digests = []
+
+        class Counted:
+            def __init__(self, data):
+                self.h = hashlib.sha256(data)
+
+            def digest(self):
+                digests.append(1)
+                return self.h.digest()
+
+        monkeypatch.setattr(oracle, "_sha256", Counted)
+        assert serial.loads(text) == kp
+        params = kp.params
+        assert len(digests) == (params.l * (params.w - 1) if params.scheme == "wots" else 2)
 
     def test_wots_public_key(self):
         pk = wots_kp().public()
