@@ -24,7 +24,7 @@ from .core import (
     MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Record, Signature, WotsParams,
 )
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
-from .forkjoin import MIN_JOB_HASHES, fork_map, split
+from .forkjoin import fork_map, split
 from .oracle import Seed, chain, chain_steps, domain_images, image_blocks, lamport_step
 from .wots import extend
 
@@ -125,7 +125,7 @@ def build_lamport_preimage_index(
 
     # a worker's arrays come back as bytes (marshal); a job that its worker
     # did not deliver is rerun here and gives arrays, which bytes() copies
-    index, *rest = fork_map(file_range, split(1 << domain_bits, MIN_JOB_HASHES))
+    index, *rest = fork_map(file_range, split(1 << domain_bits, 1))
     for part in rest:
         for y, members in part.items():
             index.setdefault(y, array("I")).frombytes(bytes(members))

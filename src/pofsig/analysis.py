@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
 from .core import BitString, KeyPair, Params, WotsParams, derive_wots_params, draw_bits
 from .errors import InvalidParams
-from .forkjoin import MIN_JOB_HASHES, fork_map, split
+from .forkjoin import fork_map, split
 from .oracle import Seed, apply_step, chain_steps, domain_images
 from .pof import SCHEMES, DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
 from .wots import digits
@@ -452,7 +452,7 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
             sizes.append(operator.countOf(domain_images(step, domain_bits), target))
         return sizes
 
-    jobs = split(instances, max(1, MIN_JOB_HASHES >> domain_bits))
+    jobs = split(instances, 1 << domain_bits)
     sizes = [N for part in fork_map(count_preimages, jobs) for N in part]
     counts = Counter(sizes)
     mean = sum(sizes) / instances

@@ -14,9 +14,10 @@ could not be forked.  So the first failing job in job order raises the
 serial loop's own exception, with its cause and traceback, and no child
 outlives a call.
 
-``split(units)`` cuts ``range(units)`` into one contiguous range per
-usable CPU; one range runs inline.  ``os``, ``marshal`` and ``sys``, the
-only modules used, are loaded in every interpreter: no import is added.
+``split(units, unit_hashes)`` cuts ``range(units)`` into one contiguous
+range per usable CPU, each worth a fork; one range runs inline.  ``os``,
+``marshal`` and ``sys``, the only modules used, are loaded in every
+interpreter: no import is added.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ R = TypeVar("R")
 # (Python 3.11), the time of ~1800-4500 oracle hashes at ~0.49-0.86 us
 # each, as the host's speed wanders: a sweep is split only into jobs of
 # at least MIN_JOB_HASHES hashes, near that break-even.
-# A trial, tens of microseconds to seconds, is always worth a job.
+# A trial, tens of microseconds to seconds, is always worth a job: it is
+# split's default unit.
 MIN_JOB_HASHES = 1 << 12
 
 
@@ -52,10 +54,10 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def split(units: int, min_units: int = 1) -> list[range]:
-    """range(units) as contiguous ranges of at least min_units units (but
-    at least one range), one per usable CPU."""
-    k = max(1, min(usable_cpus(), units // min_units))
+def split(units: int, unit_hashes: int = MIN_JOB_HASHES) -> list[range]:
+    """range(units) as contiguous ranges of at least MIN_JOB_HASHES hashes
+    (but at least one range), one per usable CPU; a unit costs unit_hashes."""
+    k = max(1, min(usable_cpus(), units // max(1, MIN_JOB_HASHES // unit_hashes)))
     return [range(units * i // k, units * (i + 1) // k) for i in range(k)]
 
 

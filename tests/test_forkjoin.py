@@ -20,7 +20,7 @@ import traceback
 import pytest
 
 import pofsig
-from pofsig import analysis, forkjoin, lamport
+from pofsig import adversary, analysis, forkjoin, lamport
 from pofsig.adversary import ForgeryBudget, build_lamport_preimage_index, forge_lamport
 from pofsig.analysis import ExperimentConfig, preimage_census, run_fda_experiment
 from pofsig.core import BitString, LamportParams, PublicKey, derive_wots_params
@@ -114,6 +114,59 @@ def test_sweeps_too_small_to_pay_for_a_fork_run_inline(cpus):
     build_lamport_preimage_index(LamportParams(8, 4))  # 2^12 hashes
     preimage_census(8, 0, 15, 5)  # 15 x 2^8 hashes
     assert forks == []
+
+
+def _split_by_min_units(units, min_units=1):
+    """The earlier split, where each caller turned MIN_JOB_HASHES into a
+    least number of units per job itself."""
+    k = max(1, min(forkjoin.usable_cpus(), units // min_units))
+    return [range(units * i // k, units * (i + 1) // k) for i in range(k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_every_sweep_is_cut_into_the_jobs_it_was_cut_into_before(cpus, monkeypatch, k):
+    cpus(k)
+    jobs = []
+
+    def serial_map(fn, units):  # records each sweep's jobs, forks none
+        jobs.append(units)
+        return [fn(unit) for unit in units]
+
+    monkeypatch.setattr(adversary, "fork_map", serial_map)
+    monkeypatch.setattr(analysis, "fork_map", serial_map)
+    hashes = forkjoin.MIN_JOB_HASHES
+    for domain_bits in (12, 13, 14, 16):
+        jobs.clear()
+        build_lamport_preimage_index(LamportParams(8, domain_bits - 8))
+        assert jobs == [_split_by_min_units(1 << domain_bits, hashes)]
+    for (n, delta), instances in (((4, 0), 600), ((8, 0), 15), ((8, 0), 50), ((8, 4), 5),
+                                  ((8, 6), 3)):
+        jobs.clear()
+        preimage_census(n, delta, instances, 5)
+        assert jobs == [_split_by_min_units(instances, max(1, hashes >> (n + delta)))]
+    for trials in (1, 2, 7):
+        jobs.clear()
+        run_fda_experiment(ExperimentConfig("wots", WP, trials, 3))
+        assert jobs == [_split_by_min_units(trials)]
+        jobs.clear()
+        run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 5), trials, 3))
+        assert jobs == [_split_by_min_units(1 << 13, hashes), _split_by_min_units(trials)]
+
+
+def test_only_forkjoin_names_the_least_job_size():
+    package = os.path.dirname(forkjoin.__file__)
+    naming = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "forkjoin.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            spelled = (getattr(node, "id", None), getattr(node, "attr", None),
+                       node.name if isinstance(node, ast.alias) else None)
+            if "MIN_JOB_HASHES" in spelled:
+                naming.append(f"{name}:{node.lineno}")
+    assert naming == []
 
 
 def test_budget_refusal_comes_before_any_fork(cpus):

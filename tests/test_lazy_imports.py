@@ -3,7 +3,7 @@ forge, detect and verify-pof chain runs in a fresh interpreter, which
 then reports the modules that got loaded: none loads ``pofsig.analysis``,
 only ``forge`` loads ``pofsig.adversary``, and none loads ``dataclasses``,
 ``traceback`` or OpenSSL's ``hashlib`` unless a bare interpreter already
-has it."""
+has it.  ``import pofsig`` alone loads no ``pofsig`` module."""
 
 import ast
 import os
@@ -13,20 +13,6 @@ import sys
 import pytest
 
 import pofsig
-
-# The names ``pofsig`` re-exports, each with its home module.
-EXPORTS = {
-    "core": ("BitString", "KeyPair", "LamportParams", "PublicKey", "Signature", "WotsParams",
-             "derive_wots_params"),
-    "oracle": ("OracleTag", "Seed", "chain", "oracle_eval"),
-    "pof": ("DetectionOutcome", "PofEvidenceII", "detect_forgery", "verify_pof2"),
-    "adversary": ("ForgeryBudget", "PreimageSet", "enumerate_preimages", "forge_lamport",
-                  "forge_wots"),
-    "analysis": ("BoundsReport", "ExperimentConfig", "ExperimentReport", "ScenarioLog",
-                 "fda_bounds", "preimage_census", "run_fda_experiment", "run_scenario"),
-    "errors": ("BudgetExceeded", "DomainError", "EmptyPreimageSet", "EntropyError",
-               "FormatError", "InvalidParams", "NotAValidSignature", "PofsigError"),
-}
 
 WATCHED = ("pofsig.analysis", "pofsig.adversary", "dataclasses", "traceback", "hashlib",
            "_hashlib")
@@ -109,16 +95,10 @@ def test_no_command_loads_openssl_hashlib(loaded, bare):
         assert mods & {"hashlib", "_hashlib"} <= bare, name
 
 
-def test_importing_the_package_loads_neither_forger_nor_experiments():
+def test_importing_the_package_loads_no_submodule():
+    # the modules are the API: the package root re-exports nothing
     out = _run("import sys, pofsig; print(sorted(m for m in sys.modules"
-               " if m in ('pofsig.analysis', 'pofsig.adversary')))")
+               " if m.startswith('pofsig.')))")
     assert out == "[]"
-
-
-def test_every_re_exported_name_resolves_to_its_home_module():
-    for module, names in EXPORTS.items():
-        home = __import__(f"pofsig.{module}", fromlist=["_"])
-        for name in names:
-            assert getattr(pofsig, name) is getattr(home, name), name
     with pytest.raises(AttributeError):
         pofsig.no_such_name

@@ -2,10 +2,9 @@
 
 Every public module-level function and class, and every public method
 and property of such a class, must be referred to somewhere else in
-``src/pofsig`` (outside ``__init__.py``, whose re-exports do not count),
-in ``bench/*.py`` or in ``tools/*.py``.  A reference is a name, an
-attribute, an imported name, or a string constant spelling the name
-(``bench/spans.py`` wraps functions by name).
+``src/pofsig``, in ``bench/*.py`` or in ``tools/*.py``.  A reference is
+a name, an attribute, an imported name, or a string constant spelling
+the name (``bench/spans.py`` wraps functions by name).
 
 Every private module-level function and class (a leading underscore,
 not a dunder) must be referred to somewhere in ``src/pofsig``: a helper
@@ -138,7 +137,7 @@ def _callee(call):
 
 def _sources():
     modules = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
-    callers = [t for p, t in modules.items() if p.name != "__init__.py"]
+    callers = list(modules.values())
     for p in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")):
         callers.append(ast.parse(p.read_text(encoding="utf-8")))
     return modules, callers

@@ -1,5 +1,4 @@
-"""No module in ``src/pofsig`` imports a name it never uses, except
-``__init__.py``, whose imports are its re-exports.
+"""No module in ``src/pofsig`` imports a name it never uses.
 
 A name is used when the module's code names it anywhere, annotations
 included; an import inside a function counts as the module's own.
@@ -26,9 +25,7 @@ def _unused_imports(tree):
                     yield node.lineno, name
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
-    ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     unused = [f"{path.name}:{line} {name}"
               for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
