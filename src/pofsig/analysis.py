@@ -19,14 +19,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
-from .core import BitString, KeyPair, Params, WotsParams, derive_wots_params, draw_bits
+from .core import BitString, KeyPair, Params, Record, WotsParams, derive_wots_params, draw_bits
 from .errors import InvalidParams
 from .forkjoin import fork_map, split
 from .oracle import Seed, apply_step, chain_steps, domain_images
-from .pof import SCHEMES, DetectionOutcome, PofEvidenceII, detect_forgery, verify_pof2
+from .pof import SCHEMES, DetectionOutcome, detect_forgery, verify_pof2
 from .wots import digits
 
 UPPER_BOUND_CONSTANT = 5.22
+
+
+def _require_ints(**values) -> None:
+    """Refuse any value that is not an int, naming it."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise InvalidParams(f"{name} must be an integer, not {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +87,13 @@ def chi2_sf(x: float, k: int) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    n: int
-    delta: int
-    lower: float
-    upper: float
-    exact_expectation: float
+class BoundsReport(Record):
+    __slots__ = ("n", "delta", "lower", "upper", "exact_expectation")
 
 
 def fda_bounds(n: int, delta: int) -> BoundsReport:
     """Lower/upper detection-failure bounds plus the exact expectation."""
+    _require_ints(n=n, delta=delta)
     if n < 1 or delta < 0:
         raise InvalidParams("need n >= 1 and delta >= 0")
     return BoundsReport(
@@ -106,22 +109,22 @@ def fda_bounds(n: int, delta: int) -> BoundsReport:
 # Monte Carlo forgery-detection experiment
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scheme: str  # must equal params.scheme
-    params: Params
-    trials: int
-    master_seed: int
+class ExperimentConfig(Record):
+    __slots__ = ("scheme", "params", "trials", "master_seed")  # scheme must equal params.scheme
 
-    def __post_init__(self):
+    def _check(self):
+        if not isinstance(self.params, Params):
+            raise InvalidParams("params must be LamportParams or WotsParams, "
+                                f"not {type(self.params).__name__}")
         if self.scheme != self.params.scheme:
             raise InvalidParams(
                 f"scheme {self.scheme!r} does not match parameters {self.params!r}")
+        _require_ints(trials=self.trials)
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # bench/test_bench.py rebuilds it with dataclasses.replace
 class ExperimentReport:
     """undetected_rate, stderr, the CI and the verdict belong to the
     estimator that ``estimator_for`` picks from the parameters:
@@ -413,7 +416,7 @@ def csv_row(report: ExperimentReport) -> str:
 # Preimage-count census
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # bench/test_bench.py rebuilds it with dataclasses.replace
 class CensusReport:
     n: int
     delta: int
@@ -435,6 +438,7 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     instance; contiguous runs of instances are counted by forked workers
     (``forkjoin``).
     """
+    _require_ints(n=n, delta=delta, instances=instances)
     if instances < 1:
         raise InvalidParams("instances must be >= 1")
     domain_bits = n + delta
@@ -486,21 +490,15 @@ def _census_gof(n, delta, instances, counts):
 # Three-party scenario
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
-    step: int
-    sender: str
-    receiver: str
-    payload: str
+class ScenarioEvent(Record):
+    __slots__ = ("step", "sender", "receiver", "payload")
 
 
-@dataclass(frozen=True)
-class ScenarioLog:
-    scheme: str
-    adversary_mode: str
-    events: tuple[ScenarioEvent, ...]
-    outcome: str  # "evidence-delivered" | "undetectable"
-    evidence: Optional[PofEvidenceII] = None
+class ScenarioLog(Record):
+    """outcome is "evidence-delivered" or "undetectable"; evidence is the
+    signer's PofEvidenceII, or None when nothing was detected."""
+
+    __slots__ = ("scheme", "adversary_mode", "events", "outcome", "evidence")
 
 
 def run_scenario(

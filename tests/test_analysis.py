@@ -66,6 +66,11 @@ class TestBounds:
         with pytest.raises(InvalidParams):
             fda_bounds(0, 0)
 
+    @pytest.mark.parametrize("n,delta", [(8, 2.0), (8.0, 2), ("8", 2)])
+    def test_rejects_non_integers(self, n, delta):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            fda_bounds(n, delta)
+
     def test_huge_delta_underflows_to_zero(self):
         b = fda_bounds(8, 1100)
         assert (b.lower, b.upper, b.exact_expectation) == (0.0, 0.0, 0.0)
@@ -137,6 +142,16 @@ class TestExperiment:
             ExperimentConfig("other", LamportParams(8, 2), 10, 0)
         with pytest.raises(InvalidParams):
             ExperimentConfig("lamport", LamportParams(8, 2), 0, 0)
+
+    @pytest.mark.parametrize("params", [None, (8, 2), "lamport"])
+    def test_config_refuses_what_are_not_params(self, params):
+        with pytest.raises(InvalidParams, match="LamportParams or WotsParams"):
+            ExperimentConfig("lamport", params, 10, 0)
+
+    @pytest.mark.parametrize("trials", [2.5, 10.0, "10", None])
+    def test_config_refuses_non_integer_trials(self, trials):
+        with pytest.raises(InvalidParams, match="trials must be an integer"):
+            ExperimentConfig("lamport", LamportParams(8, 2), trials, 0)
 
     @pytest.mark.parametrize(
         "scheme,params",
@@ -354,6 +369,12 @@ class TestCensus:
     def test_rejects_nonpositive_instances(self, instances):
         with pytest.raises(InvalidParams):
             preimage_census(8, 0, instances, 1)
+
+    @pytest.mark.parametrize("args", [(4, 0, 2.5, 1), (4, 0, "3", 1), (4.0, 0, 3, 1),
+                                      (4, 1.0, 3, 1)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            preimage_census(*args)
 
 
 class TestScenario:

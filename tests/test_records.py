@@ -1,7 +1,8 @@
 """Every record built on ``core.Record`` behaves as the frozen dataclass
 of the same fields would: the same repr, hash and equality, and no
 assignment or deletion of a field; and every class but ``WotsParams``
-takes its fields through the ``__init__`` that ``Record`` builds."""
+takes its fields through the ``__init__`` that ``Record`` builds.  The
+only dataclasses left are ``analysis``'s two reports."""
 
 import copy
 import dataclasses
@@ -11,8 +12,9 @@ import random
 
 import pytest
 
-from pofsig import lamport, wots
+from pofsig import analysis, lamport, wots
 from pofsig.adversary import ForgeryBudget, PreimageSet
+from pofsig.analysis import ExperimentConfig, ScenarioEvent
 from pofsig.core import BitString, LamportParams, Record, Signature, WotsParams
 from pofsig.errors import InvalidParams
 from pofsig.oracle import LABEL_LAMPORT, LABEL_WOTS_CHAIN, OracleTag
@@ -34,6 +36,9 @@ def _records():
         evidence, DetectionOutcome(True, evidence),
         SignatureFile(wp, M, sig), ForgeryBudget(), ForgeryBudget(12),
         PreimageSet((M, BitString.from_int(3, 4))), PreimageSet(()),
+        analysis.fda_bounds(8, 2), ExperimentConfig("wots", wp, 10, 3),
+        analysis.run_scenario(lp, 1), analysis.run_scenario(lp, 1, "exact-sk"),
+        ScenarioEvent(4, "S", "R", "proof-of-forgery evidence E"),
     ]
 
 
@@ -52,7 +57,13 @@ def _as_dataclass(record):
 
 def test_every_record_class_is_covered():
     assert {type(r) for r in _records()} == set(Record.__subclasses__())
-    assert len(Record.__subclasses__()) == 12
+    assert len(Record.__subclasses__()) == 16
+
+
+def test_analysis_keeps_only_its_two_reports_as_dataclasses():
+    # bench/test_bench.py rebuilds these two with dataclasses.replace
+    classes = [c for c in vars(analysis).values() if dataclasses.is_dataclass(c)]
+    assert classes == [analysis.ExperimentReport, analysis.CensusReport]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -136,6 +147,7 @@ REFUSED = {
     LamportParams: (0, 2),
     OracleTag: (b"no such label",),
     ForgeryBudget: (0,),
+    ExperimentConfig: ("lamport", None, 10, 0),
 }
 
 
