@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
-from .core import BitString, KeyPair, Params, Record, WotsParams, derive_wots_params, draw_bits
+from .core import (
+    BitString, KeyPair, Params, Record, WotsParams, derive_wots_params, draw_bits, require_ints,
+)
 from .errors import InvalidParams
 from .forkjoin import fork_map, split
 from .oracle import Seed, apply_step, chain_steps, domain_images
@@ -27,13 +29,6 @@ from .pof import SCHEMES, DetectionOutcome, detect_forgery, verify_pof2
 from .wots import digits
 
 UPPER_BOUND_CONSTANT = 5.22
-
-
-def _require_ints(**values) -> None:
-    """Refuse any value that is not an int, naming it."""
-    for name, value in values.items():
-        if not isinstance(value, int):
-            raise InvalidParams(f"{name} must be an integer, not {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +88,7 @@ class BoundsReport(Record):
 
 def fda_bounds(n: int, delta: int) -> BoundsReport:
     """Lower/upper detection-failure bounds plus the exact expectation."""
-    _require_ints(n=n, delta=delta)
+    require_ints(n=n, delta=delta)
     if n < 1 or delta < 0:
         raise InvalidParams("need n >= 1 and delta >= 0")
     return BoundsReport(
@@ -119,7 +114,7 @@ class ExperimentConfig(Record):
         if self.scheme != self.params.scheme:
             raise InvalidParams(
                 f"scheme {self.scheme!r} does not match parameters {self.params!r}")
-        _require_ints(trials=self.trials)
+        require_ints(trials=self.trials)
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
 
@@ -438,7 +433,7 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     instance; contiguous runs of instances are counted by forked workers
     (``forkjoin``).
     """
-    _require_ints(n=n, delta=delta, instances=instances)
+    require_ints(n=n, delta=delta, instances=instances)
     if instances < 1:
         raise InvalidParams("instances must be >= 1")
     domain_bits = n + delta

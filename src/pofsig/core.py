@@ -7,7 +7,6 @@ excess widths that are not byte-aligned work everywhere.
 
 from __future__ import annotations
 
-import operator
 import random
 
 from .errors import EntropyError, InvalidParams
@@ -26,10 +25,14 @@ class Record:
     with what a frozen dataclass gives: equality with the same class only,
     the hash of the tuple of the fields, a ``Name(field=value, ...)`` repr
     that leaves out the fields named in ``_hidden``, and AttributeError on
-    assigning or deleting a field.  Unless the class writes its own, its
-    ``__init__`` is built once, with the class: it takes the fields in
-    order, the trailing ones named in ``_defaults`` optional, sets each,
-    and then calls the class's ``_check``, if it has one."""
+    assigning or deleting a field.  One ``exec`` per class builds, as
+    straight-line code over the fields, ``__eq__`` and ``__hash__`` on a
+    tuple of the fields, ``_unchecked``, which makes a record of the fields
+    in order without ``__init__``, and, unless the class writes its own,
+    ``__init__``: it takes the fields in order, the trailing ones named in
+    ``_defaults`` optional, sets each, and then calls the class's
+    ``_check``, if it has one.  Fields are set through their slots' own
+    descriptors."""
 
     __slots__ = ()
     _hidden = frozenset()
@@ -37,31 +40,30 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        # the class's own key, closed over: no per-call lookup on the instance
-        key = operator.attrgetter(*cls.__slots__)
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) == key(other)
-            return NotImplemented
-
-        cls.__eq__ = __eq__
-        if len(cls.__slots__) == 1:  # hash the 1-tuple, as the dataclass does
-            cls.__hash__ = lambda self: hash((key(self),))
-        else:
-            cls.__hash__ = lambda self: hash(key(self))
+        names = cls.__slots__
+        fields = "".join(f"self.{n}, " for n in names)  # a tuple literal's items
+        sets = "".join(f"\n    _set{i}(self, {n})" for i, n in enumerate(names))
+        code = [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({fields}) == ({fields.replace('self.', 'other.')})",
+            "    return NotImplemented",
+            f"def __hash__(self):\n    return hash(({fields}))",
+            f"def _unchecked({', '.join(names)}):\n    self = _new(_cls){sets}\n    return self",
+        ]
+        built = ["__eq__", "__hash__", "_unchecked"]
         if "__init__" not in cls.__dict__:
-            # straight-line code, one set per field: a loop over the fields
-            # at each call would cost more than the sets themselves
-            names = cls.__slots__
             params = ", ".join(f"{n}=_d[{n!r}]" if n in cls._defaults else n for n in names)
-            body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
-            if hasattr(cls, "_check"):
-                body += "\n    self._check()"
-            scope = {"_set": object.__setattr__, "_d": cls._defaults}
-            exec(f"def __init__(self, {params}):{body}", scope)
-            cls.__init__ = scope["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+            check = "\n    self._check()" if hasattr(cls, "_check") else ""
+            code.append(f"def __init__(self, {params}):{sets}{check}")
+            built.append("__init__")
+        scope = {f"_set{i}": cls.__dict__[n].__set__ for i, n in enumerate(names)}
+        scope.update(_new=object.__new__, _cls=cls, _d=cls._defaults)
+        exec("\n".join(code), scope)
+        for name in built:
+            fn = scope[name]
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, staticmethod(fn) if name == "_unchecked" else fn)
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -80,17 +82,16 @@ class Record:
 
 
 def _rebuild(cls, values):
-    record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(record, name, value)
-    return record
+    return cls._unchecked(*values)
 
 
 class BitString(Record):
     """An arbitrary-length bit sequence, packed MSB-first within each byte.
 
     Pad bits beyond ``bit_len`` in the final byte must be zero, so equal
-    bit strings compare equal as (bit_len, payload) pairs.
+    bit strings compare equal as (bit_len, payload) pairs.  ``from_int``
+    and ``oracle.apply_step`` build their values with ``_unchecked``:
+    each makes exactly the payload that ``_check`` asks for.
     """
 
     __slots__ = ("bit_len", "payload")
@@ -99,22 +100,23 @@ class BitString(Record):
         bit_len, payload = self.bit_len, self.payload
         if bit_len < 0:
             raise InvalidParams("bit_len must be non-negative")
-        nbytes = (bit_len + 7) // 8
+        nbytes = (bit_len + 7) >> 3
         if len(payload) != nbytes:
             raise InvalidParams(
                 f"payload holds {len(payload)} bytes, expected {nbytes} "
                 f"for {bit_len} bits"
             )
-        pad = 8 * nbytes - bit_len
-        if pad and (payload[-1] & ((1 << pad) - 1)):
+        pad = -bit_len & 7
+        if pad and payload[-1] & ((1 << pad) - 1):
             raise InvalidParams("pad bits beyond bit_len must be zero")
 
     @classmethod
     def from_int(cls, value: int, bit_len: int) -> "BitString":
         if value < 0 or bit_len < 0 or value >> bit_len:
             raise InvalidParams(f"{value} does not fit in {bit_len} bits")
-        nbytes = (bit_len + 7) // 8
-        return cls(bit_len, (value << (8 * nbytes - bit_len)).to_bytes(nbytes, "big"))
+        nbytes = (bit_len + 7) >> 3
+        # whole bytes, the value's bits first and the pad bits zero
+        return cls._unchecked(bit_len, (value << (-bit_len & 7)).to_bytes(nbytes, "big"))
 
     def to_int(self) -> int:
         nbytes = len(self.payload)
@@ -133,6 +135,13 @@ def draw_bits(rng: random.Random, bit_len: int) -> BitString:
     return BitString.from_int(value, bit_len)
 
 
+def require_ints(**values) -> None:
+    """Refuse any value that is not an int, a bool included, naming it."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidParams(f"{name} must be an integer, not {type(value).__name__}")
+
+
 class LamportParams(Record):
     """Single-bit Lamport scheme parameters: n-bit images, (n+delta)-bit preimages."""
 
@@ -140,6 +149,7 @@ class LamportParams(Record):
     scheme = "lamport"
 
     def _check(self):
+        require_ints(n=self.n, delta=self.delta)
         if self.n < 1:
             raise InvalidParams("n must be >= 1")
         if self.delta < 0:
@@ -166,6 +176,7 @@ class WotsParams(Record):
     scheme = "wots"
 
     def __init__(self, n: int, delta: int, L: int, nu: int):
+        require_ints(n=n, delta=delta, L=L, nu=nu)
         if n < 1 or delta < 0 or L < 1 or nu < 1:
             raise InvalidParams("need n >= 1, delta >= 0, L >= 1, nu >= 1")
         if L % nu != 0:

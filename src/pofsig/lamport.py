@@ -17,11 +17,10 @@ from .oracle import apply_step, lamport_step
 
 def hash_secret(params: LamportParams, s: BitString) -> BitString:
     """The scheme's one-way map from a secret half to a public half."""
-    if s.bit_len != params.sk_bits:
-        raise DomainError(
-            f"secret half must be {params.sk_bits} bits, got {s.bit_len}"
-        )
-    return apply_step(lamport_step(params.n, params.sk_bits), s)
+    bits = params.sk_bits
+    if s.bit_len != bits:
+        raise DomainError(f"secret half must be {bits} bits, got {s.bit_len}")
+    return apply_step(lamport_step(params.n, bits), s)
 
 
 # Names the benchmark harness (bench/workloads.py) imports.
@@ -36,7 +35,8 @@ def public_values(params: LamportParams, r, sk) -> tuple[BitString, ...]:
 
 def keygen(params: LamportParams, rng: random.Random) -> KeyPair:
     """Two secret halves, sk[0] and sk[1], and their images; no seed."""
-    sk = (draw_bits(rng, params.sk_bits), draw_bits(rng, params.sk_bits))
+    bits = params.sk_bits
+    sk = (draw_bits(rng, bits), draw_bits(rng, bits))
     return KeyPair(params, None, sk, public_values(params, None, sk))
 
 

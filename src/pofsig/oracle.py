@@ -113,17 +113,19 @@ def tag_prefix(tag: OracleTag, out_bits: int, in_bit_len: int) -> bytes:
 
 
 def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
-    """First out_bits of the counter-mode SHA-256 stream, pad bits zeroed."""
-    nbytes = (out_bits + 7) // 8
+    """First out_bits of the counter-mode SHA-256 stream, pad bits zeroed:
+    for out_bits >= 0, exactly the payload a BitString of out_bits asks for."""
+    nbytes = (out_bits + 7) >> 3
     msg = prefix + payload
     out = _sha256(msg + _CTR0).digest()
     ctr = 1
     while len(out) < nbytes:
         out += _sha256(msg + ctr.to_bytes(4, "big")).digest()
         ctr += 1
-    pad = 8 * nbytes - out_bits
+    pad = -out_bits & 7
     if pad:
-        return out[:nbytes - 1] + bytes((out[nbytes - 1] >> pad << pad,))
+        last = nbytes - 1
+        return out[:last] + bytes((out[last] >> pad << pad,))
     return out[:nbytes]
 
 
@@ -249,9 +251,11 @@ def chain_steps(params: WotsParams, r: Seed) -> tuple[tuple[bytes, int], ...]:
 
 
 def apply_step(step: tuple[bytes, int], x: BitString) -> BitString:
-    """Evaluate one oracle step on x."""
+    """Evaluate one oracle step on x.  A step's out_bits went through
+    ``tag_prefix``, whose be64 refuses a negative or non-integer width, so
+    digest_bits' output needs no second check."""
     prefix, out_bits = step
-    return BitString(out_bits, digest_bits(prefix, x.payload, out_bits))
+    return BitString._unchecked(out_bits, digest_bits(prefix, x.payload, out_bits))
 
 
 def oracle_eval(tag: OracleTag, x: BitString, out_bits: int) -> BitString:

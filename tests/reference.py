@@ -2,10 +2,12 @@
 
 None of these runs in pofsig itself: they are the independent checks of
 the closed-form expectation, of the 5.22 bound constant, of the Lamport
-image count against the experiment's preimage index, and of the
-collision that a piece of evidence exhibits.
+image count against the experiment's preimage index, of the collision
+that a piece of evidence exhibits, of the oracle's counter-mode stream,
+and of the invariants of a bit string.
 """
 
+import hashlib
 import math
 
 from pofsig import lamport, wots
@@ -81,3 +83,22 @@ def collision(E):
             return step, x, y
         x, y = x_up, y_up
     return None
+
+
+def counter_mode(t: bytes, out_bits: int) -> tuple[int, bytes]:
+    """(out_bits, payload): the first out_bits bits of the stream
+    SHA256(t || be32(0)) || SHA256(t || be32(1)) || ..., hashed with
+    hashlib, as whole bytes whose pad bits are zero."""
+    blocks = -(-out_bits // 256)
+    stream = b"".join(hashlib.sha256(t + i.to_bytes(4, "big")).digest() for i in range(blocks))
+    nbytes = -(-out_bits // 8)
+    pad = 8 * nbytes - out_bits
+    return out_bits, (int.from_bytes(stream[:nbytes], "big") >> pad << pad).to_bytes(nbytes, "big")
+
+
+def meets_bitstring_invariants(b) -> bool:
+    """b's payload is bytes, exactly the whole bytes of its bit_len >= 0
+    bits, with the pad bits after them zero."""
+    nbytes = -(-b.bit_len // 8)
+    return (type(b.payload) is bytes and b.bit_len >= 0 and len(b.payload) == nbytes
+            and int.from_bytes(b.payload, "big") % (1 << (8 * nbytes - b.bit_len)) == 0)

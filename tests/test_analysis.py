@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -337,6 +339,107 @@ class TestExactGivenH:
         assert any(len(members) > 1 for members in index.values())
         r = run_fda_experiment(ExperimentConfig("lamport", params, 20, 1))
         assert r.undetected_rate == expected
+
+
+def _exact_sk(monkeypatch):
+    """Every trial's adversary signs M* with the secret key itself."""
+    monkeypatch.setattr(analysis, "_forgery_trial",
+                        functools.partial(analysis._forgery_trial, exact_sk=True))
+
+
+def _count_only(monkeypatch):
+    """Every experiment takes its rate from the 0/1 count of its trials."""
+    monkeypatch.setattr(analysis, "estimator_for", lambda params: "monte-carlo")
+
+
+def _printed_ci(text: str, label: str) -> tuple[str, str, str]:
+    """(estimate, low, high) as report_text prints them on the line of label."""
+    line = next(line for line in text.splitlines() if line.startswith(label))
+    return re.fullmatch(r"[^:]+:\s+(\S+)  \(95% CI (\S+)\.\.(\S+)\)", line).groups()
+
+
+class TestVerdict:
+    """The verdict reads the estimator's rate: "pass" iff it is below
+    upper + 3 stderr.  An honest forger stays under the bound, so only an
+    adversary who knows more, here one holding the secret key, fails it."""
+
+    def test_the_secret_key_fails_the_count(self, monkeypatch):
+        _exact_sk(monkeypatch)
+        _count_only(monkeypatch)
+        r = run_fda_experiment(ExperimentConfig("lamport", LamportParams(8, 4), 200, 1))
+        assert (r.estimator, r.undetected_count, r.detected_count) == ("monte-carlo", 200, 0)
+        assert (r.undetected_rate, r.stderr) == (1.0, 0.0)
+        assert r.bounds.upper == 5.22 / 16
+        assert r.verdict == "fail"
+        assert analysis.report_text(r).endswith("verdict:         fail")
+        assert analysis.csv_row(r).endswith(",fail")
+
+    @pytest.mark.parametrize("scheme,params,trials", [
+        ("lamport", LamportParams(8, 4), 200), ("wots", WP, 20)])
+    def test_the_exact_estimators_read_no_trial_outcome(self, monkeypatch, scheme, params, trials):
+        honest = run_fda_experiment(ExperimentConfig(scheme, params, trials, 3))
+        _exact_sk(monkeypatch)
+        r = run_fda_experiment(ExperimentConfig(scheme, params, trials, 3))
+        assert r.estimator == honest.estimator != "monte-carlo"
+        assert honest.undetected_count < trials == r.undetected_count
+        assert (r.undetected_rate, r.stderr, r.ci_low, r.ci_high, r.verdict) == (
+            honest.undetected_rate, honest.stderr, honest.ci_low, honest.ci_high, "pass")
+        assert r.monte_carlo_rate == 1.0
+
+    @pytest.mark.parametrize("scheme,params,trials,count_only", [
+        ("lamport", LamportParams(8, 2), 20, False),  # exact-given-H: stderr 0
+        ("wots", WP, 20, False),  # exact-given-r
+        ("lamport", LamportParams(8, 0), 200, True),  # the 0/1 count
+    ])
+    def test_the_verdict_turns_at_upper_plus_three_stderr(
+            self, monkeypatch, scheme, params, trials, count_only):
+        if count_only:
+            _count_only(monkeypatch)
+        cfg = ExperimentConfig(scheme, params, trials, 5)
+        first = run_fda_experiment(cfg)
+        rate, stderr, b = first.undetected_rate, first.stderr, first.bounds
+        edge = rate - 3.0 * stderr
+        assert edge > 0.0  # so that a bound of twice the upper one would pass the fail side
+        for upper, verdict in ((edge + 1e-9, "pass"), (edge - 1e-9, "fail")):
+            bounds = analysis.BoundsReport(b.n, b.delta, b.lower, upper, b.exact_expectation)
+            monkeypatch.setattr(analysis, "fda_bounds", lambda n, delta: bounds)
+            r = run_fda_experiment(cfg)
+            assert (r.undetected_rate, r.stderr, r.bounds.upper) == (rate, stderr, upper)
+            assert r.verdict == verdict
+
+
+class TestConfidenceIntervals:
+    """Every interval is its estimate +- 1.96 standard errors, clipped to [0, 1]."""
+
+    @pytest.mark.parametrize("scheme,params,trials,seed,clipped", [
+        ("lamport", LamportParams(8, 2), 20, 1, ""),  # exact-given-H
+        ("wots", WP, 20, 1, ""),  # exact-given-r
+        ("wots", derive_wots_params(6, 0, 4, 2), 1, 3, "both"),  # exact-given-r, one trial
+        ("wots", derive_wots_params(8, 0, 8, 4), 40, 1, "low"),  # monte-carlo
+    ])
+    def test_the_reported_ci(self, scheme, params, trials, seed, clipped):
+        r = run_fda_experiment(ExperimentConfig(scheme, params, trials, seed))
+        low, high = r.undetected_rate - 1.96 * r.stderr, r.undetected_rate + 1.96 * r.stderr
+        assert (r.ci_low, r.ci_high) == (max(0.0, low), min(1.0, high))
+        assert (low < 0.0, high > 1.0) == (clipped in ("low", "both"), clipped == "both")
+        printed = _printed_ci(analysis.report_text(r), "undetected rate:")
+        assert printed == tuple(f"{v:.6f}" for v in (r.undetected_rate, r.ci_low, r.ci_high))
+
+    @pytest.mark.parametrize("scheme,params,trials,seed,clipped", [
+        ("lamport", LamportParams(8, 0), 3, 0, "high"),
+        ("lamport", LamportParams(8, 0), 3, 2, "low"),
+        ("wots", WP, 20, 1, "low"),
+    ])
+    def test_the_monte_carlo_line(self, scheme, params, trials, seed, clipped):
+        # the count's own interval, a cross-check that no verdict reads
+        r = run_fda_experiment(ExperimentConfig(scheme, params, trials, seed))
+        assert r.estimator != "monte-carlo"
+        mc = r.undetected_count / trials
+        half = 1.96 * math.sqrt(mc * (1.0 - mc) / trials)
+        assert (mc - half < 0.0, mc + half > 1.0) == (clipped == "low", clipped == "high")
+        printed = _printed_ci(analysis.report_text(r), "monte carlo:")
+        assert printed == tuple(
+            f"{v:.6f}" for v in (mc, max(0.0, mc - half), min(1.0, mc + half)))
 
 
 class TestCensus:

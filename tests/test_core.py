@@ -9,8 +9,10 @@ from pofsig.core import (
     LamportParams,
     WotsParams,
     derive_wots_params,
+    draw_bits,
 )
 from pofsig.errors import InvalidParams
+from reference import meets_bitstring_invariants
 
 
 class TestPackBits:
@@ -39,6 +41,14 @@ class TestPackBits:
         bs = BitString.from_int(v, k)
         assert len(bs.payload) == (k + 7) // 8
         assert bs.to_int() == v
+        # built unchecked, it is what the checked constructor takes
+        assert meets_bitstring_invariants(bs) and bs == BitString(k, bs.payload)
+
+    @given(st.integers(0, 300), st.integers(0, 2 ** 32))
+    def test_drawn_bits_meet_the_invariants(self, k, seed):
+        bs = draw_bits(random.Random(seed), k)
+        assert bs.bit_len == k
+        assert meets_bitstring_invariants(bs) and bs == BitString(k, bs.payload)
 
     def test_round_trip_large(self):
         v = random.Random(1234).getrandbits(10_000)
@@ -80,6 +90,11 @@ class TestLamportParams:
     @pytest.mark.parametrize("n,delta", [(0, 0), (-1, 2), (8, -1)])
     def test_rejects_bad(self, n, delta):
         with pytest.raises(InvalidParams):
+            LamportParams(n, delta)
+
+    @pytest.mark.parametrize("n,delta", [(8.0, 2), (8, 2.0), ("8", 2), (True, 2), (8, False)])
+    def test_rejects_non_integers(self, n, delta):
+        with pytest.raises(InvalidParams, match="must be an integer"):
             LamportParams(n, delta)
 
 
@@ -146,6 +161,12 @@ class TestDeriveWotsParams:
         kw[field] = -1
         with pytest.raises(InvalidParams):
             derive_wots_params(**kw)
+
+    @pytest.mark.parametrize("args", [(6.0, 2, 4, 2), (6, 2.0, 4, 2), (6, 2, "4", 2),
+                                      (6, 2, 4, True), (True, 0, 4, 2)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            WotsParams(*args)
 
     def test_rejects_chain_index_above_u8(self):
         # the oracle tag stores the chain index as one byte: w-1 <= 255

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 import pofsig
@@ -31,6 +32,7 @@ from pofsig.oracle import (
     oracle_eval,
     tag_prefix,
 )
+from reference import counter_mode, meets_bitstring_invariants
 
 LAM = OracleTag(LABEL_LAMPORT)
 
@@ -353,9 +355,22 @@ def _layout_image(label, r, index, out_bits, x):
     then the counter-mode stream cut to out_bits bits, pad bits zero."""
     t = (label + b"\x00" + r + bytes([index]) + out_bits.to_bytes(8, "big")
          + x.bit_len.to_bytes(8, "big") + x.payload)
-    blocks = -(-out_bits // 256)
-    stream = b"".join(hashlib.sha256(t + c.to_bytes(4, "big")).digest() for c in range(blocks))
-    return BitString.from_int(int.from_bytes(stream, "big") >> (256 * blocks - out_bits), out_bits)
+    return BitString(*counter_mode(t, out_bits))
+
+
+@given(out_bits=st.integers(1, 600), width=st.integers(0, 80), data=st.data())
+def test_apply_step_is_the_counter_mode_stream(out_bits, width, data):
+    # 1 to 600 bits: one to three counter blocks, pad bits or none
+    x = BitString.from_int(data.draw(st.integers(0, (1 << width) - 1)), width)
+    index = data.draw(st.integers(0, 255))
+    if index:
+        tag = OracleTag(LABEL_WOTS_CHAIN, Seed(data.draw(st.binary(min_size=16, max_size=16))), index)
+    else:
+        tag = LAM
+    prefix = tag_prefix(tag, out_bits, width)
+    y = apply_step((prefix, out_bits), x)
+    assert (y.bit_len, y.payload) == counter_mode(prefix + x.payload, out_bits)
+    assert meets_bitstring_invariants(y) and y == BitString(y.bit_len, y.payload)
 
 
 class TestKnownAnswers:

@@ -17,7 +17,7 @@ from pofsig.adversary import ForgeryBudget, PreimageSet
 from pofsig.analysis import ExperimentConfig, ScenarioEvent
 from pofsig.core import BitString, LamportParams, Record, Signature, WotsParams
 from pofsig.errors import InvalidParams
-from pofsig.oracle import LABEL_LAMPORT, LABEL_WOTS_CHAIN, OracleTag
+from pofsig.oracle import LABEL_LAMPORT, LABEL_WOTS_CHAIN, OracleTag, apply_step, lamport_step
 from pofsig.pof import DetectionOutcome, PofEvidenceII, detect_forgery
 from pofsig.serial import SignatureFile
 
@@ -115,6 +115,24 @@ def test_copies_and_pickles_are_equal_records(record):
         assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
 
 
+def test_producers_and_copies_build_bit_strings_without_the_check(monkeypatch):
+    # from_int and apply_step make exactly the payload _check asks for, and
+    # copies hold a checked value: none of them runs the check again
+    b = BitString.from_int(0b1011, 4)
+
+    def refuse(self):
+        raise AssertionError("checked again")
+
+    monkeypatch.setattr(BitString, "_check", refuse)
+    with pytest.raises(AssertionError):
+        BitString(4, b.payload)
+    image = apply_step(lamport_step(8, 4), b)
+    for twin in (BitString.from_int(0b1011, 4), copy.copy(b), copy.deepcopy(b),
+                 pickle.loads(pickle.dumps(b))):
+        assert type(twin) is BitString and twin == b
+    assert copy.copy(image) == image and image.bit_len == 8
+
+
 BUILT = [r for r in _records() if type(r) is not WotsParams]
 
 
@@ -141,13 +159,13 @@ def test_wots_params_keeps_its_own_initialiser():
     assert WotsParams(6, 1, 4, 2) == WotsParams(n=6, delta=1, L=4, nu=2)
 
 
-# arguments with one bad value, per class whose built __init__ ends in its _check
+# arguments with one bad value each, per class whose built __init__ ends in its _check
 REFUSED = {
-    BitString: (3, b""),
-    LamportParams: (0, 2),
-    OracleTag: (b"no such label",),
-    ForgeryBudget: (0,),
-    ExperimentConfig: ("lamport", None, 10, 0),
+    BitString: [(3, b"")],
+    LamportParams: [(0, 2), (8.0, 2), (8, 2.0), ("8", 2), (True, 2)],
+    OracleTag: [(b"no such label",)],
+    ForgeryBudget: [(0,)],
+    ExperimentConfig: [("lamport", None, 10, 0), ("lamport", LamportParams(8, 2), 10.0, 0)],
 }
 
 
@@ -158,5 +176,6 @@ def test_every_checked_class_is_covered():
 
 @pytest.mark.parametrize("cls", list(REFUSED), ids=lambda c: c.__name__)
 def test_built_initialiser_runs_the_check(cls):
-    with pytest.raises(InvalidParams):
-        cls(*REFUSED[cls])
+    for args in REFUSED[cls]:
+        with pytest.raises(InvalidParams):
+            cls(*args)
