@@ -17,15 +17,15 @@ from __future__ import annotations
 import random
 from array import array
 from collections import defaultdict, deque
-from itertools import compress
-from typing import Callable, Optional
+from collections.abc import Callable
+from itertools import chain as _chain_iterables, compress
 
 from .core import (
     MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Record, Signature, WotsParams,
 )
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .forkjoin import fork_map, split
-from .oracle import Seed, chain, chain_steps, domain_images, image_blocks, lamport_step
+from .oracle import Seed, chain, chain_steps, image_blocks, lamport_step
 from .wots import extend
 
 
@@ -96,7 +96,7 @@ def _members(row: list[int], target: BitString) -> list[int]:
 
 
 def build_lamport_preimage_index(
-    params: LamportParams, targets: Optional[set[int]] = None
+    params: LamportParams, targets: set[int] | None = None
 ) -> dict[int, array]:
     """Image table of the Lamport oracle at these parameters: each image,
     or each one in targets when given, maps to an ``array('I')`` of its
@@ -140,7 +140,7 @@ def forge_lamport(
     m_star: int,
     budget: ForgeryBudget,
     rng: random.Random,
-    index: Optional[dict[int, array]] = None,
+    index: dict[int, array] | None = None,
 ) -> Signature:
     """Invert the public half for the target bit and emit a random preimage,
     drawn from index or, when none is given, from an index of that half.
@@ -176,7 +176,8 @@ def chain_tops(
         budget.check(params.value_bits(d))
     tops: dict[int, list[int]] = {}
     for d in depths:
-        images = domain_images(chain_steps(params, r)[d], params.value_bits(d))
+        blocks = image_blocks(chain_steps(params, r)[d], params.value_bits(d))
+        images = _chain_iterables.from_iterable(blocks)
         if d + 1 in tops:
             images = map(tops[d + 1].__getitem__, images)
         tops[d] = list(images)
@@ -209,7 +210,7 @@ def forge_wots(
     M_star: BitString,
     budget: ForgeryBudget,
     rng: random.Random,
-    tops: Optional[dict[int, list[int]]] = None,
+    tops: dict[int, list[int]] | None = None,
 ) -> Signature:
     """Forge a signature for M_star from one observed message-signature pair.
 
@@ -240,7 +241,7 @@ def forge_wots(
 
 def forge(
     pk, M, sigma, M_star, budget: ForgeryBudget, rng: random.Random,
-    index: Optional[dict] = None,
+    index: dict | None = None,
 ):
     """Forge a signature for M_star under pk's scheme from one signed pair
     (M, sigma); index is the scheme's inversion table, if one was built:

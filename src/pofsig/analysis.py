@@ -16,7 +16,6 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
 from .core import (
@@ -24,7 +23,7 @@ from .core import (
 )
 from .errors import InvalidParams
 from .forkjoin import fork_map, split
-from .oracle import Seed, apply_step, chain_steps, domain_images
+from .oracle import Seed, apply_step, chain_steps, image_blocks
 from .pof import SCHEMES, DetectionOutcome, detect_forgery, verify_pof2
 from .wots import digits
 
@@ -149,7 +148,7 @@ class ExperimentReport:
     bounds: BoundsReport
     evidence_ok_count: int
     verdict: str  # "pass" | "fail" against the upper bound
-    avg_matching_positions: Optional[float] = None
+    avg_matching_positions: float | None = None
 
     @property
     def estimator(self) -> str:
@@ -212,7 +211,7 @@ def match_probabilities(params: WotsParams, tops: dict[int, list[int]]) -> list[
     return g
 
 
-def undetected_probability(params: WotsParams, g: Sequence[float]) -> float:
+def undetected_probability(params: WotsParams, g: list[float]) -> float:
     """P_r: the mean, over all ordered message pairs M != M*, of the product
     of g[b*_i] over the positions where b*_i < b_i (b = extend(M),
     b* = extend(M*)), which is the chance that the forgery reproduces the
@@ -255,7 +254,7 @@ def _forgery_trial(
     kp: KeyPair,
     rng: random.Random,
     budget: ForgeryBudget,
-    table: Optional[dict] = None,
+    table: dict | None = None,
     exact_sk: bool = False,
 ) -> DetectionOutcome:
     """One chosen-message attack on kp, which the caller drew from rng: sign
@@ -448,7 +447,7 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
         for r, x in draws[part.start:part.stop]:
             (step,) = chain_steps(params, Seed(r.to_bytes(16, "big")))
             target = apply_step(step, BitString.from_int(x, domain_bits)).to_int()
-            sizes.append(operator.countOf(domain_images(step, domain_bits), target))
+            sizes.append(sum(block.count(target) for block in image_blocks(step, domain_bits)))
         return sizes
 
     jobs = split(instances, 1 << domain_bits)

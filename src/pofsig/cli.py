@@ -16,7 +16,7 @@ import sys
 
 from . import pof, serial
 from .core import BitString, LamportParams, derive_wots_params
-from .errors import InvalidParams, NotAValidSignature, PofsigError, one_short_line
+from .errors import NotAValidSignature, PofsigError, one_short_line
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -45,10 +45,6 @@ def _parse_seed(text: str) -> int:
     return int(text, 16)
 
 
-def _rng(seed_hex: str) -> random.Random:
-    return random.Random(_parse_seed(seed_hex))
-
-
 def _build_params(args):
     if args.scheme == "lamport":
         if args.L is not None or args.nu is not None:
@@ -73,15 +69,12 @@ def _parse_message(text: str, params):
         raise UsageError(
             f"message must encode exactly {params.L} bits ({nbytes} bytes of hex)"
         )
-    try:
-        return BitString(params.L, payload)
-    except InvalidParams as exc:
-        raise UsageError(str(exc))
+    return BitString(params.L, payload)  # refuses non-zero pad bits
 
 
 def _cmd_keygen(args) -> int:
     params = _build_params(args)
-    kp = pof.SCHEMES[params.scheme].keygen(params, _rng(args.seed))
+    kp = pof.SCHEMES[params.scheme].keygen(params, random.Random(_parse_seed(args.seed)))
     serial.dump_path(args.sk_out, serial.dump_secret_key(kp))
     serial.dump_path(args.pk_out, serial.dump_public_key(kp.public()))
     return EXIT_OK
@@ -118,7 +111,7 @@ def _cmd_forge(args) -> int:
     from .adversary import ForgeryBudget, forge
 
     budget = ForgeryBudget(args.max_domain_bits)
-    forged = forge(pk, known_m, known_sig, m_star, budget, _rng(args.seed))
+    forged = forge(pk, known_m, known_sig, m_star, budget, random.Random(_parse_seed(args.seed)))
     serial.dump_path(args.out, serial.dump_signature(forged, m_star, pk.params))
     return EXIT_OK
 

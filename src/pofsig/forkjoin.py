@@ -25,10 +25,6 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from typing import BinaryIO, Callable, Sequence, TypeVar
-
-J = TypeVar("J")
-R = TypeVar("R")
 
 # Forking and joining one child costs ~1.5-2.2 ms on a 2-core Xeon VM
 # (Python 3.11), the time of ~1800-4500 oracle hashes at ~0.49-0.86 us
@@ -61,10 +57,10 @@ def split(units: int, unit_hashes: int = MIN_JOB_HASHES) -> list[range]:
     return [range(units * i // k, units * (i + 1) // k) for i in range(k)]
 
 
-def fork_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
+def fork_map(fn, jobs) -> list:
     """[fn(job) for job in jobs], every job but the first in a forked child."""
     first, *rest = jobs
-    children: dict[int, tuple[int, BinaryIO]] = {}
+    children = {}  # job number: (pid, its pipe's read end)
     try:
         for i, job in enumerate(rest):
             try:
@@ -89,7 +85,7 @@ def fork_map(fn: Callable[[J], R], jobs: Sequence[J]) -> list[R]:
     return results
 
 
-def _fork(fn, job) -> tuple[int, BinaryIO]:
+def _fork(fn, job) -> tuple:
     r, w = os.pipe()
     try:
         pid = os.fork()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .core import BitString, KeyPair, LamportParams, PublicKey, Signature, draw_bits
+from .core import BitString, KeyPair, LamportParams, PublicKey, Signature, bit_strings, draw_bits
 from .errors import DomainError
 from .oracle import apply_step, lamport_step
 
@@ -48,9 +48,11 @@ def sign(kp: KeyPair, m: int) -> Signature:
 
 
 def verify(pk: PublicKey, sig: Signature, m: int) -> int:
-    """1 iff sig is one revealed half whose image is pk's half for m."""
+    """1 iff sig is one revealed half whose image is pk's half for m; 0 for
+    a key not of Lamport's shape, no seed and two n-bit halves."""
     if not isinstance(m, int) or m not in (0, 1):
         raise DomainError(f"message must be the bit 0 or 1, got {m!r}")
-    if len(sig.sigma) != 1:
+    if (pk.r is not None or not bit_strings(pk.pk, pk.params.n) or len(pk.pk) != 2
+            or len(sig.sigma) != 1):
         return 0
     return 1 if hash_secret(pk.params, sig.sigma[0]) == pk.pk[m] else 0

@@ -24,7 +24,7 @@ evaluates one value through a step, and ``image_blocks`` is the one
 kernel that sweeps a whole input domain, or a contiguous sub-range of
 it, through a step for exhaustive search and the census, yielding the
 images block by block as arrays, lazily and with no Python frame per
-input; ``domain_images`` yields the same images as integers.
+input.
 
 SHA-256 is the interpreter's built-in one (``_sha2``, or ``_sha256``
 before Python 3.12), as ``random`` takes its SHA-512, and
@@ -40,8 +40,8 @@ import functools
 import sys
 from array import array
 from collections import deque
-from itertools import chain as _chain_iterables, repeat
-from typing import Iterator, Optional
+from collections.abc import Iterator
+from itertools import repeat
 
 from .core import BitString, Record, WotsParams
 from .errors import DomainError, InvalidParams
@@ -129,21 +129,15 @@ def digest_bits(prefix: bytes, payload: bytes, out_bits: int) -> bytes:
     return out[:nbytes]
 
 
-def domain_images(step: tuple[bytes, int], domain_bits: int) -> Iterator[int]:
-    """Iterate, in ascending input order, over the image of every
-    domain_bits-bit input under the oracle step (tag_prefix, out_bits),
-    each as the integer ``apply_step(step, x).to_int()``: the items of
-    ``image_blocks(step, domain_bits)``, one block at a time."""
-    return _chain_iterables.from_iterable(image_blocks(step, domain_bits))
-
-
 def image_blocks(
-    step: tuple[bytes, int], domain_bits: int, inputs: Optional[range] = None
+    step: tuple[bytes, int], domain_bits: int, inputs: range | None = None
 ) -> Iterator[array]:
-    """The images of ``domain_images``, lazily, as one array per block of
-    inputs, in the narrowest typecode that holds out_bits bits; inputs, when
-    given, is the sub-range of the domain to sweep: a step-1 ``range``
-    with 0 <= start <= stop <= 2^domain_bits, else ``InvalidParams``.
+    """The image of every domain_bits-bit input under the oracle step
+    (tag_prefix, out_bits), each the integer ``apply_step(step, x).to_int()``,
+    in ascending input order, lazily, as one array per block of inputs, in
+    the narrowest typecode that holds out_bits bits; inputs, when given, is
+    the sub-range of the domain to sweep: a step-1 ``range`` with
+    0 <= start <= stop <= 2^domain_bits, else ``InvalidParams``.
 
     Outputs are capped at 64 bits, the widest array item, and read from
     the first block of the counter stream: one hash of

@@ -12,46 +12,21 @@ where each depth fixes its value's width.  So type II is the one kind.
 from __future__ import annotations
 
 from . import lamport, wots
-from .core import BitString, KeyPair, Params, PublicKey, Record, Signature
+from .core import KeyPair, Params, PublicKey, Record, Signature, bit_strings
 from .errors import NotAValidSignature, PofsigError
-from .oracle import SEED_BYTES
 
 # The one place a scheme name is mapped to its keygen, sign and verify;
 # every caller looks the scheme up by params.scheme.
 SCHEMES = {"lamport": lamport, "wots": wots}
 
 
-def _bit_strings(values, bit_len=None) -> bool:
-    """values is a tuple of BitStrings, each bit_len bits wide unless
-    bit_len is None; a plain loop, the fastest test of the few values a
-    key or signature holds."""
-    if not isinstance(values, tuple):
-        return False
-    for v in values:
-        if not isinstance(v, BitString) or (bit_len is not None and v.bit_len != bit_len):
-            return False
-    return True
-
-
-def _key_shaped(pk) -> bool:
-    """pk is a PublicKey holding its scheme's count of n-bit BitStrings,
-    two Lamport halves or l WOTS chain tops, and its scheme's seed: none
-    for Lamport, SEED_BYTES bytes for WOTS."""
-    if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)):
-        return False
-    if pk.params.scheme == "lamport":
-        seeded, count = pk.r is None, 2
-    else:
-        seeded, count = isinstance(pk.r, bytes) and len(pk.r) == SEED_BYTES, pk.params.l
-    return seeded and _bit_strings(pk.pk, pk.params.n) and len(pk.pk) == count
-
-
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
     """Verify under pk's scheme; a malformed or cross-scheme input counts as 0:
-    a key not shaped as its scheme's, anything but a Signature holding a
-    tuple of BitStrings, or the other scheme's signature, which fails the
-    verifier's own shape checks."""
-    if not (_key_shaped(pk) and isinstance(sig, Signature) and _bit_strings(sig.sigma)):
+    anything but a PublicKey with scheme parameters or a Signature holding a
+    tuple of BitStrings, a key not shaped as its scheme's, or the other
+    scheme's signature; the scheme's own verify refuses the last two."""
+    if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)
+            and isinstance(sig, Signature) and bit_strings(sig.sigma)):
         return 0
     try:
         return SCHEMES[pk.params.scheme].verify(pk, sig, M)

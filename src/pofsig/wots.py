@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .core import BitString, KeyPair, PublicKey, Signature, WotsParams, draw_bits
+from .core import BitString, KeyPair, PublicKey, Signature, WotsParams, bit_strings, draw_bits
 from .errors import DomainError
 from .oracle import SEED_BYTES, Seed, chain
 
@@ -70,18 +70,20 @@ def sign(kp: KeyPair, M: BitString) -> Signature:
 def verify(pk: PublicKey, sig: Signature, M: BitString) -> int:
     """Finish every chain from its claimed depth and compare to the public key.
 
-    Structural mismatches (a message that is not an L-bit string, wrong
+    Structural mismatches (a key not of WOTS's shape, a SEED_BYTES seed
+    and l n-bit chain tops; a message that is not an L-bit string; wrong
     element count or lengths) verify as 0 rather than raising, so callers
     get a single boolean outcome.
     """
     params = pk.params
-    if not isinstance(M, BitString):
+    if not (isinstance(pk.r, bytes) and len(pk.r) == SEED_BYTES
+            and bit_strings(pk.pk, params.n) and isinstance(M, BitString)):
         return 0
     try:
         b = extend(M, params)
     except DomainError:
         return 0
-    if len(sig.sigma) != params.l:
+    if len(sig.sigma) != params.l or len(pk.pk) != params.l:
         return 0
     for b_i, sigma_i, pk_i in zip(b, sig.sigma, pk.pk):
         if sigma_i.bit_len != params.value_bits(b_i):

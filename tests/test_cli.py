@@ -278,6 +278,15 @@ def test_seed_other_than_lowercase_hex_digits_exits_2(tmp_path, capsys, seed, co
     assert not (tmp_path / "sk").exists()
 
 
+def test_wots_message_with_non_zero_pad_bits_exits_2(tmp_path, wots_keys, capsys):
+    # L = 4: one byte of hex, whose low four bits are pad bits
+    sk, _ = wots_keys
+    code = cli.main(["sign", "--sk", str(sk), "--message", "b1", "--out", str(tmp_path / "sig")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: pad bits beyond bit_len must be zero\n"
+    assert not (tmp_path / "sig").exists()
+
+
 def test_directory_as_file_exits_2(tmp_path, capsys):
     code = cli.main(["sign", "--sk", str(tmp_path), "--message", "0",
                      "--out", str(tmp_path / "sig")])

@@ -353,7 +353,7 @@ def test_forkjoin_imports_only_what_every_interpreter_has_loaded():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert imported <= {"__future__", "marshal", "os", "sys", "typing"}
+    assert imported <= {"__future__", "marshal", "os", "sys"}
 
 
 def _run(*argv):

@@ -2,8 +2,10 @@
 forge, detect and verify-pof chain runs in a fresh interpreter, which
 then reports the modules that got loaded: none loads ``pofsig.analysis``,
 only ``forge`` loads ``pofsig.adversary``, and none loads ``dataclasses``,
-``traceback`` or OpenSSL's ``hashlib`` unless a bare interpreter already
-has it.  ``import pofsig`` alone loads no ``pofsig`` module."""
+``traceback``, ``typing`` or OpenSSL's ``hashlib`` unless a bare
+interpreter already has it.  ``import pofsig`` alone loads no ``pofsig`` module.
+Every child runs under ``-S``, so that what ``site`` imports (a ``.pth``
+file may import ``typing``) never hides what ``pofsig`` loads."""
 
 import ast
 import os
@@ -15,7 +17,7 @@ import pytest
 import pofsig
 
 WATCHED = ("pofsig.analysis", "pofsig.adversary", "dataclasses", "traceback", "hashlib",
-           "_hashlib")
+           "_hashlib", "typing")
 
 # Runs one command as `python -m pofsig` would, then prints its exit code
 # and which of the watched modules are loaded.
@@ -34,7 +36,7 @@ def _env():
 
 
 def _run(code, *argv):
-    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+    res = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                          text=True, env=_env(), timeout=120)
     assert res.returncode == 0, res.stderr
     return res.stdout.splitlines()[-1]
@@ -93,6 +95,12 @@ def test_no_command_loads_openssl_hashlib(loaded, bare):
     # the oracle hashes with the interpreter's built-in SHA-256
     for name, (_, mods) in loaded.items():
         assert mods & {"hashlib", "_hashlib"} <= bare, name
+
+
+def test_no_command_loads_typing(loaded, bare):
+    # annotations are never evaluated, so no module imports typing for them
+    for name, (_, mods) in loaded.items():
+        assert mods & {"typing"} <= bare, name
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -214,12 +214,14 @@ def _malformed_keys():
         "lamport no values": ("lamport", (LP, None, None)),
         "lamport no params": ("lamport", (None, None, lkp.pk)),
         "lamport one half": ("lamport", (LP, None, lkp.pk[:1])),
+        "lamport zero halves": ("lamport", (LP, None, ())),
         "lamport int halves": ("lamport", (LP, None, (0, 1))),
         "lamport 7-bit unused half": (
             "lamport", (LP, None, (BitString.from_int(0, 7), lkp.pk[1]))),
         "wots no values": ("wots", (WP, wkp.r, None)),
         "wots no params": ("wots", (None, wkp.r, wkp.pk)),
         "wots one chain short": ("wots", (WP, wkp.r, wkp.pk[:-1])),
+        "wots zero chains": ("wots", (WP, wkp.r, ())),
         "wots str seed": ("wots", (WP, "seed", wkp.pk)),
         # seeds of the wrong shape, with the key's values made under them
         "lamport with a seed": ("lamport", (LP, b"0123456789abcdef", lkp.pk)),
@@ -243,6 +245,9 @@ class TestMalformedPublicKey:
         other = Signature(tuple(BitString(v.bit_len, bytes(len(v.payload))) for v in good.sigma))
         assert verify_pof2(PofEvidenceII(pk, good, other, M)) == 0
         assert verify_pof2(PofEvidenceII(pk, other, good, M)) == 0
+        if params == kp.params and isinstance(pk_values, tuple):
+            # the scheme's own verify checks the key it is given
+            assert SCHEMES[scheme].verify(pk, good, M) == 0
 
     def test_the_wellformed_key_passes_the_same_checks(self):
         # the cases above fail on the key alone: the same signature verifies
