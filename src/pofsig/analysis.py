@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import InvalidParams
 from .forkjoin import fork_map, split
-from .oracle import Seed, apply_step, chain_steps, image_blocks
+from .oracle import SEED_BYTES, Seed, apply_step, chain_steps, image_blocks
 from .pof import SCHEMES, DetectionOutcome, detect_forgery, verify_pof2
 from .wots import digits
 
@@ -439,13 +439,13 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     ForgeryBudget().check(domain_bits)
     params = derive_wots_params(n, delta, 1, 1)
     master = random.Random(seed)
-    draws = [(master.getrandbits(128), master.getrandbits(domain_bits))
+    draws = [(master.getrandbits(8 * SEED_BYTES), master.getrandbits(domain_bits))
              for _ in range(instances)]
 
     def count_preimages(part: range) -> list[int]:
         sizes = []
         for r, x in draws[part.start:part.stop]:
-            (step,) = chain_steps(params, Seed(r.to_bytes(16, "big")))
+            (step,) = chain_steps(params, Seed(r.to_bytes(SEED_BYTES, "big")))
             target = apply_step(step, BitString.from_int(x, domain_bits)).to_int()
             sizes.append(sum(block.count(target) for block in image_blocks(step, domain_bits)))
         return sizes

@@ -126,14 +126,13 @@ class BitString(Record):
         return self.payload.hex()
 
 
-def bit_strings(values, bit_len=None) -> bool:
-    """values is a tuple of BitStrings, each bit_len bits wide unless
-    bit_len is None; a plain loop, the fastest test of the few values a
-    key or signature holds."""
+def bit_strings(values, bit_len: int) -> bool:
+    """values is a tuple of BitStrings, each bit_len bits wide; a plain
+    loop, the fastest test of the few values a key or signature holds."""
     if not isinstance(values, tuple):
         return False
     for v in values:
-        if not isinstance(v, BitString) or (bit_len is not None and v.bit_len != bit_len):
+        if not isinstance(v, BitString) or v.bit_len != bit_len:
             return False
     return True
 

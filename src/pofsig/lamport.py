@@ -48,11 +48,14 @@ def sign(kp: KeyPair, m: int) -> Signature:
 
 
 def verify(pk: PublicKey, sig: Signature, m: int) -> int:
-    """1 iff sig is one revealed half whose image is pk's half for m; 0 for
-    a key not of Lamport's shape, no seed and two n-bit halves."""
-    if not isinstance(m, int) or m not in (0, 1):
-        raise DomainError(f"message must be the bit 0 or 1, got {m!r}")
-    if (pk.r is not None or not bit_strings(pk.pk, pk.params.n) or len(pk.pk) != 2
-            or len(sig.sigma) != 1):
+    """1 iff sig is one revealed half whose image is pk's half for m.  0, and
+    no exception, for anything not of Lamport's shape: a message that is not
+    the bit 0 or 1, a key that is not two n-bit halves with no seed, or a
+    signature that is not one (n+delta)-bit half.  pk is a PublicKey of
+    Lamport parameters, as ``pof.scheme_verify`` checks."""
+    params = pk.params
+    if not (isinstance(m, int) and m in (0, 1) and pk.r is None
+            and bit_strings(pk.pk, params.n) and len(pk.pk) == 2 and isinstance(sig, Signature)
+            and bit_strings(sig.sigma, params.sk_bits) and len(sig.sigma) == 1):
         return 0
-    return 1 if hash_secret(pk.params, sig.sigma[0]) == pk.pk[m] else 0
+    return 1 if hash_secret(params, sig.sigma[0]) == pk.pk[m] else 0

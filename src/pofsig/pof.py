@@ -12,8 +12,8 @@ where each depth fixes its value's width.  So type II is the one kind.
 from __future__ import annotations
 
 from . import lamport, wots
-from .core import KeyPair, Params, PublicKey, Record, Signature, bit_strings
-from .errors import NotAValidSignature, PofsigError
+from .core import KeyPair, Params, PublicKey, Record, Signature
+from .errors import NotAValidSignature
 
 # The one place a scheme name is mapped to its keygen, sign and verify;
 # every caller looks the scheme up by params.scheme.
@@ -21,17 +21,13 @@ SCHEMES = {"lamport": lamport, "wots": wots}
 
 
 def scheme_verify(pk: PublicKey, sig: Signature, M) -> int:
-    """Verify under pk's scheme; a malformed or cross-scheme input counts as 0:
-    anything but a PublicKey with scheme parameters or a Signature holding a
-    tuple of BitStrings, a key not shaped as its scheme's, or the other
-    scheme's signature; the scheme's own verify refuses the last two."""
-    if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)
-            and isinstance(sig, Signature) and bit_strings(sig.sigma)):
+    """Verify under pk's scheme; 0 for anything but a PublicKey with scheme
+    parameters, the one test that looking the scheme up needs.  The
+    scheme's own verify answers every other input, the other scheme's key
+    values, message or signature included, and raises nothing."""
+    if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)):
         return 0
-    try:
-        return SCHEMES[pk.params.scheme].verify(pk, sig, M)
-    except PofsigError:
-        return 0
+    return SCHEMES[pk.params.scheme].verify(pk, sig, M)
 
 
 class PofEvidenceII(Record):
@@ -39,15 +35,18 @@ class PofEvidenceII(Record):
 
 
 def verify_pof2(E: PofEvidenceII) -> int:
-    """1 iff both signatures verify for the message and differ in some bit.
+    """1 iff both signatures verify for the message and differ in some bit;
+    0 for anything that is not a PofEvidenceII.  The signatures are compared
+    only once both verify, so the comparison is always of two Signatures.
 
     Needs nothing beyond E itself (the public key travels inside), so
     any third party can check it.
     """
-    if E.sigma_tilde_star == E.sigma_star:
+    if not isinstance(E, PofEvidenceII):
         return 0
-    return (scheme_verify(E.pk, E.sigma_tilde_star, E.M_star)
-            and scheme_verify(E.pk, E.sigma_star, E.M_star))
+    pk, M, tilde, star = E.pk, E.M_star, E.sigma_tilde_star, E.sigma_star
+    both = scheme_verify(pk, tilde, M) and scheme_verify(pk, star, M)
+    return 1 if both and tilde != star else 0
 
 
 class DetectionOutcome(Record):

@@ -30,8 +30,8 @@ def digits(value: int, count: int, params: WotsParams) -> tuple[int, ...]:
 
 def to_base_w(M: BitString, params: WotsParams) -> tuple[int, ...]:
     """Split an L-bit message into l1 base-w digits, MSB-first."""
-    if M.bit_len != params.L:
-        raise DomainError(f"message must be {params.L} bits, got {M.bit_len}")
+    if not isinstance(M, BitString) or M.bit_len != params.L:
+        raise DomainError(f"message must be a BitString of {params.L} bits, got {M!r}")
     return digits(M.to_int(), params.l1, params)
 
 
@@ -70,23 +70,21 @@ def sign(kp: KeyPair, M: BitString) -> Signature:
 def verify(pk: PublicKey, sig: Signature, M: BitString) -> int:
     """Finish every chain from its claimed depth and compare to the public key.
 
-    Structural mismatches (a key not of WOTS's shape, a SEED_BYTES seed
-    and l n-bit chain tops; a message that is not an L-bit string; wrong
-    element count or lengths) verify as 0 rather than raising, so callers
-    get a single boolean outcome.
+    0, and no exception, for anything not of WOTS's shape: a key that is
+    not a SEED_BYTES seed and l n-bit chain tops, a message that is not an
+    L-bit BitString, or a signature that is not l values, each a BitString
+    as wide as its chain depth.  pk is a PublicKey of WOTS parameters, as
+    ``pof.scheme_verify`` checks.
     """
     params = pk.params
     if not (isinstance(pk.r, bytes) and len(pk.r) == SEED_BYTES
-            and bit_strings(pk.pk, params.n) and isinstance(M, BitString)):
+            and bit_strings(pk.pk, params.n) and len(pk.pk) == params.l
+            and isinstance(M, BitString) and M.bit_len == params.L
+            and isinstance(sig, Signature) and isinstance(sig.sigma, tuple)
+            and len(sig.sigma) == params.l):
         return 0
-    try:
-        b = extend(M, params)
-    except DomainError:
-        return 0
-    if len(sig.sigma) != params.l or len(pk.pk) != params.l:
-        return 0
-    for b_i, sigma_i, pk_i in zip(b, sig.sigma, pk.pk):
-        if sigma_i.bit_len != params.value_bits(b_i):
+    for b_i, sigma_i, pk_i in zip(extend(M, params), sig.sigma, pk.pk):
+        if not isinstance(sigma_i, BitString) or sigma_i.bit_len != params.value_bits(b_i):
             return 0
         if chain(params, pk.r, b_i, params.w - 1, sigma_i) != pk_i:
             return 0

@@ -422,6 +422,13 @@ class TestForgeWots:
         with pytest.raises(DomainError):
             forge_wots(kp.public(), M, wots.sign(kp, M), M, BUDGET, rng)
 
+    def test_target_that_is_not_a_bit_string_refused(self):
+        rng = random.Random(22)
+        kp = wots.keygen(WP, rng)
+        M = BitString.from_int(5, 4)
+        with pytest.raises(DomainError):
+            forge_wots(kp.public(), M, wots.sign(kp, M), "x", BUDGET, rng)
+
 
 def test_forge_dispatches_on_the_key_scheme():
     rng = random.Random(41)

@@ -82,23 +82,21 @@ def test_tampered_signature_rejected():
 
 
 def test_bad_message_bit():
+    # sign refuses a message that is not a bit; verify answers it with 0
     kp = make_kp()
     with pytest.raises(DomainError):
         lamport.sign(kp, 2)
-    with pytest.raises(DomainError):
-        lamport.verify(kp.public(), lamport.sign(kp, 0), "0")
+    assert lamport.verify(kp.public(), lamport.sign(kp, 0), "0") == 0
     # the bit indexes the key's halves: a float is not one
     with pytest.raises(DomainError):
         lamport.sign(kp, 1.0)
-    with pytest.raises(DomainError):
-        lamport.verify(kp.public(), lamport.sign(kp, 1), 1.0)
+    assert lamport.verify(kp.public(), lamport.sign(kp, 1), 1.0) == 0
 
 
 def test_wrong_signature_length():
     kp = make_kp()
     short = Signature((kp.pk[0],))  # n bits, not n+delta
-    with pytest.raises(DomainError):
-        lamport.verify(kp.public(), short, 0)
+    assert lamport.verify(kp.public(), short, 0) == 0
 
 
 def test_hash_secret_checks_width():

@@ -52,6 +52,12 @@ class TestPof2:
         tampered = PofEvidenceII(bad_pk, E.sigma_tilde_star, E.sigma_star, E.M_star)
         assert verify_pof2(tampered) == 0
 
+    def test_only_evidence_is_evidence(self):
+        # its fields as a bare tuple, or its public key alone, verify as 0
+        _, E = self._evidence()
+        for other in (None, (E.pk, E.sigma_tilde_star, E.sigma_star, E.M_star), E.pk):
+            assert verify_pof2(other) == 0, other
+
     def test_third_party_needs_only_evidence(self):
         # the evidence carries the public key; verification never touches sk
         _, E = self._evidence()
@@ -174,13 +180,26 @@ class TestSchemeVerify:
             detect_forgery(lkp, 1, wots.sign(wkp, M_w))
 
 
-# Signatures whose sigma is not a tuple of BitStrings: a library caller can
-# build them, though serial.loads never does.
+# Signatures that are not a Signature holding a tuple of BitStrings: a
+# library caller can build them, though serial.loads never does.  The WOTS
+# tuples hold the key's l values, so they fail on the values, not the count.
 MALFORMED = {
-    "lamport str": ("lamport", ("x",)),
-    "lamport None": ("lamport", None),
-    "wots ints": ("wots", (1, 2, 3, 4)),
-    "wots Nones": ("wots", (None,) * WP.l),
+    "lamport str": ("lamport", Signature(("x",))),
+    "lamport None": ("lamport", Signature(None)),
+    "lamport bare tuple": ("lamport", (BitString.from_int(0, LP.sk_bits),)),
+    "wots ints": ("wots", Signature((1, 2, 3, 4))),
+    "wots Nones": ("wots", Signature((None,) * WP.l)),
+    "wots None": ("wots", Signature(None)),
+}
+
+# Messages that are not the scheme's: not the bit 0 or 1 for Lamport, not
+# an L-bit BitString for WOTS.
+WRONG_MESSAGES = {
+    "lamport str": ("lamport", "0"),
+    "lamport 2": ("lamport", 2),
+    "lamport float": ("lamport", 1.0),
+    "wots str": ("wots", "x"),
+    "wots 3 bits": ("wots", BitString.from_int(0b101, 3)),
 }
 
 
@@ -195,15 +214,29 @@ class TestMalformedSignature:
 
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_counts_as_invalid_everywhere(self, case):
-        scheme, sigma = MALFORMED[case]
-        assert scheme != "wots" or len(sigma) == WP.l  # the right length, the wrong values
+        scheme, bad = MALFORMED[case]
+        # the right length, the wrong values
+        assert scheme != "wots" or bad.sigma is None or len(bad.sigma) == WP.l
         kp, M, good = self._key(scheme)
-        pk, bad = kp.public(), Signature(sigma)
+        pk = kp.public()
+        assert SCHEMES[scheme].verify(pk, bad, M) == 0
         assert scheme_verify(pk, bad, M) == 0
         with pytest.raises(NotAValidSignature):
             detect_forgery(kp, M, bad)
         assert verify_pof2(PofEvidenceII(pk, good, bad, M)) == 0
         assert verify_pof2(PofEvidenceII(pk, bad, good, M)) == 0
+
+    @pytest.mark.parametrize("case", list(WRONG_MESSAGES))
+    def test_wrong_message_counts_as_invalid_everywhere(self, case):
+        scheme, M = WRONG_MESSAGES[case]
+        kp, _, good = self._key(scheme)
+        pk = kp.public()
+        assert SCHEMES[scheme].verify(pk, good, M) == 0
+        assert scheme_verify(pk, good, M) == 0
+        with pytest.raises(NotAValidSignature):
+            detect_forgery(kp, M, good)
+        other = Signature(tuple(BitString(v.bit_len, bytes(len(v.payload))) for v in good.sigma))
+        assert verify_pof2(PofEvidenceII(pk, good, other, M)) == 0
 
 
 def _malformed_keys():
@@ -245,7 +278,7 @@ class TestMalformedPublicKey:
         other = Signature(tuple(BitString(v.bit_len, bytes(len(v.payload))) for v in good.sigma))
         assert verify_pof2(PofEvidenceII(pk, good, other, M)) == 0
         assert verify_pof2(PofEvidenceII(pk, other, good, M)) == 0
-        if params == kp.params and isinstance(pk_values, tuple):
+        if params == kp.params:
             # the scheme's own verify checks the key it is given
             assert SCHEMES[scheme].verify(pk, good, M) == 0
 

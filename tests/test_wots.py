@@ -29,6 +29,12 @@ class TestEncoding:
         with pytest.raises(DomainError):
             wots.to_base_w(BitString.from_int(0b101, 3), P)
 
+    def test_message_that_is_not_a_bit_string_refused(self):
+        with pytest.raises(DomainError):
+            wots.sign(make_kp(), "x")
+        with pytest.raises(DomainError):
+            wots.extend("x", P)
+
     def test_checksum_maximal_digits(self):
         assert wots.checksum((3, 3), P) == (0, (0, 0))
 

@@ -71,7 +71,7 @@ MUTANTS = (
      ("tests/test_analysis.py::TestExactEstimator::"
       "test_match_probabilities_follow_their_definition",)),
     ("verify_pof2 accepts two equal signatures", "pof.py",
-     "if E.sigma_tilde_star == E.sigma_star:", "if False:",
+     "return 1 if both and tilde != star else 0", "return 1 if both else 0",
      ("tests/test_pof.py::TestPof2::test_identical_signatures_rejected",)),
     ("a tenth of detected trials counted undetected", "analysis.py",
      "if outcome.detected:\n                E = outcome.evidence",
@@ -81,9 +81,13 @@ MUTANTS = (
       "tests/test_analysis.py::TestExperiment::test_lamport_bracket",
       "tests/test_analysis.py::TestScenario::test_scenario_runs_the_experiment_trial")),
     ("wots.verify takes a key of too few chains", "wots.py",
-     "if len(sig.sigma) != params.l or len(pk.pk) != params.l:",
-     "if len(sig.sigma) != params.l:",
+     "bit_strings(pk.pk, params.n) and len(pk.pk) == params.l",
+     "bit_strings(pk.pk, params.n)",
      ("tests/test_pof.py::TestMalformedPublicKey",)),
+    ("wots.verify takes a value that is not a BitString", "wots.py",
+     "if not isinstance(sigma_i, BitString) or sigma_i.bit_len",
+     "if sigma_i.bit_len",
+     ("tests/test_pof.py::TestMalformedSignature",)),
 )
 
 
