@@ -183,90 +183,63 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _add_scheme_params(sub):
-    sub.add_argument("--scheme", required=True, choices=("lamport", "wots"))
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--delta", type=int, required=True)
-    sub.add_argument("--L", type=int, default=None)
-    sub.add_argument("--nu", type=int, default=None)
+# Each option's argparse keywords, declared once for every command that
+# takes it; an option not listed here is a required string.
+_OPTIONS = {
+    "--scheme": {"required": True, "choices": ("lamport", "wots")},
+    "--n": {"type": int, "required": True},
+    "--delta": {"type": int, "required": True},
+    "--L": {"type": int},
+    "--nu": {"type": int},
+    "--trials": {"type": int, "required": True},
+    "--max-domain-bits": {"type": int, "required": True},
+    "--csv": {},
+    "--adversary-mode": {"required": True, "choices": ("fresh", "exact-sk")},
+    "--notify-adversary": {"action": "store_true"},
+}
+_SCHEME_OPTIONS = "--scheme --n --delta --L --nu "
+
+# Each command's handler, help line and options, in usage order.
+COMMANDS = {
+    "keygen": (_cmd_keygen, "generate a key pair",
+               _SCHEME_OPTIONS + "--seed --sk-out --pk-out"),
+    "sign": (_cmd_sign, "sign a message", "--sk --message --out"),
+    "verify": (_cmd_verify, "verify a signature", "--pk --sig --message"),
+    "forge": (_cmd_forge, "exhaustively forge a signature at toy sizes",
+              "--pk --known-message --known-sig --target-message --max-domain-bits --seed --out"),
+    "detect": (_cmd_detect, "re-sign and compare to build evidence",
+               "--sk --message --sig --pof-out"),
+    "verify-pof": (_cmd_verify_pof, "verify an evidence file", "--pof"),
+    "experiment": (_cmd_experiment, "Monte Carlo forgery-detection run",
+                   _SCHEME_OPTIONS + "--trials --seed --csv"),
+    "scenario": (_cmd_scenario, "replay the three-party scenario",
+                 _SCHEME_OPTIONS + "--adversary-mode --notify-adversary --seed"),
+    "bounds": (_cmd_bounds, "print analytic detection bounds", "--n --delta"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command) -> argparse.ArgumentParser:
+    """Every command, and the options of command alone (None: of none)."""
     parser = _Parser(
         prog="pofsig",
         description="One-time hash-based signatures with proof-of-forgery evidence",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("keygen", help="generate a key pair")
-    _add_scheme_params(s)
-    s.add_argument("--seed", required=True)
-    s.add_argument("--sk-out", required=True)
-    s.add_argument("--pk-out", required=True)
-    s.set_defaults(fn=_cmd_keygen)
-
-    s = subs.add_parser("sign", help="sign a message")
-    s.add_argument("--sk", required=True)
-    s.add_argument("--message", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(fn=_cmd_sign)
-
-    s = subs.add_parser("verify", help="verify a signature")
-    s.add_argument("--pk", required=True)
-    s.add_argument("--sig", required=True)
-    s.add_argument("--message", required=True)
-    s.set_defaults(fn=_cmd_verify)
-
-    s = subs.add_parser("forge", help="exhaustively forge a signature at toy sizes")
-    s.add_argument("--pk", required=True)
-    s.add_argument("--known-message", required=True)
-    s.add_argument("--known-sig", required=True)
-    s.add_argument("--target-message", required=True)
-    s.add_argument("--max-domain-bits", type=int, required=True)
-    s.add_argument("--seed", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(fn=_cmd_forge)
-
-    s = subs.add_parser("detect", help="re-sign and compare to build evidence")
-    s.add_argument("--sk", required=True)
-    s.add_argument("--message", required=True)
-    s.add_argument("--sig", required=True)
-    s.add_argument("--pof-out", required=True)
-    s.set_defaults(fn=_cmd_detect)
-
-    s = subs.add_parser("verify-pof", help="verify an evidence file")
-    s.add_argument("--pof", required=True)
-    s.set_defaults(fn=_cmd_verify_pof)
-
-    s = subs.add_parser("experiment", help="Monte Carlo forgery-detection run")
-    _add_scheme_params(s)
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", required=True)
-    s.add_argument("--csv", default=None)
-    s.set_defaults(fn=_cmd_experiment)
-
-    s = subs.add_parser("scenario", help="replay the three-party scenario")
-    _add_scheme_params(s)
-    s.add_argument(
-        "--adversary-mode", required=True, choices=("fresh", "exact-sk")
-    )
-    s.add_argument("--notify-adversary", action="store_true")
-    s.add_argument("--seed", required=True)
-    s.set_defaults(fn=_cmd_scenario)
-
-    s = subs.add_parser("bounds", help="print analytic detection bounds")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--delta", type=int, required=True)
-    s.set_defaults(fn=_cmd_bounds)
-
+    for name, (_, summary, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for flag in options.split() if name == command else ():
+            sub.add_argument(flag, **_OPTIONS.get(flag, {"required": True}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is argparse's first positional: the first argument that
+    # is not an option (where they differ, argparse refuses the command)
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except (PofsigError, OSError) as exc:
         print(f"error: {one_short_line(str(exc))}", file=sys.stderr)
         return EXIT_USAGE

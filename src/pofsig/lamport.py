@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 
-from .core import BitString, KeyPair, LamportParams, PublicKey, Signature, bit_strings, draw_bits
+from .core import (BitString, KeyPair, LamportParams, Params, PublicKey, Signature, bit_strings,
+                   draw_bits)
 from .errors import DomainError
 from .oracle import apply_step, lamport_step
 
@@ -49,10 +50,13 @@ def sign(kp: KeyPair, m: int) -> Signature:
 
 def verify(pk: PublicKey, sig: Signature, m: int) -> int:
     """1 iff sig is one revealed half whose image is pk's half for m.  0, and
-    no exception, for anything not of Lamport's shape: a message that is not
-    the bit 0 or 1, a key that is not two n-bit halves with no seed, or a
-    signature that is not one (n+delta)-bit half.  pk is a PublicKey of
-    Lamport parameters, as ``pof.scheme_verify`` checks."""
+    no exception, for anything not of Lamport's shape: a key that is not a
+    PublicKey of Lamport parameters with no seed and two n-bit halves, a
+    message that is not the bit 0 or 1, or a signature that is not one
+    (n+delta)-bit half."""
+    if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)
+            and pk.params.scheme == "lamport"):
+        return 0
     params = pk.params
     if not (isinstance(m, int) and m in (0, 1) and pk.r is None
             and bit_strings(pk.pk, params.n) and len(pk.pk) == 2 and isinstance(sig, Signature)

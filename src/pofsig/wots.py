@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .core import BitString, KeyPair, PublicKey, Signature, WotsParams, bit_strings, draw_bits
+from .core import (BitString, KeyPair, Params, PublicKey, Signature, WotsParams, bit_strings,
+                   draw_bits)
 from .errors import DomainError
 from .oracle import SEED_BYTES, Seed, chain
 
@@ -71,11 +72,13 @@ def verify(pk: PublicKey, sig: Signature, M: BitString) -> int:
     """Finish every chain from its claimed depth and compare to the public key.
 
     0, and no exception, for anything not of WOTS's shape: a key that is
-    not a SEED_BYTES seed and l n-bit chain tops, a message that is not an
-    L-bit BitString, or a signature that is not l values, each a BitString
-    as wide as its chain depth.  pk is a PublicKey of WOTS parameters, as
-    ``pof.scheme_verify`` checks.
+    not a PublicKey of WOTS parameters with a SEED_BYTES seed and l n-bit
+    chain tops, a message that is not an L-bit BitString, or a signature
+    that is not l values, each a BitString as wide as its chain depth.
     """
+    if not (isinstance(pk, PublicKey) and isinstance(pk.params, Params)
+            and pk.params.scheme == "wots"):
+        return 0
     params = pk.params
     if not (isinstance(pk.r, bytes) and len(pk.r) == SEED_BYTES
             and bit_strings(pk.pk, params.n) and len(pk.pk) == params.l

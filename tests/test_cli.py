@@ -1,7 +1,9 @@
 import contextlib
 import io
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,7 +300,7 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("bug in a command")
 
-    monkeypatch.setattr(cli, "_cmd_bounds", broken)
+    monkeypatch.setitem(cli.COMMANDS, "bounds", (broken, *cli.COMMANDS["bounds"][1:]))
     assert cli.main(["bounds", "--n", "8", "--delta", "4"]) == cli.EXIT_INTERNAL == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: bug in a command" in err
@@ -556,6 +558,55 @@ def cli_dir(tmp_path_factory):
     (d / "binary").write_bytes(b"\xff\xfe")
     (d / "out").mkdir()
     return d
+
+
+# The CLI's whole output, pinned: for each command its --help, a run
+# without its first option and one valid run, and pofsig alone, with
+# --help and with an unknown command.  tests/cli_golden.json holds each
+# case's exit code, stdout and stderr, taken from `python -m pofsig` run
+# in cli_dir with COLUMNS=80: "all" for every Python, and a version's
+# own entry for the cases where its argparse wraps usage lines otherwise.
+GOLDEN_RUNS = {
+    "keygen": "--scheme lamport --n 8 --delta 2 --seed 01 --sk-out golden.sk --pk-out golden.pk",
+    "sign": "--sk lam.sk --message 1 --out golden.sig",
+    "verify": "--pk lam.pk --sig lam.sig --message 1",
+    "forge": "--pk lam.pk --known-message 1 --known-sig lam.sig --target-message 0"
+             " --max-domain-bits 16 --seed 05 --out golden.forged",
+    "detect": "--sk lam.sk --message 0 --sig forged --pof-out golden.pof",
+    "verify-pof": "--pof lam.pof",
+    "experiment": "--scheme lamport --n 8 --delta 2 --trials 20 --seed 2a",
+    "scenario": "--scheme wots --n 4 --delta 1 --L 4 --nu 2 --adversary-mode fresh"
+                " --notify-adversary --seed 07",
+    "bounds": "--n 8 --delta 4",
+}
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def _golden_cases():
+    cases = {"pofsig": [], "pofsig --help": ["--help"], "pofsig bogus": ["bogus"]}
+    for command, options in GOLDEN_RUNS.items():
+        argv = [command, *options.split()]
+        cases[f"{command} --help"] = [command, "--help"]
+        cases[f"{command} without {argv[1]}"] = [command, *argv[3:]]
+        cases[f"{command} run"] = argv
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_output_matches_the_golden_text(cli_dir, monkeypatch, capsys, case):
+    monkeypatch.chdir(cli_dir)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(GOLDEN_CASES[case])
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    version = "%d.%d" % sys.version_info[:2]
+    expected = GOLDEN.get(version, {}).get(case, GOLDEN["all"][case])
+    assert {"code": code, "stdout": out, "stderr": err} == expected
 
 
 @st.composite

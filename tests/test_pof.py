@@ -278,9 +278,20 @@ class TestMalformedPublicKey:
         other = Signature(tuple(BitString(v.bit_len, bytes(len(v.payload))) for v in good.sigma))
         assert verify_pof2(PofEvidenceII(pk, good, other, M)) == 0
         assert verify_pof2(PofEvidenceII(pk, other, good, M)) == 0
-        if params == kp.params:
-            # the scheme's own verify checks the key it is given
-            assert SCHEMES[scheme].verify(pk, good, M) == 0
+        # the scheme's own verify checks the key it is given
+        assert SCHEMES[scheme].verify(pk, good, M) == 0
+
+    @pytest.mark.parametrize("case", ["None", "bare tuple", "str params", "other scheme's params"])
+    @pytest.mark.parametrize("scheme", ["lamport", "wots"])
+    def test_the_schemes_own_verify_takes_any_key(self, scheme, case):
+        # called directly, without scheme_verify's gate: anything but a
+        # PublicKey of the scheme's own parameter class is 0, not an error
+        kp, M, good = TestMalformedSignature()._key(scheme)
+        pk = {"None": None, "bare tuple": (kp.params, kp.r, kp.pk),
+              "str params": PublicKey(scheme, kp.r, kp.pk),
+              "other scheme's params": PublicKey(WP if scheme == "lamport" else LP, kp.r, kp.pk),
+              }[case]
+        assert SCHEMES[scheme].verify(pk, good, M) == 0
 
     def test_the_wellformed_key_passes_the_same_checks(self):
         # the cases above fail on the key alone: the same signature verifies

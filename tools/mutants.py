@@ -88,6 +88,14 @@ MUTANTS = (
      "if not isinstance(sigma_i, BitString) or sigma_i.bit_len",
      "if sigma_i.bit_len",
      ("tests/test_pof.py::TestMalformedSignature",)),
+    ("lamport.verify takes what is not a PublicKey", "lamport.py",
+     'isinstance(pk, PublicKey) and isinstance(pk.params, Params)\n'
+     '            and pk.params.scheme == "lamport"',
+     'isinstance(pk.params, Params)\n            and pk.params.scheme == "lamport"',
+     ("tests/test_pof.py::TestMalformedPublicKey::test_the_schemes_own_verify_takes_any_key",)),
+    ("the CLI's --n is a string", "cli.py",
+     '"--n": {"type": int, "required": True},', '"--n": {"required": True},',
+     ("tests/test_cli.py::test_output_matches_the_golden_text",)),
 )
 
 
