@@ -7,22 +7,24 @@ sweeps its domain in forked jobs and files each image, or each target
 image asked for, with its preimages.  An experiment indexes every image
 once; a single forgery indexes its one target.  Winternitz chains are
 inverted through a per-key table of every depth's chain tops
-(``chain_tops``).  ``enumerate_preimages`` is the generic per-candidate
-reference that tests compare the sweeps against.  A hard cap on domain
-width keeps runs at desk scale; production sizes are refused outright.
+(``chain_tops``), which also gives the chance that the forger reproduces
+the signer's value at each position (``match_probabilities``).
+``enumerate_preimages`` is the generic per-candidate reference that
+tests compare the sweeps against.  A hard cap on domain width keeps
+runs at desk scale; production sizes are refused outright.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Callable
 from itertools import chain as _chain_iterables, compress
 
-from .core import (
-    MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Record, Signature, WotsParams,
-)
+from .core import (MAX_DOMAIN_BITS, BitString, LamportParams, PublicKey, Record, Signature,
+                   WotsParams, require_ints)
 from .errors import BudgetExceeded, DomainError, EmptyPreimageSet, InvalidParams
 from .forkjoin import fork_map, split
 from .oracle import Seed, chain, chain_steps, image_blocks, lamport_step
@@ -36,6 +38,7 @@ class ForgeryBudget(Record):
     _defaults = {"max_domain_bits": MAX_DOMAIN_BITS}
 
     def _check(self):
+        require_ints(max_domain_bits=self.max_domain_bits)
         if not 1 <= self.max_domain_bits <= MAX_DOMAIN_BITS:
             raise InvalidParams(
                 f"max_domain_bits must be in 1..{MAX_DOMAIN_BITS}"
@@ -224,8 +227,7 @@ def forge_wots(
     params = pk.params
     if M_star == known_M:
         raise DomainError("target message must differ from the signed one")
-    b = extend(known_M, params)
-    b_star = extend(M_star, params)
+    b, b_star = extend(known_M, params), extend(M_star, params)
     inverted = [d for d, known in zip(b_star, b) if d < known]
     if tops is None:
         tops = chain_tops(params, pk.r, min(inverted), budget)
@@ -237,6 +239,20 @@ def forge_wots(
             v = _draw(_members(tops[b_star[i]], pk.pk[i]), pk.pk[i], rng)
             sigma_star.append(BitString.from_int(v, params.value_bits(b_star[i])))
     return Signature(tuple(sigma_star))
+
+
+def match_probabilities(params: WotsParams, tops: dict[int, list[int]]) -> list[list[float]]:
+    """The forger's w x w matrix, from a full chain table (``chain_tops``
+    down to depth 0): factor[a][s] is the chance, over a uniform secret sk,
+    that ``forge_wots`` reproduces sk's depth-s value at a position signed
+    at depth a.  That is 1 where s >= a, as it advances the known value,
+    and where s < a, as it draws a uniform depth-s preimage of top(sk),
+    g(s) = sum over tops y of c_0(y) / c_s(y) / 2^value_bits(0), where
+    c_d(y) counts the depth-d inputs whose top is y."""
+    c0 = Counter(tops[0])
+    g = [math.fsum(k / cd[y] for y, k in c0.items()) / len(tops[0])
+         for cd in (Counter(tops[d]) if d else c0 for d in range(params.w - 1))]
+    return [[g[s] if s < a else 1.0 for s in range(params.w)] for a in range(params.w)]
 
 
 def forge(

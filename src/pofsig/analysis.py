@@ -17,7 +17,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .adversary import ForgeryBudget, build_lamport_preimage_index, chain_tops, forge
+from .adversary import (ForgeryBudget, build_lamport_preimage_index, chain_tops, forge,
+                        match_probabilities)
 from .core import (
     BitString, KeyPair, Params, Record, WotsParams, derive_wots_params, draw_bits, require_ints,
 )
@@ -103,17 +104,21 @@ def fda_bounds(n: int, delta: int) -> BoundsReport:
 # Monte Carlo forgery-detection experiment
 
 
+def _require_params(params) -> None:
+    if not isinstance(params, Params):
+        raise InvalidParams("params must be LamportParams or WotsParams, "
+                            f"not {type(params).__name__}")
+
+
 class ExperimentConfig(Record):
     __slots__ = ("scheme", "params", "trials", "master_seed")  # scheme must equal params.scheme
 
     def _check(self):
-        if not isinstance(self.params, Params):
-            raise InvalidParams("params must be LamportParams or WotsParams, "
-                                f"not {type(self.params).__name__}")
+        _require_params(self.params)
         if self.scheme != self.params.scheme:
             raise InvalidParams(
                 f"scheme {self.scheme!r} does not match parameters {self.params!r}")
-        require_ints(trials=self.trials)
+        require_ints(trials=self.trials, master_seed=self.master_seed)
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
 
@@ -197,33 +202,22 @@ def estimator_for(params: Params) -> str:
     return "monte-carlo"
 
 
-def match_probabilities(params: WotsParams, tops: dict[int, list[int]]) -> list[float]:
-    """g(d) for each depth d < w-1, from a full chain table (``chain_tops``
-    down to depth 0): the chance, over a uniform secret sk, that a uniform
-    depth-d preimage of top(sk) is sk's own depth-d value.  That is
-    sum over tops y of c_0(y) / c_d(y) / 2^value_bits(0), where c_d(y)
-    counts the depth-d inputs whose top is y."""
-    c0 = Counter(tops[0])
-    g = []
-    for d in range(params.w - 1):
-        cd = c0 if d == 0 else Counter(tops[d])
-        g.append(math.fsum(k / cd[y] for y, k in c0.items()) / len(tops[0]))
-    return g
-
-
-def undetected_probability(params: WotsParams, g: list[float]) -> float:
+def undetected_probability(params: WotsParams, factor: list[list[float]]) -> float:
     """P_r: the mean, over all ordered message pairs M != M*, of the product
-    of g[b*_i] over the positions where b*_i < b_i (b = extend(M),
-    b* = extend(M*)), which is the chance that the forgery reproduces the
-    signer's signature when positions are independent given r.
+    of factor[b_i][b*_i] over the l positions (b = extend(M),
+    b* = extend(M*)).  For the forger's matrix (``match_probabilities``)
+    that is the chance that the forgery reproduces the signer's signature
+    when positions are independent given r.
 
     A dynamic program over the two checksums (C, C*): l1 message-digit
     steps of w^2 digit pairs each, then the l2 checksum digits of every
-    (C, C*), then the 2^L diagonal pairs M = M*, each worth 1, come off.
+    (C, C*), then the 2^L diagonal pairs M = M*, each worth 1 under a unit
+    diagonal, come off.  So any factor but a w x w one with a unit
+    diagonal is refused.
     """
     w = params.w
-    # factor[a][a_star]: one position signed at depth a, forged at a_star
-    factor = [[g[s] if s < a else 1.0 for s in range(w)] for a in range(w)]
+    if len(factor) != w or any(len(row) != w or row[a] != 1.0 for a, row in enumerate(factor)):
+        raise InvalidParams(f"factor must be a {w} x {w} matrix with a unit diagonal")
     size = params.l1 * (w - 1) + 1  # checksums run over 0..l1(w-1)
     # sums[C * size + C_star]: summed weight of digit-sequence pairs so far
     moves = [
@@ -432,7 +426,7 @@ def preimage_census(n: int, delta: int, instances: int, seed: int) -> CensusRepo
     instance; contiguous runs of instances are counted by forked workers
     (``forkjoin``).
     """
-    require_ints(n=n, delta=delta, instances=instances)
+    require_ints(n=n, delta=delta, instances=instances, seed=seed)
     if instances < 1:
         raise InvalidParams("instances must be >= 1")
     domain_bits = n + delta
@@ -507,6 +501,8 @@ def run_scenario(
     exact-sk mode hands the adversary the secret key itself, modeling full
     key recovery, where detection necessarily fails.
     """
+    _require_params(params)
+    require_ints(seed=seed)
     if adversary_mode not in ("fresh", "exact-sk"):
         raise InvalidParams(f"unknown adversary mode {adversary_mode!r}")
     rng = trial_rng(seed, 0)

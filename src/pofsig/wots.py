@@ -29,24 +29,14 @@ def digits(value: int, count: int, params: WotsParams) -> tuple[int, ...]:
     )
 
 
-def to_base_w(M: BitString, params: WotsParams) -> tuple[int, ...]:
-    """Split an L-bit message into l1 base-w digits, MSB-first."""
+def extend(M: BitString, params: WotsParams) -> tuple[int, ...]:
+    """The l chain depths of an L-bit message: its l1 base-w digits,
+    MSB-first, then the l2 digits of their checksum, the sum of the
+    digits' complements w-1-m_i."""
     if not isinstance(M, BitString) or M.bit_len != params.L:
         raise DomainError(f"message must be a BitString of {params.L} bits, got {M!r}")
-    return digits(M.to_int(), params.l1, params)
-
-
-def checksum(m_digits: tuple[int, ...], params: WotsParams) -> tuple[int, tuple[int, ...]]:
-    """Sum of digit complements and its base-w form in exactly l2 digits."""
-    C = sum(params.w - 1 - m for m in m_digits)
-    return C, digits(C, params.l2, params)
-
-
-def extend(M: BitString, params: WotsParams) -> tuple[int, ...]:
-    """Message digits followed by checksum digits: the l chain depths."""
-    m = to_base_w(M, params)
-    _, c = checksum(m, params)
-    return m + c
+    m = digits(M.to_int(), params.l1, params)
+    return m + digits(sum(params.w - 1 - m_i for m_i in m), params.l2, params)
 
 
 def public_values(params: WotsParams, r: Seed, sk) -> tuple[BitString, ...]:

@@ -2,19 +2,23 @@
 
 None of these runs in pofsig itself: they are the independent checks of
 the closed-form expectation, of the 5.22 bound constant, of the Lamport
-image count against the experiment's preimage index, of the collision
+image count against the experiment's preimage index, of the WOTS
+exact-given-r rate against every forgery it averages, of the collision
 that a piece of evidence exhibits, of the oracle's counter-mode stream,
 and of the invariants of a bit string.
 """
 
 import hashlib
+import itertools
 import math
 
 from pofsig import lamport, wots
+from pofsig.adversary import ForgeryBudget, chain_tops, forge_wots
 from pofsig.analysis import binom_pmf
-from pofsig.core import BitString, LamportParams
+from pofsig.core import BitString, KeyPair, LamportParams
 from pofsig.errors import DomainError
 from pofsig.oracle import apply_step, chain_steps, lamport_step
+from pofsig.pof import detect_forgery
 
 
 def exact_expectation_by_summation(n: int, delta: int) -> float:
@@ -60,6 +64,72 @@ def occupancy_sd(n: int, delta: int) -> float:
     var = R * (R - 1) * (1 - 2 / R) ** D + R * (1 - 1 / R) ** D - R * R * (1 - 1 / R) ** (2 * D)
     return math.sqrt(var) / D
 
+
+
+class EveryDraw:
+    """An rng that returns each index in turn: one run of draws takes the
+    current sequence of indices, and turn() moves to the next one, the
+    last draw fastest, or answers False once every sequence has run."""
+
+    def __init__(self):
+        self.picks, self.bounds, self.at = [], [], 0
+
+    def randrange(self, k):
+        if self.at == len(self.picks):
+            self.picks.append(0)
+            self.bounds.append(k)
+        self.at += 1
+        return self.picks[self.at - 1]
+
+    def turn(self):
+        self.at = 0
+        while self.picks:
+            self.picks[-1] += 1
+            if self.picks[-1] < self.bounds[-1]:
+                return True
+            del self.picks[-1], self.bounds[-1]
+        return False
+
+
+def exhaustive_undetected_rate(params, r) -> float:
+    """P_r of the WOTS key seed r, counted without the checksum DP or
+    match_probabilities: the undetected share over every secret key, every
+    ordered pair M != M* and every forger draw, each forgery made by the
+    real forge_wots (through the key's full chain table, as an experiment
+    trial does) and judged by detect_forgery.
+
+    Work is shared per position.  Given r and the pair, the forged value
+    at position i depends on sk_i and the draw there alone, and a key is
+    uniform over the product of its positions' values.  So a pair's share
+    is the product over positions of the share of (sk_i, draw) that
+    reproduce the signer's value there, and only the 2^sk_bits keys that
+    hold one value at every position run: each forgery's evidence tells
+    which positions it reproduced.
+    """
+    budget = ForgeryBudget()
+    tops = chain_tops(params, r, 0, budget)
+    bits = params.sk_bits
+    keys = []
+    for v in range(1 << bits):
+        sk = (BitString.from_int(v, bits),) * params.l
+        keys.append(KeyPair(params, r, sk, wots.public_values(params, r, sk)))
+    messages = [BitString.from_int(m, params.L) for m in range(1 << params.L)]
+    shares = []
+    for M, M_star in itertools.permutations(messages, 2):
+        reproduced = [0.0] * params.l
+        for kp in keys:
+            sigma, draws = wots.sign(kp, M), EveryDraw()
+            while True:
+                forged = forge_wots(kp.public(), M, sigma, M_star, budget, draws, tops)
+                E = detect_forgery(kp, M_star, forged).evidence
+                weight = 1.0 / math.prod(draws.bounds)
+                for i in range(params.l):
+                    if E is None or E.sigma_star.sigma[i] == E.sigma_tilde_star.sigma[i]:
+                        reproduced[i] += weight
+                if not draws.turn():
+                    break
+        shares.append(math.prod(p / len(keys) for p in reproduced))
+    return math.fsum(shares) / len(shares)
 
 def collision(E):
     """(step, x, y): the oracle step and the two inputs that evidence E

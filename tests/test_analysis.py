@@ -13,12 +13,12 @@ from pofsig.adversary import (
     build_lamport_preimage_index,
     chain_preimages,
     chain_tops,
+    match_probabilities,
 )
 from pofsig.analysis import (
     ExperimentConfig,
     exact_expectation,
     fda_bounds,
-    match_probabilities,
     preimage_census,
     run_fda_experiment,
     run_scenario,
@@ -32,6 +32,7 @@ from pofsig.pof import verify_pof2
 from reference import (
     bound_constant,
     exact_expectation_by_summation,
+    exhaustive_undetected_rate,
     lamport_image_fraction,
     minimize_bound_constant,
 )
@@ -185,12 +186,12 @@ class TestTrialSeeds:
         assert a.isdisjoint(b)
 
 
-def brute_force_probability(params, g):
-    """Mean over every ordered pair M != M* of the product of g[b*_i]
-    over the positions where b*_i < b_i."""
+def brute_force_probability(params, factor):
+    """Mean over every ordered pair M != M* of the product of
+    factor[b_i][b*_i] over the l positions."""
     ext = [wots.extend(BitString.from_int(v, params.L), params) for v in range(1 << params.L)]
     products = [
-        math.prod(g[y] for x, y in zip(b, b_star) if y < x)
+        math.prod(factor[x][y] for x, y in zip(b, b_star))
         for i, b in enumerate(ext)
         for j, b_star in enumerate(ext)
         if i != j
@@ -206,31 +207,64 @@ class TestExactEstimator:
     )
     def test_checksum_dp_matches_pair_enumeration(self, args):
         params = derive_wots_params(*args)
-        rng = random.Random(sum(args))
-        g = [rng.uniform(0.01, 1.0) for _ in range(params.w - 1)]
-        assert undetected_probability(params, g) == pytest.approx(
-            brute_force_probability(params, g), rel=1e-12)
+        w, rng = params.w, random.Random(sum(args))
+        # the forger's shape, g(s) below the known depth a, then any matrix
+        g = [rng.uniform(0.01, 1.0) for _ in range(w - 1)]
+        forger = [[g[s] if s < a else 1.0 for s in range(w)] for a in range(w)]
+        full = [[1.0 if s == a else rng.uniform(0.01, 1.0) for s in range(w)] for a in range(w)]
+        for factor in (forger, full):
+            assert undetected_probability(params, factor) == pytest.approx(
+                brute_force_probability(params, factor), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "factor",
+        [[[1.0] * 4] * 3, [[1.0] * 3] * 4, [[1.0] * 4] * 3 + [[1.0] * 3],
+         [[1.0] * 4] * 5, [[1.0, 0.5, 1.0, 1.0]] * 4, [[0.5] * 4] * 4],
+        ids=["3 rows", "3 columns", "a short row", "5 rows", "one diagonal 0.5",
+             "no unit entry"],
+    )
+    def test_factor_not_square_with_a_unit_diagonal_refused(self, factor):
+        with pytest.raises(InvalidParams, match="4 x 4 matrix with a unit diagonal"):
+            undetected_probability(WP, factor)
 
     def test_match_probabilities_follow_their_definition(self):
-        # g(d) = E_sk[1 / |depth-d preimages of top(sk)|] over uniform sk
+        # factor[a][s] = g(s) = E_sk[1 / |depth-s preimages of top(sk)|]
+        # over uniform sk where s < a, and 1 where the forger advances
         params = derive_wots_params(4, 1, 4, 2)
         r = wots.keygen(params, random.Random(8)).r
         bits, top = params.sk_bits, params.w - 1
         sk_tops = [chain(params, r, 0, top, BitString.from_int(v, bits))
                    for v in range(1 << bits)]
-        expected = []
+        g = []
         for d in range(top):
             count = {y: chain_preimages(params, r, d, y, ForgeryBudget()).count
                      for y in set(sk_tops)}
-            expected.append(math.fsum(1 / count[y] for y in sk_tops) / len(sk_tops))
-        g = match_probabilities(params, chain_tops(params, r, 0, ForgeryBudget()))
-        assert g == pytest.approx(expected, rel=1e-12)
+            g.append(math.fsum(1 / count[y] for y in sk_tops) / len(sk_tops))
+        factor = match_probabilities(params, chain_tops(params, r, 0, ForgeryBudget()))
+        assert len(factor) == params.w
+        for a, row in enumerate(factor):
+            assert len(row) == params.w
+            for s, entry in enumerate(row):
+                if s < a:
+                    assert entry == pytest.approx(g[s], rel=1e-12)
+                else:
+                    assert entry == 1.0
 
     def test_estimate_agrees_with_the_monte_carlo_count(self):
         r = run_fda_experiment(ExperimentConfig("wots", WP, 2000, 2026))
         assert r.estimator == "exact-given-r"
         assert abs(r.undetected_rate - r.monte_carlo_rate) <= 4 * r.monte_carlo_stderr
         assert r.stderr < r.monte_carlo_stderr / 10
+
+    @pytest.mark.parametrize("args", [(2, 0, 2, 2), (2, 1, 2, 2)])
+    def test_rate_is_the_exhaustive_undetected_share(self, args):
+        # every key of trial 0's seed r, every pair and every forger draw
+        params, seed = derive_wots_params(*args), 5
+        r = wots.keygen(params, trial_rng(seed, 0)).r
+        report = run_fda_experiment(ExperimentConfig("wots", params, 1, seed))
+        assert report.estimator == "exact-given-r"
+        assert report.undetected_rate == pytest.approx(
+            exhaustive_undetected_rate(params, r), rel=0, abs=1e-12)
 
     def test_single_trial_has_a_finite_stderr(self):
         r = run_fda_experiment(ExperimentConfig("wots", WP, 1, 5))
@@ -557,3 +591,25 @@ class TestScenario:
         log = run_scenario(LamportParams(8, 2), 3, "exact-sk")
         text = analysis.scenario_text(log)
         assert "outcome: undetectable" in text
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: ForgeryBudget("8"), "max_domain_bits must be", id="budget str"),
+    pytest.param(lambda: ForgeryBudget(8.5), "max_domain_bits must be", id="budget float"),
+    pytest.param(lambda: ForgeryBudget(True), "max_domain_bits must be", id="budget bool"),
+    pytest.param(lambda: run_scenario("x", 1), "LamportParams or WotsParams", id="scenario params"),
+    pytest.param(lambda: run_scenario(LamportParams(8, 2), "1"), "seed must be",
+                 id="scenario seed str"),
+    pytest.param(lambda: run_scenario(LamportParams(8, 2), 1.0), "seed must be",
+                 id="scenario seed float"),
+    pytest.param(lambda: preimage_census(4, 0, 3, [1]), "seed must be", id="census seed list"),
+    pytest.param(lambda: preimage_census(4, 0, 3, 1.5), "seed must be", id="census seed float"),
+    pytest.param(lambda: preimage_census(4, 0, 3, "1"), "seed must be", id="census seed str"),
+    pytest.param(lambda: ExperimentConfig("lamport", LamportParams(8, 2), 10, 1.5),
+                 "master_seed must be", id="config seed float"),
+    pytest.param(lambda: ExperimentConfig("lamport", LamportParams(8, 2), 10, "1"),
+                 "master_seed must be", id="config seed str"),
+])
+def test_library_input_of_a_wrong_type_is_refused(call, match):
+    with pytest.raises(InvalidParams, match=match):
+        call()

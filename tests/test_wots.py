@@ -15,19 +15,21 @@ def make_kp(seed=0, params=P):
 
 
 class TestEncoding:
+    # extend(M) is M's l1 base-w digits, MSB-first, then the l2 digits of
+    # their checksum, the sum of the complements w-1-m_i
     def test_to_base_w(self):
-        assert wots.to_base_w(BitString.from_int(0b1101, 4), P) == (3, 1)
+        assert wots.extend(BitString.from_int(0b1101, 4), P)[:P.l1] == (3, 1)
 
     def test_to_base_w_binary(self):
         p = derive_wots_params(8, 0, 2, 1)
-        assert wots.to_base_w(BitString.from_int(0b10, 2), p) == (1, 0)
+        assert wots.extend(BitString.from_int(0b10, 2), p)[:p.l1] == (1, 0)
 
     def test_to_base_w_zero(self):
-        assert wots.to_base_w(BitString.from_int(0, 4), P) == (0, 0)
+        assert wots.extend(BitString.from_int(0, 4), P)[:P.l1] == (0, 0)
 
     def test_to_base_w_wrong_length(self):
         with pytest.raises(DomainError):
-            wots.to_base_w(BitString.from_int(0b101, 3), P)
+            wots.extend(BitString.from_int(0b101, 3), P)
 
     def test_message_that_is_not_a_bit_string_refused(self):
         with pytest.raises(DomainError):
@@ -36,14 +38,14 @@ class TestEncoding:
             wots.extend("x", P)
 
     def test_checksum_maximal_digits(self):
-        assert wots.checksum((3, 3), P) == (0, (0, 0))
+        assert wots.extend(BitString.from_int(0b1111, 4), P)[P.l1:] == (0, 0)
 
     def test_checksum_example(self):
-        assert wots.checksum((3, 1), P) == (2, (0, 2))
+        assert wots.extend(BitString.from_int(0b1101, 4), P)[P.l1:] == (0, 2)
 
     def test_checksum_binary(self):
         p = derive_wots_params(8, 0, 8, 1)  # w=2, l1=8, l2=4
-        assert wots.checksum((0,) * 8, p) == (8, (1, 0, 0, 0))
+        assert wots.extend(BitString.from_int(0, 8), p)[p.l1:] == (1, 0, 0, 0)
 
     def test_extend(self):
         assert wots.extend(BitString.from_int(0b1101, 4), P) == (3, 1, 0, 2)
@@ -52,12 +54,15 @@ class TestEncoding:
         assert wots.extend(BitString.from_int(0b1111, 4), P) == (3, 3, 0, 0)
 
     def test_checksum_never_overflows(self):
-        for nu in (1, 2):
+        for nu in (1, 2, 3):
             p = derive_wots_params(6, 1, 4 * nu, nu)
-            for digits in itertools.product(range(p.w), repeat=p.l1):
-                C, c = wots.checksum(digits, p)
-                assert len(c) == p.l2
-                assert sum(d * p.w ** (p.l2 - 1 - i) for i, d in enumerate(c)) == C
+            for v in range(1 << p.L):
+                b = wots.extend(BitString.from_int(v, p.L), p)
+                m, c = b[:p.l1], b[p.l1:]
+                assert len(c) == p.l2 and all(0 <= d < p.w for d in b)
+                assert sum(d * p.w ** (p.l1 - 1 - i) for i, d in enumerate(m)) == v
+                assert (sum(d * p.w ** (p.l2 - 1 - i) for i, d in enumerate(c))
+                        == sum(p.w - 1 - m_i for m_i in m))
 
     def test_anti_monotone_somewhere(self):
         # any other message must force at least one extended digit down

@@ -4,6 +4,8 @@ Usage::
 
     PYTHONPATH=<tree>/src python tools/behaviour_fingerprint.py
 
+Without a ``pofsig`` on the path, it digests this tree's own ``src/``.
+
 Each line is ``<name> <sha256 of the output>``; the last line digests
 all of them.  Two trees behave bit-identically on these seeds when the
 outputs match line for line.  Covered: CLI key, signature and evidence
@@ -16,12 +18,18 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
+import sys
 import tempfile
+from pathlib import Path
 
-from pofsig import analysis, cli
-from pofsig.core import LamportParams, derive_wots_params
+if importlib.util.find_spec("pofsig") is None:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from pofsig import analysis, cli  # noqa: E402
+from pofsig.core import LamportParams, derive_wots_params  # noqa: E402
 
 
 def _digest(text: str) -> str:

@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 VERDICT = 'verdict = "pass" if rate < bounds.upper + 3.0 * stderr else "fail"'
 GIVEN_R_RATE = "rate = math.fsum(p_rs) / config.trials"
+EXACT = "tests/test_analysis.py::TestExactEstimator::"
+GROUND_TRUTH = EXACT + "test_rate_is_the_exhaustive_undetected_share"
 
 # (name, module, old text, new text, killers: pytest node ids)
 MUTANTS = (
@@ -45,16 +47,15 @@ MUTANTS = (
      ("tests/test_analysis.py::TestConfidenceIntervals",)),
     ("exact-given-r rate doubled", "analysis.py", GIVEN_R_RATE,
      GIVEN_R_RATE.replace("rate =", "rate = 2 *"),
-     ("tests/test_analysis.py::TestExactEstimator::"
-      "test_estimate_agrees_with_the_monte_carlo_count",)),
+     (EXACT + "test_estimate_agrees_with_the_monte_carlo_count", GROUND_TRUTH)),
     ("exact-given-r rate halved", "analysis.py", GIVEN_R_RATE,
      GIVEN_R_RATE.replace("rate =", "rate = 0.5 *"),
-     ("tests/test_analysis.py::TestExactEstimator::"
-      "test_estimate_agrees_with_the_monte_carlo_count",)),
+     (EXACT + "test_estimate_agrees_with_the_monte_carlo_count", GROUND_TRUTH)),
     ("forge_wots takes the first member", "adversary.py",
      "v = _draw(_members(tops[b_star[i]], pk.pk[i]), pk.pk[i], rng)",
      "v = _members(tops[b_star[i]], pk.pk[i])[0]",
-     ("tests/test_adversary.py::TestForgeWots::test_matches_the_reference_forger",)),
+     ("tests/test_adversary.py::TestForgeWots::test_matches_the_reference_forger",
+      GROUND_TRUTH)),
     ("census model with lambda doubled", "analysis.py",
      "binom_pmf(2 ** (n + delta) - 1, 2.0 ** -n, max_n - 1)",
      "binom_pmf(2 ** (n + delta) - 1, 2.0 ** (1 - n), max_n - 1)",
@@ -65,11 +66,16 @@ MUTANTS = (
      "upper=math.ldexp(UPPER_BOUND_CONSTANT, 1 - delta),",
      ("tests/test_analysis.py::TestBounds::test_upper_bound_delta4",
       "tests/test_cli.py::test_bounds_command")),
-    ("g without its c_0 weight", "analysis.py",
+    ("g without its c_0 weight", "adversary.py",
      "math.fsum(k / cd[y] for y, k in c0.items())",
      "math.fsum(1 / cd[y] for y, k in c0.items())",
-     ("tests/test_analysis.py::TestExactEstimator::"
-      "test_match_probabilities_follow_their_definition",)),
+     (EXACT + "test_match_probabilities_follow_their_definition",)),
+    ("extend sums the digits, not their complements", "wots.py",
+     "sum(params.w - 1 - m_i for m_i in m)", "sum(m)",
+     ("tests/test_wots.py::TestEncoding",)),
+    ("the checksum product reads factor[s][a]", "analysis.py",
+     "weight *= factor[a][s]", "weight *= factor[s][a]",
+     (EXACT + "test_checksum_dp_matches_pair_enumeration",)),
     ("verify_pof2 accepts two equal signatures", "pof.py",
      "return 1 if both and tilde != star else 0", "return 1 if both else 0",
      ("tests/test_pof.py::TestPof2::test_identical_signatures_rejected",)),
